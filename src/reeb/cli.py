@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_g")
     p.add_argument("epsilon")
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--algo", choices=("sweep", "naive"), default="sweep")
 
     p = sub.add_parser("distance",
                        help="bracket the interleaving distance")
@@ -117,7 +116,7 @@ def _run(args, out) -> int:
     if args.command == "check-interleave":
         eps = parse_rational(args.epsilon)
         outcome = search_certificate(_graph(args.file_f), _graph(args.file_g),
-                                     eps, budget=args.budget, algo=args.algo)
+                                     eps, budget=args.budget)
         if outcome.status == "found":
             print(f"interleaved at epsilon = {format_rational(eps)}", file=out)
             return 0

@@ -88,6 +88,18 @@ class RGraph:
                 acc[self.down[j][e]].append(e)
         return {v: tuple(es) for v, es in acc.items()}
 
+    @cached_property
+    def edge_groups(self) -> tuple[dict[tuple[str, str], tuple[str, ...]], ...]:
+        """Per slot, its edges grouped by (lower, upper) endpoint pair,
+        each group in slot order."""
+        out = []
+        for j, slot in enumerate(self.slots):
+            acc: dict[tuple[str, str], list[str]] = {}
+            for e in slot:
+                acc.setdefault((self.down[j][e], self.up[j][e]), []).append(e)
+            out.append({pair: tuple(es) for pair, es in acc.items()})
+        return tuple(out)
+
     def down_degree(self, vid: str) -> int:
         return len(self.below_edges[vid])
 

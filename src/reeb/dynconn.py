@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ForestError
+from .errors import ForestError, InternalError
 
 
 class _ForestBase:
@@ -52,6 +52,19 @@ class _ForestBase:
 
     def connected(self, x1: str, x2: str) -> bool:
         return self.find(x1) == self.find(x2)
+
+    def component(self, x: str) -> frozenset[str]:
+        """Every node in x's tree, read from the subclass's adjacency
+        mirror `_adj`."""
+        seen = {x}
+        stack = [x]
+        while stack:
+            cur = stack.pop()
+            for nbr in self._adj[cur]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    stack.append(nbr)
+        return frozenset(seen)
 
 
 class NaiveDynForest(_ForestBase):
@@ -124,7 +137,9 @@ class NaiveDynForest(_ForestBase):
             self._up[x1] = None
         else:
             rel = self._up[x2]
-            assert rel and rel[0] == x1
+            if not (rel and rel[0] == x1):
+                raise InternalError(f"edge {x1!r}-{x2!r} is in the adjacency "
+                                    "mirror but neither end points at the other")
             self._up[x2] = None
         del self._adj[x1][x2]
         del self._adj[x2][x1]
@@ -142,17 +157,6 @@ class NaiveDynForest(_ForestBase):
                 best = (cur, rel[1])
             cur = rel[0]
         return best
-
-    def component(self, x: str) -> frozenset[str]:
-        seen = {x}
-        stack = [x]
-        while stack:
-            cur = stack.pop()
-            for nbr in self._adj[cur]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        return frozenset(seen)
 
     def forest_edges(self) -> set[frozenset[str]]:
         return {frozenset((a, b)) for a, nbrs in self._adj.items() for b in nbrs}
@@ -303,7 +307,8 @@ class LinkCutForest(_ForestBase):
             raise ForestError(f"node {x!r} still has edges")
         nd = self._nodes[x]
         self._access(nd)
-        assert nd.left is None and nd.right is None
+        if nd.left is not None or nd.right is not None:
+            raise InternalError(f"edgeless node {x!r} still has a path in its splay tree")
         del self._nodes[x]
         del self._adj[x]
 
@@ -328,7 +333,9 @@ class LinkCutForest(_ForestBase):
             return None
         edge = self._rightmost(nd.left)
         self._splay(edge)
-        assert edge.left is not None
+        if edge.left is None:
+            raise InternalError(f"edge {sorted(edge.id)} above {x!r} has no "
+                                "upper endpoint")
         return self._rightmost(edge.left).id
 
     def _rightmost(self, x: _LctNode) -> _LctNode:
@@ -381,20 +388,11 @@ class LinkCutForest(_ForestBase):
         edge = nd.min_node
         self._splay(edge)
         self._push(edge)
-        assert edge.right is not None
+        if edge.right is None:
+            raise InternalError(f"minimum edge {sorted(edge.id)} on the path from "
+                                f"{x!r} has no lower endpoint")
         below = self._leftmost(edge.right)
         return (below.id, edge.weight)
-
-    def component(self, x: str) -> frozenset[str]:
-        seen = {x}
-        stack = [x]
-        while stack:
-            cur = stack.pop()
-            for nbr in self._adj[cur]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        return frozenset(seen)
 
     def forest_edges(self) -> set[frozenset[str]]:
         return set(self._edges)

@@ -16,7 +16,7 @@ from itertools import product
 
 from .core import RGraph, _build, num_components, reduce, refine
 from .errors import BudgetExceeded, InternalError, ValidationError
-from .iso import is_isomorphic
+from .iso import NodeBudget, is_isomorphic, levelwise_assignments
 from .morphism import (RGraphMorphism, compose, identity, invert_isomorphism,
                        levelwise_morphism, merge_paths, morphism_equal,
                        morphism_first_difference, path_cell_at,
@@ -39,34 +39,34 @@ class Certificate:
 
 
 def build_certificate(f: RGraph, g: RGraph, eps, alpha: RGraphMorphism,
-                      beta: RGraphMorphism, algo: str = "sweep") -> Certificate:
+                      beta: RGraphMorphism) -> Certificate:
     """Assemble the certificate record around given maps, computing the
     four smoothings. No verification happens here."""
     eps = as_rational(eps)
     return Certificate(eps, alpha, beta,
-                       smooth(f, eps, algo), smooth(g, eps, algo),
-                       smooth(f, 2 * eps, algo), smooth(g, 2 * eps, algo))
+                       smooth(f, eps), smooth(g, eps),
+                       smooth(f, 2 * eps), smooth(g, 2 * eps))
 
 
-def self_certificate(f: RGraph, eps, algo: str = "sweep") -> Certificate:
+def self_certificate(f: RGraph, eps) -> Certificate:
     """The certificate a graph always carries against itself: both maps
     are the canonical one into its smoothing."""
     eps = as_rational(eps)
-    sm = smooth(f, eps, algo)
-    sm2 = smooth(f, 2 * eps, algo)
+    sm = smooth(f, eps)
+    sm2 = smooth(f, 2 * eps)
     return Certificate(eps, sm.zeta, sm.zeta, sm, sm, sm2, sm2)
 
 
-def smoothing_certificate(f: RGraph, eps, algo: str = "sweep") -> Certificate:
+def smoothing_certificate(f: RGraph, eps) -> Certificate:
     """The certificate between a graph and its own eps-smoothing: alpha is
     the canonical map applied twice, beta the identity. Verified before it
     is returned."""
     eps = as_rational(eps)
-    cs = compose_smoothings(f, eps, eps, algo)
+    cs = compose_smoothings(f, eps, eps)
     g = cs.first.smoothed
     alpha = compose(cs.first.zeta, cs.second.zeta)
     cert = Certificate(eps, alpha, identity(g), cs.first, cs.second,
-                       cs.total, smooth(g, 2 * eps, algo))
+                       cs.total, smooth(g, 2 * eps))
     ok, msg = verify_certificate(cert)
     if not ok:
         raise InternalError("smoothing certificate failed verification: " + msg)
@@ -124,12 +124,6 @@ def verify_certificate(cert: Certificate) -> tuple[bool, str]:
 # filters each edge's candidates independently, and only the few surviving
 # combinations are ever materialised.
 
-def _spend(state: dict, k: int = 1):
-    state["nodes"] += k
-    if state["nodes"] > state["budget"]:
-        raise BudgetExceeded(f"search exceeded {state['budget']} nodes")
-
-
 @dataclass(frozen=True)
 class _Bundle:
     va: dict                          # refined source vertex -> refined target vertex
@@ -145,94 +139,44 @@ class _SearchSide:
         su = set(src.criticals) | set(tgt.criticals)
         self.src = src
         self.tgt = tgt
-        self.rs = refine(src, su)
-        self.rt = refine(tgt, su)
-        self.S = self.rs.graph
-        self.T = self.rt.graph
-        self.owner = {seg: e for e, segs in self.rt.edge_map.items()
-                      for seg in segs}
-        self.collapse_v = {}
-        for v in self.T.vertex_ids:
-            if v in self.rt.split_vertices:
-                self.collapse_v[v] = ("edge", self.rt.split_vertices[v])
-            else:
-                self.collapse_v[v] = ("vertex", v)
-        self.pieces = {e: tuple(self.rs.edge_map[e]) for e in src.edge_ids}
-        self.embed = refine_embed(src, self.rs)
-        self.collapse = refine_collapse(tgt, self.rt)
-        T = self.T
-        self.tgt_pairs: list[dict[tuple[str, str], list[str]]] = []
-        for j in range(T.n_slots):
-            d: dict[tuple[str, str], list[str]] = {}
-            for e in T.slots[j]:
-                d.setdefault((T.down[j][e], T.up[j][e]), []).append(e)
-            self.tgt_pairs.append(d)
+        rs = refine(src, su)
+        rt = refine(tgt, su)
+        self.S = rs.graph
+        self.T = rt.graph
+        self.pieces = {e: tuple(rs.edge_map[e]) for e in src.edge_ids}
+        self.embed = refine_embed(src, rs)
+        self.collapse = refine_collapse(tgt, rt)
 
 
-def _enumerate_bundles(side: _SearchSide, state: dict):
+def _enumerate_bundles(side: _SearchSide, budget: NodeBudget):
     """Yield every vertex-level assignment whose edges all have at least
     one candidate, without expanding the edge choices.
 
-    Levels are assigned bottom to top; a vertex with edges into the level
-    below draws its candidates from the targets adjacent to their already
-    fixed images, so constraints propagate along chains instead of being
-    discovered after the fact."""
+    A vertex with edges into the level below draws its candidates from
+    the targets adjacent to their already fixed images, so constraints
+    propagate along chains instead of being discovered after the fact."""
     S, T = side.S, side.T
-    n = S.n_levels
-    for i in range(n):
+    for i in range(S.n_levels):
         if S.levels[i] and not T.levels[i]:
             return
     for j in range(S.n_slots):
         if S.slots[j] and not T.slots[j]:
             return
-    tgt_pairs = side.tgt_pairs
 
-    succ: list[dict[str, set[str]]] = []
-    for j in range(T.n_slots):
-        d: dict[str, set[str]] = {}
-        for e in T.slots[j]:
-            d.setdefault(T.down[j][e], set()).add(T.up[j][e])
-        succ.append(d)
-
-    va: dict[str, str] = {}
-
-    def cands(i, v):
-        opts: set[str] | None = None
-        for e in S.below_edges[v]:
-            step = succ[i - 1].get(va[S.down[i - 1][e]], set())
-            opts = set(step) if opts is None else opts & step
-            if not opts:
-                return ()
-        if opts is None:
+    def candidates(i, v, va):
+        below = S.below_edges[v]
+        if not below:
             return T.levels[i]
-        return sorted(opts)
+        pairs = T.edge_groups[i - 1]
+        return [w for w in T.levels[i]
+                if all((va[S.down[i - 1][e]], w) in pairs for e in below)]
 
-    def emit():
-        choices: list[tuple[int, str, list[str]]] = []
-        for j in range(S.n_slots):
-            for e in S.slots[j]:
-                cs = tgt_pairs[j].get((va[S.down[j][e]], va[S.up[j][e]]))
-                if not cs:
-                    return
-                choices.append((j, e, cs))
-        yield _Bundle(dict(va), tuple(choices))
-
-    def assign(i, idx):
-        if i == n:
-            yield from emit()
-            return
-        lev = S.levels[i]
-        if idx == len(lev):
-            yield from assign(i + 1, 0)
-            return
-        v = lev[idx]
-        for w in cands(i, v):
-            _spend(state)
-            va[v] = w
-            yield from assign(i, idx + 1)
-            del va[v]
-
-    yield from assign(0, 0)
+    for va in levelwise_assignments(S, candidates, budget):
+        choices = tuple(
+            (j, e, T.edge_groups[j].get((va[S.down[j][e]], va[S.up[j][e]])))
+            for j in range(S.n_slots) for e in S.slots[j])
+        if all(cs for _, _, cs in choices):
+            yield _Bundle(dict(va), choices)
 
 
 def _bundle_count(bundle: _Bundle) -> int:
@@ -254,15 +198,15 @@ def _materialise(side: _SearchSide, bundle: _Bundle, chosen: dict):
     return compose(compose(side.embed, m_ref), side.collapse)
 
 
-def _expand_bundle(side: _SearchSide, bundle: _Bundle, state: dict):
+def _expand_bundle(side: _SearchSide, bundle: _Bundle, budget: NodeBudget):
     pieces = [piece for _, piece, _ in bundle.choices]
     for combo in product(*(cands for _, _, cands in bundle.choices)):
-        _spend(state)
+        budget.spend()
         yield _materialise(side, bundle, dict(zip(pieces, combo)))
 
 
 def _filter_bundle(side: _SearchSide, bundle: _Bundle, shifted: RGraphMorphism,
-                   pin: RGraphMorphism, state: dict):
+                   pin: RGraphMorphism, budget: NodeBudget):
     """Candidates y in the bundle with compose(y, shifted) == pin. The
     equation constrains each vertex image and each edge's image path
     separately, so the result is a per-edge table of surviving choices
@@ -272,7 +216,7 @@ def _filter_bundle(side: _SearchSide, bundle: _Bundle, shifted: RGraphMorphism,
     vimg = {}
     comp_v = {}
     for u in side.src.vertex_ids:
-        img = side.collapse_v[va[u]]
+        img = side.collapse.vertex_map[va[u]]
         vimg[u] = img
         if img[0] == "vertex":
             c = shifted.vertex_map[img[1]]
@@ -289,8 +233,8 @@ def _filter_bundle(side: _SearchSide, bundle: _Bundle, shifted: RGraphMorphism,
         want = pin.edge_map[e]
         valid: list[dict] = []
         for combo in product(*(cand_of[p] for p in pieces)):
-            _spend(state)
-            owners = merge_paths((side.owner[c],) for c in combo)
+            budget.spend()
+            owners = merge_paths(side.collapse.edge_map[c] for c in combo)
             raw = trim_path(side.tgt, owners, vimg[lo_v], vimg[hi_v])
             comp = merge_paths(shifted.edge_map[q] for q in raw)
             if trim_path(tgt2, comp, comp_v[lo_v], comp_v[hi_v]) == want:
@@ -301,9 +245,10 @@ def _filter_bundle(side: _SearchSide, bundle: _Bundle, shifted: RGraphMorphism,
     return table
 
 
-def _expand_table(side: _SearchSide, bundle: _Bundle, table: dict, state: dict):
+def _expand_table(side: _SearchSide, bundle: _Bundle, table: dict,
+                  budget: NodeBudget):
     for parts in product(*table.values()):
-        _spend(state)
+        budget.spend()
         chosen: dict = {}
         for part in parts:
             chosen.update(part)
@@ -311,19 +256,19 @@ def _expand_table(side: _SearchSide, bundle: _Bundle, table: dict, state: dict):
 
 
 def _pair_search(exp_side, exp_bundles, exp_shift, bnd_side, bnd_bundles,
-                 bnd_shift, pin_exp, pin_bnd, state):
+                 bnd_shift, pin_exp, pin_bnd, budget):
     """Expand one side morphism by morphism, filter the other side's
     bundles against its shifted composite, and fully check the few
     survivors. Returns (expanded, bundled) or None."""
     for bundle in exp_bundles:
-        for x in _expand_bundle(exp_side, bundle, state):
+        for x in _expand_bundle(exp_side, bundle, budget):
             sx = exp_shift(x)
             for other in bnd_bundles:
-                _spend(state)
-                table = _filter_bundle(bnd_side, other, sx, pin_exp, state)
+                budget.spend()
+                table = _filter_bundle(bnd_side, other, sx, pin_exp, budget)
                 if table is None:
                     continue
-                for y in _expand_table(bnd_side, other, table, state):
+                for y in _expand_table(bnd_side, other, table, budget):
                     sy = bnd_shift(y)
                     if not morphism_equal(compose(x, sy), pin_bnd):
                         continue
@@ -342,8 +287,7 @@ class SearchOutcome:
     nodes: int
 
 
-def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000,
-                       algo: str = "sweep") -> SearchOutcome:
+def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> SearchOutcome:
     """Exhaustive search for a certificate at the given radius. "found"
     carries a verified certificate; "exhausted" means no candidate pair of
     maps satisfies the round-trip equations, refuting the radius;
@@ -351,11 +295,11 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000,
     eps = as_rational(eps)
     if eps < 0:
         raise ValidationError("interleaving radius must be nonnegative")
-    sm_f = smooth(f, eps, algo)
-    sm_g = smooth(g, eps, algo)
-    sm_f2 = smooth(f, 2 * eps, algo)
-    sm_g2 = smooth(g, 2 * eps, algo)
-    state = {"nodes": 0, "budget": budget}
+    sm_f = smooth(f, eps)
+    sm_g = smooth(g, eps)
+    sm_f2 = smooth(f, 2 * eps)
+    sm_g2 = smooth(g, 2 * eps)
+    meter = NodeBudget(budget, f"search exceeded {budget} nodes")
 
     # an isomorphism interleaves at every radius; take that exit before
     # enumerating maps, since the witness assembles into a certificate
@@ -371,7 +315,7 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000,
         if not ok:
             raise InternalError(
                 "certificate from an isomorphism failed verification: " + msg)
-        return SearchOutcome("found", cert, eps, state["nodes"] + 1)
+        return SearchOutcome("found", cert, eps, meter.nodes + 1)
 
     def shift_alpha(a):
         return shift_compose(a, eps, sm_g, sm_source_eps=sm_f,
@@ -384,8 +328,8 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000,
     try:
         side_a = _SearchSide(f, sm_g.smoothed)
         side_b = _SearchSide(g, sm_f.smoothed)
-        bundles_a = list(_enumerate_bundles(side_a, state))
-        bundles_b = list(_enumerate_bundles(side_b, state))
+        bundles_a = list(_enumerate_bundles(side_a, meter))
+        bundles_b = list(_enumerate_bundles(side_b, meter))
         pair = None
         if bundles_a and bundles_b:
             # expand whichever side has fewer concrete maps
@@ -393,21 +337,21 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000,
                     <= sum(map(_bundle_count, bundles_b))):
                 got = _pair_search(side_a, bundles_a, shift_alpha,
                                    side_b, bundles_b, shift_beta,
-                                   sm_g2.zeta, sm_f2.zeta, state)
+                                   sm_g2.zeta, sm_f2.zeta, meter)
                 if got is not None:
                     pair = got
             else:
                 got = _pair_search(side_b, bundles_b, shift_beta,
                                    side_a, bundles_a, shift_alpha,
-                                   sm_f2.zeta, sm_g2.zeta, state)
+                                   sm_f2.zeta, sm_g2.zeta, meter)
                 if got is not None:
                     pair = got[1], got[0]
         if pair is not None:
             cert = Certificate(eps, pair[0], pair[1], sm_f, sm_g, sm_f2, sm_g2)
-            return SearchOutcome("found", cert, eps, state["nodes"])
+            return SearchOutcome("found", cert, eps, meter.nodes)
     except BudgetExceeded:
-        return SearchOutcome("budget", None, eps, state["nodes"])
-    return SearchOutcome("exhausted", None, eps, state["nodes"])
+        return SearchOutcome("budget", None, eps, meter.nodes)
+    return SearchOutcome("exhausted", None, eps, meter.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +373,7 @@ class DistanceBracket:
     unknown_gaps: bool                # a probe ran out of budget
 
 
-def distance_bracket(f: RGraph, g: RGraph, tol, budget: int = 200_000,
-                     algo: str = "sweep") -> DistanceBracket:
+def distance_bracket(f: RGraph, g: RGraph, tol, budget: int = 200_000) -> DistanceBracket:
     """Bisect the interleaving distance to within tol, certifying the
     upper end with a found certificate and the lower end with an
     exhausted search."""
@@ -441,7 +384,7 @@ def distance_bracket(f: RGraph, g: RGraph, tol, budget: int = 200_000,
         return DistanceBracket(True, None, None, None, None, False)
     vals = list(f.criticals) + list(g.criticals)
     hi = (max(vals) - min(vals) if vals else Fraction(0)) + 1
-    out = search_certificate(f, g, hi, budget, algo)
+    out = search_certificate(f, g, hi, budget)
     if out.status == "budget":
         return DistanceBracket(False, Fraction(0), None, None, None, True)
     if out.status == "exhausted":
@@ -454,7 +397,7 @@ def distance_bracket(f: RGraph, g: RGraph, tol, budget: int = 200_000,
     unknown = False
     while upper - lower > tol:
         mid = (upper + lower) / 2
-        out = search_certificate(f, g, mid, budget, algo)
+        out = search_certificate(f, g, mid, budget)
         if out.status == "found":
             upper, witness = mid, out.certificate
         elif out.status == "exhausted":
@@ -468,7 +411,7 @@ def distance_bracket(f: RGraph, g: RGraph, tol, budget: int = 200_000,
 # ---------------------------------------------------------------------------
 # Certificate calculus.
 
-def lift_certificate(cert: Certificate, eps2, algo: str = "sweep") -> Certificate:
+def lift_certificate(cert: Certificate, eps2) -> Certificate:
     """Re-issue a certificate at a larger radius. The result is verified
     before it is returned."""
     eps2 = as_rational(eps2)
@@ -479,20 +422,19 @@ def lift_certificate(cert: Certificate, eps2, algo: str = "sweep") -> Certificat
         return cert
     f = cert.sm_f.source
     g = cert.sm_g.source
-    cg = compose_smoothings(g, cert.epsilon, delta, algo)
+    cg = compose_smoothings(g, cert.epsilon, delta)
     alpha2 = compose(compose(cert.alpha, cg.second.zeta), cg.witness)
-    cf = compose_smoothings(f, cert.epsilon, delta, algo)
+    cf = compose_smoothings(f, cert.epsilon, delta)
     beta2 = compose(compose(cert.beta, cf.second.zeta), cf.witness)
     new = Certificate(eps2, alpha2, beta2, cf.total, cg.total,
-                      smooth(f, 2 * eps2, algo), smooth(g, 2 * eps2, algo))
+                      smooth(f, 2 * eps2), smooth(g, 2 * eps2))
     ok, msg = verify_certificate(new)
     if not ok:
         raise InternalError("lifted certificate failed verification: " + msg)
     return new
 
 
-def compose_certificates(c1: Certificate, c2: Certificate,
-                         algo: str = "sweep") -> Certificate:
+def compose_certificates(c1: Certificate, c2: Certificate) -> Certificate:
     """Chain a certificate between f and g at radius e1 with one between
     g and h at radius e2 into one between f and h at radius e1 + e2."""
     if c1.sm_g.source != c2.sm_f.source:
@@ -500,18 +442,18 @@ def compose_certificates(c1: Certificate, c2: Certificate,
     f = c1.sm_f.source
     h = c2.sm_g.source
     e1, e2 = c1.epsilon, c2.epsilon
-    ch = compose_smoothings(h, e2, e1, algo)
+    ch = compose_smoothings(h, e2, e1)
     mid_alpha = smooth_morphism(c2.alpha, e1, sm_source=c1.sm_g, sm_target=ch.second)
     alpha3 = compose(compose(c1.alpha, mid_alpha), ch.witness)
-    cf = compose_smoothings(f, e1, e2, algo)
+    cf = compose_smoothings(f, e1, e2)
     mid_beta = smooth_morphism(c1.beta, e2, sm_source=c2.sm_f, sm_target=cf.second)
     beta3 = compose(compose(c2.beta, mid_beta), cf.witness)
     return Certificate(e1 + e2, alpha3, beta3, cf.total, ch.total,
-                       smooth(f, 2 * (e1 + e2), algo),
-                       smooth(h, 2 * (e1 + e2), algo))
+                       smooth(f, 2 * (e1 + e2)),
+                       smooth(h, 2 * (e1 + e2)))
 
 
-def contract_certificate(cert: Certificate, delta, algo: str = "sweep") -> Certificate:
+def contract_certificate(cert: Certificate, delta) -> Certificate:
     """Turn a certificate between f and g into one, at the same radius,
     between their delta-smoothings. The result is verified before it is
     returned."""
@@ -521,19 +463,19 @@ def contract_certificate(cert: Certificate, delta, algo: str = "sweep") -> Certi
     eps = cert.epsilon
     f = cert.sm_f.source
     g = cert.sm_g.source
-    sm_f_d = smooth(f, delta, algo)
-    sm_g_d = smooth(g, delta, algo)
-    cg1 = compose_smoothings(g, eps, delta, algo)
+    sm_f_d = smooth(f, delta)
+    sm_g_d = smooth(g, delta)
+    cg1 = compose_smoothings(g, eps, delta)
     a1 = smooth_morphism(cert.alpha, delta, sm_source=sm_f_d, sm_target=cg1.second)
-    cg2 = compose_smoothings(g, delta, eps, algo)
+    cg2 = compose_smoothings(g, delta, eps)
     alpha_c = compose(compose(a1, cg1.witness), invert_isomorphism(cg2.witness))
-    cf1 = compose_smoothings(f, eps, delta, algo)
+    cf1 = compose_smoothings(f, eps, delta)
     b1 = smooth_morphism(cert.beta, delta, sm_source=sm_g_d, sm_target=cf1.second)
-    cf2 = compose_smoothings(f, delta, eps, algo)
+    cf2 = compose_smoothings(f, delta, eps)
     beta_c = compose(compose(b1, cf1.witness), invert_isomorphism(cf2.witness))
     new = Certificate(eps, alpha_c, beta_c, cf2.second, cg2.second,
-                      smooth(sm_f_d.smoothed, 2 * eps, algo),
-                      smooth(sm_g_d.smoothed, 2 * eps, algo))
+                      smooth(sm_f_d.smoothed, 2 * eps),
+                      smooth(sm_g_d.smoothed, 2 * eps))
     ok, msg = verify_certificate(new)
     if not ok:
         raise InternalError("contracted certificate failed verification: " + msg)
@@ -543,8 +485,7 @@ def contract_certificate(cert: Certificate, delta, algo: str = "sweep") -> Certi
 # ---------------------------------------------------------------------------
 # Stability: two value assignments on one domain graph.
 
-def stability_certificate(edges, f_values, g_values,
-                          algo: str = "sweep") -> Certificate:
+def stability_certificate(edges, f_values, g_values) -> Certificate:
     """Given one abstract graph (vertex value dicts plus undirected edges
     as (id, end, end) triples) carrying two vertex value assignments, build
     a verified certificate between the two induced graphs at radius
@@ -581,8 +522,8 @@ def stability_certificate(edges, f_values, g_values,
     gf, segf, split_f = _build(verts_f, oriented_f, ())
     gg, segg, split_g = _build(verts_g, oriented_g, ())
 
-    sm_fu = smooth(gf, eps, algo)
-    sm_gu = smooth(gg, eps, algo)
+    sm_fu = smooth(gf, eps)
+    sm_gu = smooth(gg, eps)
 
     def other_value(eid, c, va, vb):
         """Value under the other assignment of the point at value c on the
@@ -640,8 +581,8 @@ def stability_certificate(edges, f_values, g_values,
     red_f = reduce(gf)
     red_g = reduce(gg)
     f_red, g_red = red_f.graph, red_g.graph
-    sm_f_red = smooth(f_red, eps, algo)
-    sm_g_red = smooth(g_red, eps, algo)
+    sm_f_red = smooth(f_red, eps)
+    sm_g_red = smooth(g_red, eps)
     u_coll_g = smooth_morphism(reduce_collapse(gg, red_g), eps,
                                sm_source=sm_gu, sm_target=sm_g_red)
     u_coll_f = smooth_morphism(reduce_collapse(gf, red_f), eps,
@@ -650,7 +591,7 @@ def stability_certificate(edges, f_values, g_values,
     beta = compose(compose(reduce_embed(gg, red_g), beta_u), u_coll_f)
 
     cert = Certificate(eps, alpha, beta, sm_f_red, sm_g_red,
-                       smooth(f_red, 2 * eps, algo), smooth(g_red, 2 * eps, algo))
+                       smooth(f_red, 2 * eps), smooth(g_red, 2 * eps))
     ok, msg = verify_certificate(cert)
     if not ok:
         raise InternalError("stability certificate failed verification: " + msg)
@@ -660,8 +601,8 @@ def stability_certificate(edges, f_values, g_values,
 # ---------------------------------------------------------------------------
 # Below the smallest gap, interleaved means isomorphic.
 
-def quantified_iso_check(f: RGraph, g: RGraph, budget: int = 200_000,
-                         algo: str = "sweep") -> RGraphMorphism | None:
+def quantified_iso_check(f: RGraph, g: RGraph,
+                         budget: int = 200_000) -> RGraphMorphism | None:
     """Probe the interleaving at an eighth of the smallest gap between
     critical values. A found certificate forces the graphs isomorphic, and
     the isomorphism is returned; an exhausted search returns None."""
@@ -670,7 +611,7 @@ def quantified_iso_check(f: RGraph, g: RGraph, budget: int = 200_000,
         probe = min(b - a for a, b in zip(su, su[1:])) / 8
     else:
         probe = Fraction(1)
-    out = search_certificate(f, g, probe, budget, algo)
+    out = search_certificate(f, g, probe, budget)
     if out.status == "budget":
         raise BudgetExceeded("interleaving search budget exhausted")
     if out.status == "exhausted":

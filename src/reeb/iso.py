@@ -6,14 +6,74 @@ commuting with the attach maps. The search below backtracks over vertex
 assignments one level at a time; edges never need backtracking because
 once both endpoint levels are matched, parallel edges between a matched
 endpoint pair can be paired off arbitrarily.
+
+The backtracking engine, `levelwise_assignments`, also drives the
+interleaving search's enumeration of candidate maps.
 """
 
 from __future__ import annotations
 
 from .core import RGraph, reduce
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InternalError
 from .morphism import (RGraphMorphism, compose, levelwise_morphism,
                        reduce_collapse, reduce_embed)
+
+
+class NodeBudget:
+    """Counts search nodes; raises BudgetExceeded with the given message
+    once more than `limit` have been spent."""
+
+    def __init__(self, limit: int, message: str):
+        self.limit = limit
+        self.message = message
+        self.nodes = 0
+
+    def spend(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise BudgetExceeded(self.message)
+
+
+_EXHAUSTED = object()
+
+
+def levelwise_assignments(g: RGraph, candidates, budget: NodeBudget):
+    """Yield every assignment of g's vertices that takes each vertex's
+    value from candidates(level, vertex, assignment so far).
+
+    Vertices are assigned level by level from the bottom up, in stored
+    order within a level, so a vertex's lower neighbours are always
+    assigned when its candidates are asked for. The search keeps an
+    explicit stack of candidate iterators, so its depth is not bounded by
+    the recursion limit. Each value tried costs one budget node.
+
+    The yielded dict is the live assignment: copy it to keep it. A
+    candidate iterator is resumed only after every vertex after its own
+    has been unassigned, so a generator may keep state across its
+    yields."""
+    order = g.vertex_ids
+    level = g.vertex_level
+    assignment: dict[str, str] = {}
+    if not order:
+        yield assignment
+        return
+    last = len(order) - 1
+    stack = [iter(candidates(level[order[0]], order[0], assignment))]
+    while stack:
+        k = len(stack) - 1
+        v = order[k]
+        w = next(stack[k], _EXHAUSTED)
+        if w is _EXHAUSTED:
+            stack.pop()
+            assignment.pop(v, None)
+            continue
+        budget.spend()
+        assignment[v] = w
+        if k == last:
+            yield assignment
+        else:
+            u = order[k + 1]
+            stack.append(iter(candidates(level[u], u, assignment)))
 
 
 def levelwise_bijections(ga: RGraph, gb: RGraph, budget: int = 200_000):
@@ -36,21 +96,7 @@ def levelwise_bijections(ga: RGraph, gb: RGraph, budget: int = 200_000):
            sorted(sig(gb, w) for w in gb.levels[i]):
             return None
 
-    def pair_counts(g, j):
-        cnt: dict[tuple[str, str], int] = {}
-        for e in g.slots[j]:
-            key = (g.down[j][e], g.up[j][e])
-            cnt[key] = cnt.get(key, 0) + 1
-        return cnt
-
-    pa = [pair_counts(ga, j) for j in range(ga.n_slots)]
-    pb = [pair_counts(gb, j) for j in range(gb.n_slots)]
-
-    vmap: dict[str, str] = {}
-    used: list[set[str]] = [set() for _ in range(n)]
-    nodes = 0
-
-    def lower_ok(i, v, w):
+    def lower_ok(i, v, w, vmap):
         # every already-matched lower neighbour must contribute the same
         # number of parallel edges on both sides; equal down-degrees then
         # rule out unmatched extras
@@ -59,52 +105,38 @@ def levelwise_bijections(ga: RGraph, gb: RGraph, budget: int = 200_000):
         j = i - 1
         for e in ga.below_edges[v]:
             u = ga.down[j][e]
-            if pa[j].get((u, v)) != pb[j].get((vmap[u], w)):
+            if len(ga.edge_groups[j][(u, v)]) != \
+               len(gb.edge_groups[j].get((vmap[u], w), ())):
                 return False
         return True
 
-    def assign(i, idx):
-        nonlocal nodes
-        if i == n:
-            return True
-        lev = ga.levels[i]
-        if idx == len(lev):
-            return assign(i + 1, 0)
-        v = lev[idx]
+    used: set[str] = set()
+
+    def candidates(i, v, vmap):
         sv = sig(ga, v)
         for w in gb.levels[i]:
-            if w in used[i] or sig(gb, w) != sv:
+            if w in used or sig(gb, w) != sv or not lower_ok(i, v, w, vmap):
                 continue
-            if not lower_ok(i, v, w):
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"isomorphism search exceeded {budget} nodes")
-            vmap[v] = w
-            used[i].add(w)
-            if assign(i, idx + 1):
-                return True
-            del vmap[v]
-            used[i].remove(w)
-        return False
+            used.add(w)
+            yield w
+            used.discard(w)
 
-    if not assign(0, 0):
+    search = NodeBudget(budget, f"isomorphism search exceeded {budget} nodes")
+    vmap = next(levelwise_assignments(ga, candidates, search), None)
+    if vmap is None:
         return None
 
     emaps: list[dict[str, str]] = []
     for j in range(ga.n_slots):
-        groups_b: dict[tuple[str, str], list[str]] = {}
-        for e in gb.slots[j]:
-            groups_b.setdefault((gb.down[j][e], gb.up[j][e]), []).append(e)
-        groups_a: dict[tuple[str, str], list[str]] = {}
-        for e in ga.slots[j]:
-            groups_a.setdefault((ga.down[j][e], ga.up[j][e]), []).append(e)
+        groups_b = gb.edge_groups[j]
         m: dict[str, str] = {}
-        for (d, u), eas in groups_a.items():
-            ebs = groups_b.get((vmap[d], vmap[u]), [])
-            assert len(eas) == len(ebs)
-            for ea, eb in zip(sorted(eas), sorted(ebs)):
-                m[ea] = eb
+        for (d, u), eas in ga.edge_groups[j].items():
+            ebs = groups_b.get((vmap[d], vmap[u]), ())
+            if len(eas) != len(ebs):
+                raise InternalError(
+                    f"slot {j}: {len(eas)} edges {d!r}-{u!r} matched to "
+                    f"{len(ebs)} edges {vmap[d]!r}-{vmap[u]!r}")
+            m.update(zip(eas, ebs))
         emaps.append(m)
 
     vmaps = [{v: vmap[v] for v in ga.levels[i]} for i in range(n)]

@@ -427,7 +427,7 @@ def transport(source_graph: RGraph, pull, sm_target,
     emap: dict[str, tuple[str, ...]] = {}
     for x in source_graph.edge_ids:
         b1, b2 = source_graph.span(x)
-        cuts = [b1] + [c for c in B if b1 < c < b2] + [b2]
+        cuts = [b1, *B[bisect.bisect_right(B, b1):bisect.bisect_left(B, b2)], b2]
         path = []
         for d1, d2 in zip(cuts, cuts[1:]):
             m = (d1 + d2) / 2

@@ -372,14 +372,14 @@ class ComposeResult:
                                   # the one-step canonical map
 
 
-def compose_smoothings(g: RGraph, eps1, eps2, algo: str = "sweep") -> ComposeResult:
+def compose_smoothings(g: RGraph, eps1, eps2) -> ComposeResult:
     eps1 = as_rational(eps1)
     eps2 = as_rational(eps2)
     if eps1 < 0 or eps2 < 0:
         raise ValidationError("smoothing radius must be nonnegative")
-    first = smooth(g, eps1, algo)
-    second = smooth(first.smoothed, eps2, algo)
-    total = smooth(g, eps1 + eps2, algo)
+    first = smooth(g, eps1)
+    second = smooth(first.smoothed, eps2)
+    total = smooth(g, eps1 + eps2)
     mid = first.smoothed
 
     def pull_at(name, value):

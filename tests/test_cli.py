@@ -121,6 +121,13 @@ class TestCheckInterleave:
         assert code == 1
         assert out == "no interleaving at epsilon = 1/5\n"
 
+    def test_many_points(self, tmp_path):
+        # 2,000 levels, twice the default recursion limit
+        g = tmp_path / "g.rg"
+        g.write_text("".join(f"vertex p{i} {i}\n" for i in range(2000)))
+        code, out, err = run("check-interleave", str(g), str(g), "1/4")
+        assert (code, out, err) == (0, "interleaved at epsilon = 1/4\n", "")
+
     def test_budget(self, files):
         code, out, _ = run("check-interleave", files["line"], files["loop"],
                            "1/4", "--budget", "2")

@@ -1,6 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import reeb
 
 from reeb import (RGraph, ValidationError, build_rgraph, common_refinement,
                   component_sets, empty_rgraph, fork, line, loop, minimum_gap,
@@ -146,3 +150,13 @@ def test_loop_fixture():
     g = loop(0, 1)
     assert len(g.slots[0]) == 2
     assert num_components(g) == 1
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so invariants must raise InternalError
+    found = []
+    for path in sorted(Path(reeb.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -156,6 +156,12 @@ def test_is_cosheaf_iso():
     assert is_cosheaf_iso(G1, G2) is not None
 
 
+def test_cosheaf_iso_on_many_levels():
+    # 2,000 levels, twice the default recursion limit
+    F = reeb_cosheaf(build_rgraph([(f"p{i}", i) for i in range(2000)]))
+    assert is_cosheaf_iso(F, F) is not None
+
+
 def test_check_gluing_on_fixtures_and_random():
     F = loop_cosheaf()
     assert check_gluing(F, interval(-1, HALF), interval(0, 2))

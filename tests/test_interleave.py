@@ -84,6 +84,17 @@ class TestSearch:
         assert reeb.search_certificate(p, q, Fraction(99, 100)).status == "exhausted"
         assert reeb.search_certificate(p, q, Fraction(1)).status == "found"
 
+    def test_many_points_do_not_hit_the_recursion_limit(self):
+        # 2,000 levels, twice the default recursion limit; moving one
+        # point breaks the isomorphism shortcut, so the bundle search runs
+        pts = [(f"p{i}", i) for i in range(2000)]
+        g = reeb.build_rgraph(pts)
+        h = reeb.build_rgraph([("p7", Fraction(701, 100)) if v == "p7" else (v, x)
+                               for v, x in pts])
+        out = reeb.search_certificate(g, h, Fraction(1, 4))
+        assert out.status == "found"
+        assert reeb.verify_certificate(out.certificate)[0]
+
     def test_parallel_edges_stay_tractable(self):
         # 5 candidate images for each of 5 edges would be 3125 maps per side
         # if expanded eagerly; the search must finish on the default budget.

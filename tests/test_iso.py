@@ -5,6 +5,7 @@ import pytest
 from reeb import (BudgetExceeded, build_rgraph, compose, fork, identity,
                   is_isomorphic, is_isomorphism, levelwise_bijections, line,
                   loop, morphism_equal, point, refine, validate_morphism)
+from reeb.iso import NodeBudget, levelwise_assignments
 
 
 def test_iso_to_itself_and_relabelled_copy():
@@ -80,3 +81,26 @@ def test_budget_is_honest():
     with pytest.raises(BudgetExceeded):
         is_isomorphic(g, h, budget=20)
     assert is_isomorphic(g, h, budget=500_000) is None
+
+
+def test_levelwise_assignments_enumerates_all_and_counts_values_tried():
+    g = build_rgraph([("a", 0), ("b", 0), ("c", 1)])
+
+    def two(i, v, assignment):
+        return ("x", "y")
+
+    budget = NodeBudget(100, "over")
+    got = [dict(a) for a in levelwise_assignments(g, two, budget)]
+    assert len(got) == 8
+    assert got[0] == {"a": "x", "b": "x", "c": "x"}
+    assert got[-1] == {"a": "y", "b": "y", "c": "y"}
+    assert budget.nodes == 2 + 4 + 8
+    with pytest.raises(BudgetExceeded, match="over"):
+        list(levelwise_assignments(g, two, NodeBudget(13, "over")))
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # one level per point, twice the default recursion limit
+    g = build_rgraph([(f"p{i}", i) for i in range(2000)])
+    w = is_isomorphic(g, g)
+    assert w is not None and is_isomorphism(w)
