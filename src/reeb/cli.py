@@ -21,8 +21,17 @@ from .rationals import format_rational, parse_rational
 from .smoothing import smooth
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _graph(path: str):
-    return parse_rgraph(Path(path).read_text())
+    return parse_rgraph(_read(path))
 
 
 def _bound(token: str):
@@ -90,7 +99,7 @@ def _run(args, out) -> int:
         return 1
 
     if args.command == "reeb":
-        result = reeb_of_complex(parse_field(Path(args.file).read_text()))
+        result = reeb_of_complex(parse_field(_read(args.file)))
         out.write(emit_rgraph(result.graph))
         return 0
 
@@ -150,9 +159,6 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args, out)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=err)
         return 2

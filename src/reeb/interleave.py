@@ -95,14 +95,12 @@ def verify_certificate(cert: Certificate) -> tuple[bool, str]:
     rep = validate_morphism(cert.beta)
     if not rep.ok:
         return False, "beta is not a morphism: " + rep.violations[0]
-    beta_shift = shift_compose(cert.beta, eps, cert.sm_f,
-                               sm_source_eps=cert.sm_g, sm_target_2eps=cert.sm_f2)
+    beta_shift = shift_compose(cert.beta, cert.sm_g, cert.sm_f, cert.sm_f2)
     diff = morphism_first_difference(compose(cert.alpha, beta_shift), cert.sm_f2.zeta)
     if diff is not None:
         return False, ("round trip through the target leaves the canonical map: "
                        + diff)
-    alpha_shift = shift_compose(cert.alpha, eps, cert.sm_g,
-                                sm_source_eps=cert.sm_f, sm_target_2eps=cert.sm_g2)
+    alpha_shift = shift_compose(cert.alpha, cert.sm_f, cert.sm_g, cert.sm_g2)
     diff = morphism_first_difference(compose(cert.beta, alpha_shift), cert.sm_g2.zeta)
     if diff is not None:
         return False, ("round trip through the source leaves the canonical map: "
@@ -198,13 +196,6 @@ def _materialise(side: _SearchSide, bundle: _Bundle, chosen: dict):
     return compose(compose(side.embed, m_ref), side.collapse)
 
 
-def _expand_bundle(side: _SearchSide, bundle: _Bundle, budget: NodeBudget):
-    pieces = [piece for _, piece, _ in bundle.choices]
-    for combo in product(*(cands for _, _, cands in bundle.choices)):
-        budget.spend()
-        yield _materialise(side, bundle, dict(zip(pieces, combo)))
-
-
 def _filter_bundle(side: _SearchSide, bundle: _Bundle, shifted: RGraphMorphism,
                    pin: RGraphMorphism, budget: NodeBudget):
     """Candidates y in the bundle with compose(y, shifted) == pin. The
@@ -247,6 +238,8 @@ def _filter_bundle(side: _SearchSide, bundle: _Bundle, shifted: RGraphMorphism,
 
 def _expand_table(side: _SearchSide, bundle: _Bundle, table: dict,
                   budget: NodeBudget):
+    """Every map of the bundle that picks one part (a dict refined piece
+    -> refined target edge) per table entry, in product order."""
     for parts in product(*table.values()):
         budget.spend()
         chosen: dict = {}
@@ -261,7 +254,9 @@ def _pair_search(exp_side, exp_bundles, exp_shift, bnd_side, bnd_bundles,
     bundles against its shifted composite, and fully check the few
     survivors. Returns (expanded, bundled) or None."""
     for bundle in exp_bundles:
-        for x in _expand_bundle(exp_side, bundle, budget):
+        every = {piece: [{piece: c} for c in cands]
+                 for _, piece, cands in bundle.choices}
+        for x in _expand_table(exp_side, bundle, every, budget):
             sx = exp_shift(x)
             for other in bnd_bundles:
                 budget.spend()
@@ -318,12 +313,10 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
         return SearchOutcome("found", cert, eps, meter.nodes + 1)
 
     def shift_alpha(a):
-        return shift_compose(a, eps, sm_g, sm_source_eps=sm_f,
-                             sm_target_2eps=sm_g2)
+        return shift_compose(a, sm_f, sm_g, sm_g2)
 
     def shift_beta(b):
-        return shift_compose(b, eps, sm_f, sm_source_eps=sm_g,
-                             sm_target_2eps=sm_f2)
+        return shift_compose(b, sm_g, sm_f, sm_f2)
 
     try:
         side_a = _SearchSide(f, sm_g.smoothed)
@@ -573,10 +566,10 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
             pull[s] = frozenset(cells)
         return pull
 
-    alpha_u = transport(gf, point_pull(gf, split_f, segf, fv, gg, segg, gv),
-                        sm_gu, eps)
-    beta_u = transport(gg, point_pull(gg, split_g, segg, gv, gf, segf, fv),
-                       sm_fu, eps)
+    pull_f = point_pull(gf, split_f, segf, fv, gg, segg, gv)
+    pull_g = point_pull(gg, split_g, segg, gv, gf, segf, fv)
+    alpha_u = transport(gf, lambda x, value: pull_f[x], sm_gu)
+    beta_u = transport(gg, lambda x, value: pull_g[x], sm_fu)
 
     red_f = reduce(gf)
     red_g = reduce(gg)

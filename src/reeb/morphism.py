@@ -126,12 +126,11 @@ class NormalForm:
     target_refine: RefineResult
 
 
-def normal_form(phi: RGraphMorphism, extra=()) -> NormalForm:
-    """Refine source and target at the union of their criticals (plus any
-    extras) and express the morphism as one vertex map per level and one
-    edge map per slot."""
-    su = (set(phi.source.criticals) | set(phi.target.criticals)
-          | {as_rational(x) for x in extra})
+def normal_form(phi: RGraphMorphism) -> NormalForm:
+    """Refine source and target at the union of their criticals and
+    express the morphism as one vertex map per level and one edge map per
+    slot."""
+    su = set(phi.source.criticals) | set(phi.target.criticals)
     rs = refine(phi.source, su)
     rt = refine(phi.target, su)
     S, T = rs.graph, rt.graph
@@ -362,84 +361,66 @@ def _cell_meets(graph: RGraph, cell: str, lo: Fraction, hi: Fraction) -> bool:
     return x < hi and y > lo
 
 
-def _locate(criticals, value: Fraction):
-    """Position of a value among sorted criticals: ("level", k) when it is
-    one of them, else ("slot", j) for the open gap holding it."""
+def _position(criticals, value: Fraction) -> int:
+    """Doubled position of a value among sorted criticals: 2k when it is
+    the k-th of them, 2j+1 when it lies in the open gap of slot j."""
     k = bisect.bisect_left(criticals, value)
     if k < len(criticals) and criticals[k] == value:
-        return ("level", k)
+        return 2 * k
     if k == 0 or k == len(criticals):
         raise InternalError(f"value {format_rational(value)} outside the smoothed range")
-    return ("slot", k - 1)
+    return 2 * k - 1
 
 
-def transport(source_graph: RGraph, pull, sm_target,
-              radius: Fraction) -> RGraphMorphism:
-    """Map each cell of source_graph to the component of the radius-window
-    of sm_target.source spanned by that cell's witness cells.
+def _where(pos: int) -> str:
+    return f"{'slot' if pos % 2 else 'level'} {pos // 2}"
 
-    pull gives, for every source_graph cell x, cells of sm_target.source
-    known to carry the image of x: either a dict keyed by x, or a callable
-    (x, value) -> cells when the witness set depends on the window position
-    along x. Per position the witnesses that meet the window must land in
-    a single smoothed component (anything else is reported as an internal
-    error, since it would contradict the map being continuous).
+
+def transport(source_graph: RGraph, pull_at, sm_target) -> RGraphMorphism:
+    """Map each cell of source_graph to the component of the window of
+    sm_target.source, at radius sm_target.epsilon, spanned by that cell's
+    witness cells.
+
+    pull_at(x, value) gives, for every source_graph cell x, cells of
+    sm_target.source known to carry the image of x at that value along x.
+    Per position the witnesses that meet the window must land in a single
+    smoothed component (anything else is reported as an internal error,
+    since it would contradict the map being continuous).
     """
-    tgt_sm = sm_target.smoothed
     base = sm_target.source
-    B = tgt_sm.criticals
-    pull_at = pull if callable(pull) else (lambda x, value: pull[x])
-    rev_v: dict[tuple[int, str], str] = {}
-    for name in tgt_sm.vertex_ids:
-        k = tgt_sm.vertex_level[name]
-        for c in sm_target.provenance[name]:
-            rev_v[(k, c)] = name
-    rev_e: dict[tuple[int, str], str] = {}
-    for name in tgt_sm.edge_ids:
-        j = tgt_sm.edge_slot[name]
-        for c in sm_target.provenance[name]:
-            rev_e[(j, c)] = name
+    radius = sm_target.epsilon
+    B = sm_target.smoothed.criticals
+    index = sm_target.position_index
 
-    def resolve(rev, pos, cands, what):
+    def resolve(what, x, value):
+        pos = _position(B, value)
+        lo, hi = value - radius, value + radius
         names = set()
-        for c in cands:
-            hit = rev.get((pos, c))
-            if hit is None:
-                raise InternalError(f"{what}: witness cell {c!r} not tracked at position {pos}")
-            names.add(hit)
+        for c in pull_at(x, value):
+            if _cell_meets(base, c, lo, hi):
+                hit = index.get((pos, c))
+                if hit is None:
+                    raise InternalError(f"{what} {x!r}: witness cell {c!r} "
+                                        f"not tracked at {_where(pos)}")
+                names.add(hit)
         if len(names) != 1:
-            raise InternalError(f"{what}: witnesses split across components {sorted(names)}")
-        return names.pop()
+            raise InternalError(f"{what} {x!r} at {_where(pos)}: the witnesses in "
+                                f"its window land in components {sorted(names)}")
+        return pos, names.pop()
 
     vmap: dict[str, tuple[str, str]] = {}
     for x in source_graph.vertex_ids:
-        b = source_graph.value(x)
-        cands = [c for c in pull_at(x, b)
-                 if _cell_meets(base, c, b - radius, b + radius)]
-        if not cands:
-            raise InternalError(f"no witness cell meets the window of vertex {x!r}")
-        kind, pos = _locate(B, b)
-        if kind == "level":
-            vmap[x] = ("vertex", resolve(rev_v, pos, cands, f"vertex {x!r}"))
-        else:
-            vmap[x] = ("edge", resolve(rev_e, pos, cands, f"vertex {x!r}"))
+        pos, name = resolve("vertex", x, source_graph.value(x))
+        vmap[x] = ("edge" if pos % 2 else "vertex", name)
 
     emap: dict[str, tuple[str, ...]] = {}
     for x in source_graph.edge_ids:
         b1, b2 = source_graph.span(x)
         cuts = [b1, *B[bisect.bisect_right(B, b1):bisect.bisect_left(B, b2)], b2]
-        path = []
-        for d1, d2 in zip(cuts, cuts[1:]):
-            m = (d1 + d2) / 2
-            cands = [c for c in pull_at(x, m)
-                     if _cell_meets(base, c, m - radius, m + radius)]
-            if not cands:
-                raise InternalError(f"no witness cell meets the window of edge {x!r}")
-            j = bisect.bisect_right(B, m) - 1
-            path.append(resolve(rev_e, j, cands, f"edge {x!r}"))
-        emap[x] = tuple(path)
+        emap[x] = tuple(resolve("edge", x, (d1 + d2) / 2)[1]
+                        for d1, d2 in zip(cuts, cuts[1:]))
 
-    result = RGraphMorphism(source_graph, tgt_sm, vmap, emap)
+    result = RGraphMorphism(source_graph, sm_target.smoothed, vmap, emap)
     rep = validate_morphism(result)
     if not rep.ok:
         raise InternalError("window transport produced an invalid morphism: "
@@ -447,15 +428,37 @@ def transport(source_graph: RGraph, pull, sm_target,
     return result
 
 
-def _image_cells(alpha: RGraphMorphism, cell: str):
-    """All target cells the image of one source cell runs through."""
-    if cell in alpha.source.vertex_level:
-        return (alpha.vertex_map[cell][1],)
-    path = alpha.edge_map[cell]
-    out = list(path)
-    for a in path[:-1]:
-        out.append(alpha.target.endpoints(a)[1])
-    return tuple(out)
+def smoothed_pull(alpha: RGraphMorphism, sm_source, sm_mid=None):
+    """The pull_at that `transport` needs to carry sm_source.smoothed along
+    alpha: each cell x pulls every cell of alpha.target that the image of
+    x's provenance runs through. When alpha.target is sm_mid.smoothed,
+    those are pulled on through sm_mid's provenance, but only the ones
+    meeting the window at radius sm_source.epsilon around the position:
+    the provenance of a far-away cell can wander back into the window
+    inside a different component."""
+    image = {v: (alpha.vertex_map[v][1],) for v in alpha.source.vertex_ids}
+    for e in alpha.source.edge_ids:
+        path = alpha.edge_map[e]
+        image[e] = (*path, *(alpha.target.endpoints(a)[1] for a in path[:-1]))
+    images = {}
+    for x in (*sm_source.smoothed.vertex_ids, *sm_source.smoothed.edge_ids):
+        cells = set()
+        for c in sm_source.provenance[x]:
+            cells.update(image[c])
+        images[x] = cells
+    if sm_mid is None:
+        return lambda x, value: images[x]
+    mid, eps = alpha.target, sm_source.epsilon
+
+    def pull_at(x, value):
+        lo, hi = value - eps, value + eps
+        out = set()
+        for z in images[x]:
+            if _cell_meets(mid, z, lo, hi):
+                out.update(sm_mid.provenance[z])
+        return out
+
+    return pull_at
 
 
 def smooth_morphism(alpha: RGraphMorphism, eps, sm_source=None,
@@ -473,55 +476,22 @@ def smooth_morphism(alpha: RGraphMorphism, eps, sm_source=None,
         raise ValidationError("smoothing results do not match the morphism's endpoints")
     if sm_source.epsilon != eps or sm_target.epsilon != eps:
         raise ValidationError("smoothing results taken at a different epsilon")
-
-    cache = {c: _image_cells(alpha, c)
-             for c in (*alpha.source.vertex_ids, *alpha.source.edge_ids)}
-    pull = {}
-    for x in (*sm_source.smoothed.vertex_ids, *sm_source.smoothed.edge_ids):
-        cells = set()
-        for c in sm_source.provenance[x]:
-            cells.update(cache[c])
-        pull[x] = frozenset(cells)
-    return transport(sm_source.smoothed, pull, sm_target, eps)
+    return transport(sm_source.smoothed, smoothed_pull(alpha, sm_source), sm_target)
 
 
-def shift_compose(alpha: RGraphMorphism, eps, sm_target_eps, sm_source_eps=None,
-                  sm_target_2eps=None) -> RGraphMorphism:
+def shift_compose(alpha: RGraphMorphism, sm_source_eps, sm_target_eps,
+                  sm_target_2eps) -> RGraphMorphism:
     """Turn alpha: f -> smooth(g, eps) into the shifted composite
     smooth(f, eps) -> smooth(g, 2*eps): each window component of f maps to
     the doubled window component of g carrying its image."""
-    from .smoothing import smooth
-    eps = as_rational(eps)
+    eps = sm_target_eps.epsilon
     if sm_target_eps.smoothed != alpha.target:
         raise ValidationError("alpha's target is not the given smoothing")
-    if sm_target_eps.epsilon != eps:
-        raise ValidationError("smoothing results taken at a different epsilon")
-    g = sm_target_eps.source
-    if sm_source_eps is None:
-        sm_source_eps = smooth(alpha.source, eps)
-    if sm_target_2eps is None:
-        sm_target_2eps = smooth(g, 2 * eps)
-    if sm_source_eps.source != alpha.source or sm_target_2eps.source != g:
+    if (sm_source_eps.source != alpha.source
+            or sm_target_2eps.source != sm_target_eps.source):
         raise ValidationError("smoothing results do not match the morphism's endpoints")
     if sm_source_eps.epsilon != eps or sm_target_2eps.epsilon != 2 * eps:
         raise ValidationError("smoothing results taken at a different epsilon")
-
-    mid = alpha.target
-    images = {}
-    for x in (*sm_source_eps.smoothed.vertex_ids, *sm_source_eps.smoothed.edge_ids):
-        cells = set()
-        for c in sm_source_eps.provenance[x]:
-            cells.update(_image_cells(alpha, c))
-        images[x] = cells
-
-    def pull_at(x, value):
-        # Only image cells near the window position may witness: the
-        # provenance of a far-away cell can wander back into the window
-        # inside a different component.
-        out = set()
-        for z in images[x]:
-            if _cell_meets(mid, z, value - eps, value + eps):
-                out.update(sm_target_eps.provenance[z])
-        return out
-
-    return transport(sm_source_eps.smoothed, pull_at, sm_target_2eps, 2 * eps)
+    return transport(sm_source_eps.smoothed,
+                     smoothed_pull(alpha, sm_source_eps, sm_target_eps),
+                     sm_target_2eps)

@@ -25,13 +25,14 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (RGraph, _assemble, canonical_edge_name,
                    canonical_vertex_name, component_sets)
 from .dynconn import make_forest
 from .errors import InternalError, ValidationError
-from .morphism import (RGraphMorphism, _cell_meets, compose, is_isomorphism,
-                       morphism_equal, transport)
+from .morphism import (RGraphMorphism, compose, identity, is_isomorphism,
+                       morphism_equal, smoothed_pull, transport)
 from .rationals import as_rational
 
 
@@ -42,6 +43,19 @@ class SmoothingResult:
     smoothed: RGraph
     zeta: RGraphMorphism                 # the canonical map source -> smoothed
     provenance: dict[str, frozenset]     # smoothed cell -> source cells it came from
+
+    @cached_property
+    def position_index(self) -> dict[tuple[int, str], str]:
+        """(doubled position, source cell) -> the smoothed cell holding that
+        source cell there; the doubled position is 2k on level k and 2j+1
+        on slot j. Built on first use, for window transport."""
+        g = self.smoothed
+        index = {}
+        for pos, name in (*((2 * k, v) for v, k in g.vertex_level.items()),
+                          *((2 * j + 1, e) for e, j in g.edge_slot.items())):
+            for c in self.provenance[name]:
+                index[(pos, c)] = name
+        return index
 
 
 def smooth(g: RGraph, eps, algo: str = "sweep", forest: str = "lct") -> SmoothingResult:
@@ -380,19 +394,8 @@ def compose_smoothings(g: RGraph, eps1, eps2) -> ComposeResult:
     first = smooth(g, eps1)
     second = smooth(first.smoothed, eps2)
     total = smooth(g, eps1 + eps2)
-    mid = first.smoothed
-
-    def pull_at(name, value):
-        # Guard the middle layer by the window position: the provenance
-        # of a middle cell far along a long record can reach back into
-        # the window inside a different total component.
-        cells: set[str] = set()
-        for c in second.provenance[name]:
-            if _cell_meets(mid, c, value - eps2, value + eps2):
-                cells.update(first.provenance[c])
-        return cells
-
-    witness = transport(second.smoothed, pull_at, total, eps1 + eps2)
+    witness = transport(second.smoothed,
+                        smoothed_pull(identity(first.smoothed), second, first), total)
     if not is_isomorphism(witness):
         raise InternalError("iterated smoothing witness is not invertible")
     zz = compose(first.zeta, second.zeta)

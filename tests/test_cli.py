@@ -53,6 +53,20 @@ class TestValidate:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["validate", "reeb"])
+    def test_non_utf8_file(self, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"vertex v0 0\nvertex v1 \xff\n")
+        code, out, err = run(command, str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["validate", "reeb"])
+    def test_directory(self, tmp_path, command):
+        code, out, err = run(command, str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "directory" in err
+
 
 class TestReeb:
     def test_octahedron(self, files):

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
@@ -160,3 +162,17 @@ def test_library_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_bench_patch_points_exist():
+    # the benchmark's tracer wraps library functions by module attribute
+    # name, so a rename would only show when a traced run breaks
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    points = [(mod, attr) for mod, attr, _ in tracing.PATCHES]
+    points.append(("reeb.smoothing", "make_forest"))
+    missing = [f"{mod}.{attr}" for mod, attr in points
+               if not callable(getattr(importlib.import_module(mod), attr, None))]
+    assert missing == []

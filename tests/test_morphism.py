@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reeb import (RGraphMorphism, ValidationError, build_rgraph, compose,
-                  fork, identity, invert_isomorphism, is_isomorphism, line,
-                  loop, morphism_equal, morphism_first_difference,
-                  normal_form, path_cell_at, reduce, reduce_collapse,
-                  reduce_embed, refine, refine_collapse, refine_embed,
+                  compose_smoothings, fork, identity, invert_isomorphism,
+                  is_isomorphism, line, loop, morphism_equal,
+                  morphism_first_difference, normal_form, path_cell_at,
+                  random_rgraph, reduce, reduce_collapse, reduce_embed,
+                  refine, refine_collapse, refine_embed, shift_compose,
                   smooth, smooth_morphism, validate_morphism)
 
 
@@ -150,3 +154,52 @@ def test_smooth_morphism_rejects_mismatched_smoothings():
     wrong = smooth(line(0, 1), Fraction(1, 4))
     with pytest.raises(ValidationError):
         smooth_morphism(phi, Fraction(1, 4), sm_source=wrong)
+
+
+# ---------------------------------------------------------------------------
+# Functor laws of the smoothing on random graphs.
+
+graphs = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_rgraph(random.Random(seed), max_vertices=5, max_edges=6))
+radii = st.integers(1, 8).map(lambda n: Fraction(n, 4))
+laws = settings(max_examples=100, deadline=None)
+
+
+def map_out(g, a):
+    """A morphism out of g that folds and thickens: reduce, then smooth."""
+    red = reduce(g)
+    return compose(reduce_collapse(g, red), smooth(red.graph, a).zeta)
+
+
+@laws
+@given(graphs, radii)
+def test_smoothing_preserves_identities(g, eps):
+    assert morphism_equal(smooth_morphism(identity(g), eps),
+                          identity(smooth(g, eps).smoothed))
+
+
+@laws
+@given(graphs, radii, radii, radii)
+def test_smoothing_preserves_composition(g, a, b, eps):
+    phi = map_out(g, a)
+    psi = map_out(phi.target, b)
+    assert morphism_equal(smooth_morphism(compose(phi, psi), eps),
+                          compose(smooth_morphism(phi, eps),
+                                  smooth_morphism(psi, eps)))
+
+
+@laws
+@given(graphs, radii, radii)
+def test_zeta_is_natural(g, a, eps):
+    phi = map_out(g, a)
+    assert morphism_equal(compose(phi, smooth(phi.target, eps).zeta),
+                          compose(smooth(g, eps).zeta, smooth_morphism(phi, eps)))
+
+
+@laws
+@given(graphs, radii)
+def test_shifted_zeta_is_the_iterated_smoothing_witness(g, eps):
+    sm = smooth(g, eps)
+    cs = compose_smoothings(g, eps, eps)
+    assert morphism_equal(shift_compose(sm.zeta, sm, sm, smooth(g, 2 * eps)),
+                          compose(cs.second.zeta, cs.witness))
