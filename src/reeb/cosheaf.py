@@ -16,10 +16,10 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ValidationReport, _assemble, component_sets, RGraph
+from .core import ValidationReport, _assemble, component_sets, refine, RGraph
 from .errors import InternalError, ValidationError
 from .iso import levelwise_bijections
-from .rationals import as_rational, format_rational
+from .rationals import as_rational
 from .unionfind import UnionFind
 
 
@@ -104,7 +104,6 @@ class Cosheaf:
     right_maps: tuple[dict[str, str], ...]          # edge set k -> node set k + 1
     # provenance, when the cosheaf was derived from something:
     node_contents: tuple[dict[str, frozenset], ...] | None = None   # graph cells
-    edge_contents: tuple[dict[str, frozenset], ...] | None = None
     node_merged: tuple[dict[str, frozenset], ...] | None = None     # source refs
     edge_merged: tuple[dict[str, frozenset], ...] | None = None
 
@@ -232,11 +231,10 @@ def reeb_cosheaf(g: RGraph) -> Cosheaf:
         node_contents.append(contents)
         lookup.append(lk)
     edge_sets = tuple(tuple(slot) for slot in g.slots)
-    edge_contents = tuple({e: frozenset((e,)) for e in slot} for slot in g.slots)
     left = tuple({e: lookup[j][e] for e in g.slots[j]} for j in range(g.n_slots))
     right = tuple({e: lookup[j + 1][e] for e in g.slots[j]} for j in range(g.n_slots))
     return Cosheaf(S, tuple(node_sets), edge_sets, left, right,
-                   node_contents=tuple(node_contents), edge_contents=edge_contents)
+                   node_contents=tuple(node_contents))
 
 
 def display(F: Cosheaf) -> RGraph:
@@ -318,63 +316,25 @@ class RefinedCosheaf:
 
 
 def refine_cosheaf(F: Cosheaf, extra) -> RefinedCosheaf:
-    """Insert critical values without changing any evaluation: a value in
-    a gap copies that gap's set as a new node set and splits the gap in
-    two; a value outside the support adds empty sets."""
-    S = list(F.criticals)
-    node_sets = [list(ns) for ns in F.node_sets]
-    edge_sets = [list(es) for es in F.edge_sets]
-    left = [dict(m) for m in F.left_maps]
-    right = [dict(m) for m in F.right_maps]
-    node_origin = [{x: ("v", i, x) for x in ns} for i, ns in enumerate(F.node_sets)]
-    edge_origin = [{x: ("e", k, x) for x in es} for k, es in enumerate(F.edge_sets)]
+    """Insert critical values without changing any evaluation: `refine`
+    on the displayed zigzag. Values in a gap split each of its elements x
+    into x:0, x:1, ... joined by copies x@value in the new node sets;
+    a value outside the support adds empty sets."""
+    D = display(F)
+    rr = refine(D, extra)
+    R = rr.graph
+    owner = {seg: x for x, segs in rr.edge_map.items() for seg in segs}
+    owner.update(rr.split_vertices)
 
-    for t in sorted({as_rational(v) for v in extra} - set(S)):
-        if not S:
-            S = [t]
-            node_sets = [[]]
-            node_origin = [{}]
-            continue
-        p = bisect.bisect_left(S, t)
-        if p == 0 or p == len(S):
-            S.insert(p, t)
-            node_sets.insert(p, [])
-            node_origin.insert(p, {})
-            ep = 0 if p == 0 else len(edge_sets)
-            edge_sets.insert(ep, [])
-            left.insert(ep, {})
-            right.insert(ep, {})
-            edge_origin.insert(ep, {})
-            continue
-        k = p - 1
-        copies = {x: f"{x}@{format_rational(t)}" for x in edge_sets[k]}
-        new_node_org = {copies[x]: edge_origin[k][x] for x in edge_sets[k]}
-        lo_set, hi_set = [], []
-        lo_left, lo_right, hi_left, hi_right = {}, {}, {}, {}
-        lo_org, hi_org = {}, {}
-        for x in edge_sets[k]:
-            a, b = f"{x}:0", f"{x}:1"
-            lo_set.append(a)
-            hi_set.append(b)
-            lo_left[a] = left[k][x]
-            lo_right[a] = copies[x]
-            hi_left[b] = copies[x]
-            hi_right[b] = right[k][x]
-            lo_org[a] = edge_origin[k][x]
-            hi_org[b] = edge_origin[k][x]
-        S.insert(p, t)
-        node_sets.insert(p, list(copies.values()))
-        node_origin.insert(p, new_node_org)
-        edge_sets[k:k + 1] = [lo_set, hi_set]
-        left[k:k + 1] = [lo_left, hi_left]
-        right[k:k + 1] = [lo_right, hi_right]
-        edge_origin[k:k + 1] = [lo_org, hi_org]
+    def origin(y):
+        if y in owner:
+            return ("e", D.edge_slot[owner[y]], owner[y])
+        return ("v", D.vertex_level[y], y)
 
-    cos = Cosheaf(tuple(S),
-                  tuple(tuple(ns) for ns in node_sets),
-                  tuple(tuple(es) for es in edge_sets),
-                  tuple(left), tuple(right))
-    return RefinedCosheaf(cos, tuple(node_origin), tuple(edge_origin))
+    cos = Cosheaf(R.criticals, R.levels, R.slots, R.down, R.up)
+    return RefinedCosheaf(cos,
+                          tuple({y: origin(y) for y in lev} for lev in R.levels),
+                          tuple({y: origin(y) for y in slot} for slot in R.slots))
 
 
 @dataclass(frozen=True)

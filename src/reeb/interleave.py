@@ -251,8 +251,8 @@ def _expand_table(side: _SearchSide, bundle: _Bundle, table: dict,
 def _pair_search(exp_side, exp_bundles, exp_shift, bnd_side, bnd_bundles,
                  bnd_shift, pin_exp, pin_bnd, budget):
     """Expand one side morphism by morphism, filter the other side's
-    bundles against its shifted composite, and fully check the few
-    survivors. Returns (expanded, bundled) or None."""
+    bundles against its shifted composite, and check the other round trip
+    on the few survivors. Returns (expanded, bundled) or None."""
     for bundle in exp_bundles:
         every = {piece: [{piece: c} for c in cands]
                  for _, piece, cands in bundle.choices}
@@ -264,13 +264,8 @@ def _pair_search(exp_side, exp_bundles, exp_shift, bnd_side, bnd_bundles,
                 if table is None:
                     continue
                 for y in _expand_table(bnd_side, other, table, budget):
-                    sy = bnd_shift(y)
-                    if not morphism_equal(compose(x, sy), pin_bnd):
-                        continue
-                    if not morphism_equal(compose(y, sx), pin_exp):
-                        raise InternalError("bundle filter admitted a map "
-                                            "whose composite leaves the pin")
-                    return x, y
+                    if morphism_equal(compose(x, bnd_shift(y)), pin_bnd):
+                        return x, y
     return None
 
 
@@ -303,14 +298,32 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
     except BudgetExceeded:
         wit = None
     if wit is not None:
-        alpha = compose(wit, sm_g.zeta)
-        beta = compose(invert_isomorphism(wit), sm_f.zeta)
-        cert = Certificate(eps, alpha, beta, sm_f, sm_g, sm_f2, sm_g2)
-        ok, msg = verify_certificate(cert)
-        if not ok:
-            raise InternalError(
-                "certificate from an isomorphism failed verification: " + msg)
-        return SearchOutcome("found", cert, eps, meter.nodes + 1)
+        pair = (compose(wit, sm_g.zeta),
+                compose(invert_isomorphism(wit), sm_f.zeta))
+        meter.nodes += 1        # the isomorphism test counts as one node
+    else:
+        try:
+            pair = _certificate_pair(f, g, sm_f, sm_g, sm_f2, sm_g2, meter)
+        except BudgetExceeded:
+            return SearchOutcome("budget", None, eps, meter.nodes)
+        if pair is None:
+            return SearchOutcome("exhausted", None, eps, meter.nodes)
+    cert = Certificate(eps, pair[0], pair[1], sm_f, sm_g, sm_f2, sm_g2)
+    ok, msg = verify_certificate(cert)
+    if not ok:
+        raise InternalError("found certificate failed verification: " + msg)
+    return SearchOutcome("found", cert, eps, meter.nodes)
+
+
+def _certificate_pair(f, g, sm_f, sm_g, sm_f2, sm_g2, meter):
+    """The first (alpha, beta) whose round trips both equal the canonical
+    maps, or None when there is none."""
+    side_a = _SearchSide(f, sm_g.smoothed)
+    side_b = _SearchSide(g, sm_f.smoothed)
+    bundles_a = list(_enumerate_bundles(side_a, meter))
+    bundles_b = list(_enumerate_bundles(side_b, meter))
+    if not (bundles_a and bundles_b):
+        return None
 
     def shift_alpha(a):
         return shift_compose(a, sm_f, sm_g, sm_g2)
@@ -318,33 +331,13 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
     def shift_beta(b):
         return shift_compose(b, sm_g, sm_f, sm_f2)
 
-    try:
-        side_a = _SearchSide(f, sm_g.smoothed)
-        side_b = _SearchSide(g, sm_f.smoothed)
-        bundles_a = list(_enumerate_bundles(side_a, meter))
-        bundles_b = list(_enumerate_bundles(side_b, meter))
-        pair = None
-        if bundles_a and bundles_b:
-            # expand whichever side has fewer concrete maps
-            if (sum(map(_bundle_count, bundles_a))
-                    <= sum(map(_bundle_count, bundles_b))):
-                got = _pair_search(side_a, bundles_a, shift_alpha,
-                                   side_b, bundles_b, shift_beta,
-                                   sm_g2.zeta, sm_f2.zeta, meter)
-                if got is not None:
-                    pair = got
-            else:
-                got = _pair_search(side_b, bundles_b, shift_beta,
-                                   side_a, bundles_a, shift_alpha,
-                                   sm_f2.zeta, sm_g2.zeta, meter)
-                if got is not None:
-                    pair = got[1], got[0]
-        if pair is not None:
-            cert = Certificate(eps, pair[0], pair[1], sm_f, sm_g, sm_f2, sm_g2)
-            return SearchOutcome("found", cert, eps, meter.nodes)
-    except BudgetExceeded:
-        return SearchOutcome("budget", None, eps, meter.nodes)
-    return SearchOutcome("exhausted", None, eps, meter.nodes)
+    # expand whichever side has fewer concrete maps
+    if sum(map(_bundle_count, bundles_a)) <= sum(map(_bundle_count, bundles_b)):
+        return _pair_search(side_a, bundles_a, shift_alpha, side_b, bundles_b,
+                            shift_beta, sm_g2.zeta, sm_f2.zeta, meter)
+    got = _pair_search(side_b, bundles_b, shift_beta, side_a, bundles_a,
+                       shift_alpha, sm_f2.zeta, sm_g2.zeta, meter)
+    return None if got is None else (got[1], got[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 A morphism is stored compactly: every source vertex goes either to a
 target vertex at the same value or into a target edge whose span
 strictly contains that value, and every source edge goes to the monotone
-path of target edges its image runs through. Over a common critical set
-the same data flattens to one vertex map per level and one edge map per
-slot (the "normal form"), which is what composition, equality testing
-and isomorphism checking work with.
+path of target edges its image runs through. A valid morphism's stored
+images are unique, so equality compares them directly. Over a common
+critical set the same data flattens to one vertex map per level and one
+edge map per slot (the "normal form"), which isomorphism checking and
+inversion work with.
 """
 
 from __future__ import annotations
@@ -129,54 +130,17 @@ class NormalForm:
 def normal_form(phi: RGraphMorphism) -> NormalForm:
     """Refine source and target at the union of their criticals and
     express the morphism as one vertex map per level and one edge map per
-    slot."""
+    slot: between graphs with equal criticals, every vertex image is a
+    vertex and every edge image a single edge."""
     su = set(phi.source.criticals) | set(phi.target.criticals)
     rs = refine(phi.source, su)
     rt = refine(phi.target, su)
     S, T = rs.graph, rt.graph
-
-    # On each original target edge's refined chain: the vertex sitting at a
-    # given value, and the segment starting at a given value.
-    on_chain: dict[tuple[str, Fraction], str] = {}
-    seg_at: dict[tuple[str, Fraction], str] = {}
-    for orig_e, segs in rt.edge_map.items():
-        for seg in segs:
-            j = T.edge_slot[seg]
-            seg_at[(orig_e, T.criticals[j])] = seg
-            on_chain[(orig_e, T.criticals[j])] = T.down[j][seg]
-            on_chain[(orig_e, T.criticals[j + 1])] = T.up[j][seg]
-
-    vmaps: list[dict[str, str]] = [dict() for _ in S.levels]
-    for v in phi.source.vertex_ids:
-        kind, tid = phi.vertex_map[v]
-        val = phi.source.value(v)
-        img = tid if kind == "vertex" else on_chain[(tid, val)]
-        vmaps[S.vertex_level[v]][v] = img
-
-    emaps: list[dict[str, str]] = [dict() for _ in S.slots]
-    for e in phi.source.edge_ids:
-        path = phi.edge_map[e]
-        spans = [phi.target.span(p) for p in path]
-        pi = 0
-        for seg in rs.edge_map[e]:
-            j = S.edge_slot[seg]
-            c_lo, c_hi = S.criticals[j], S.criticals[j + 1]
-            while not (spans[pi][0] <= c_lo and c_hi <= spans[pi][1]):
-                pi += 1
-            emaps[j][seg] = seg_at[(path[pi], c_lo)]
-        # split vertices of e land on the same chain walk
-        prev = None
-        for seg in rs.edge_map[e]:
-            j = S.edge_slot[seg]
-            bottom = S.down[j][seg]
-            if prev is not None and bottom in rs.split_vertices:
-                val = S.criticals[j]
-                pk = next(p for p in path
-                          if phi.target.span(p)[0] < val <= phi.target.span(p)[1])
-                vmaps[j][bottom] = on_chain[(pk, val)]
-            prev = seg
-
-    return NormalForm(S, T, tuple(vmaps), tuple(emaps), rs, rt)
+    m = compose(compose(refine_collapse(phi.source, rs), phi),
+                refine_embed(phi.target, rt))
+    vmaps = tuple({v: m.vertex_map[v][1] for v in lev} for lev in S.levels)
+    emaps = tuple({e: m.edge_map[e][0] for e in slot} for slot in S.slots)
+    return NormalForm(S, T, vmaps, emaps, rs, rt)
 
 
 def levelwise_morphism(src: RGraph, tgt: RGraph, vmaps, emaps) -> RGraphMorphism:
@@ -230,19 +194,22 @@ def reduce_embed(g: RGraph, red: ReduceResult) -> RGraphMorphism:
 # Equality and composition.
 
 def morphism_first_difference(a: RGraphMorphism, b: RGraphMorphism) -> str | None:
-    """Name the first cell (in normal form) where the two morphisms differ,
-    or None when they are equal. Both must share source and target."""
+    """Name the first source cell, in source order, whose stored image
+    differs between the two morphisms, or None when they are equal. Both
+    must share source and target and be valid (see `validate_morphism`):
+    a valid morphism's stored images are unique, so comparing them cell
+    by cell decides equality."""
     if a.source != b.source or a.target != b.target:
         raise ValidationError("cannot compare morphisms with different endpoints")
-    na, nb = normal_form(a), normal_form(b)
-    for i, (ma, mb) in enumerate(zip(na.vertex_maps, nb.vertex_maps)):
-        for v in sorted(ma):
-            if ma[v] != mb.get(v):
-                return f"vertex {v!r} at level {i}: {ma[v]!r} vs {mb.get(v)!r}"
-    for j, (ma, mb) in enumerate(zip(na.edge_maps, nb.edge_maps)):
-        for e in sorted(ma):
-            if ma[e] != mb.get(e):
-                return f"edge {e!r} at slot {j}: {ma[e]!r} vs {mb.get(e)!r}"
+    g = a.source
+    for v in g.vertex_ids:
+        if a.vertex_map[v] != b.vertex_map[v]:
+            return (f"vertex {v!r} at level {g.vertex_level[v]}: "
+                    f"{a.vertex_map[v]!r} vs {b.vertex_map[v]!r}")
+    for e in g.edge_ids:
+        if a.edge_map[e] != b.edge_map[e]:
+            return (f"edge {e!r} at slot {g.edge_slot[e]}: "
+                    f"{a.edge_map[e]!r} vs {b.edge_map[e]!r}")
     return None
 
 

@@ -200,8 +200,9 @@ class _Record:
 def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResult:
     """Single pass over the output criticals, maintaining a spanning forest
     of the current window. Link weights are their scheduled deletion times
-    (the value at which the vertex endpoint leaves the window), so the
-    forest's replacement rule keeps deletions replacement-free."""
+    (the index of the event at which the vertex endpoint leaves the
+    window), so the forest's replacement rule keeps deletions
+    replacement-free."""
     eps = as_rational(eps)
     if eps < 0:
         raise ValidationError("smoothing radius must be nonnegative")
@@ -212,20 +213,24 @@ def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResu
     K = len(B)
     idx = {b: k for k, b in enumerate(B)}
 
+    # each input critical's doubled position on B (2k on B[k], 2k+1 in the
+    # gap above it), by one merge pass, and the event at which it leaves
+    pos: list[int] = []
+    k = 0
+    for s in S:
+        while B[k] < s:
+            k += 1
+        pos.append(2 * k if B[k] == s else 2 * k - 1)
+    leave = [idx[s + eps] for s in S]
+
     enter_at: list[list[str]] = [[] for _ in range(K)]
     leave_at: list[list[str]] = [[] for _ in range(K)]
     by_level: list[list[str]] = [[] for _ in range(K)]
     by_slot: list[list[str]] = [[] for _ in range(K)]
-    for lev in g.levels:
-        for v in lev:
-            val = g.value(v)
-            enter_at[idx[val - eps]].append(v)
-            leave_at[idx[val + eps]].append(v)
-            k = bisect.bisect_left(B, val)
-            if k < K and B[k] == val:
-                by_level[k].append(v)
-            else:
-                by_slot[k - 1].append(v)
+    for i, lev in enumerate(g.levels):
+        enter_at[idx[S[i] - eps]].extend(lev)
+        leave_at[leave[i]].extend(lev)
+        (by_slot if pos[i] % 2 else by_level)[pos[i] // 2].extend(lev)
 
     H = make_forest(forest)
     records: list[_Record] = []
@@ -262,18 +267,15 @@ def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResu
                 H.remove_node(e)
         for v in entering:
             H.add_node(v)
-            w = g.value(v) + eps
+            w = leave[g.vertex_level[v]]
             for e in g.below_edges[v]:
                 H.insert(e, v, w)
 
         # name the window components touched by the event
         cell_to_nu: dict[str, str] = {}
-        walked: set[str] = set()
         for v in entering + leaving:
-            r = H.find(v)
-            if r in walked:
+            if v in cell_to_nu:
                 continue
-            walked.add(r)
             comp = H.component(v)
             name = canonical_vertex_name(k, comp)
             level_names[k].append(name)
@@ -290,7 +292,7 @@ def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResu
                 H.delete(v, e)
             H.remove_node(v)
         for v in entering:
-            w = g.value(v) + eps
+            w = leave[g.vertex_level[v]]
             for e in g.above_edges[v]:
                 H.add_node(e)
                 H.insert(e, v, w)
@@ -299,13 +301,10 @@ def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResu
         post_handles: list[str] = list(entering)
         for v in leaving:
             post_handles.extend(g.above_edges[v])
-        walked2: set[str] = set()
-        new_recs: list[_Record] = []
+        born: dict[str, _Record] = {}
         for cell in post_handles:
-            r = H.find(cell)
-            if r in walked2:
+            if cell in born:
                 continue
-            walked2.add(r)
             comp = H.component(cell)
             bottom = None
             for c in comp:
@@ -317,7 +316,7 @@ def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResu
                 raise InternalError("component with no anchor at its birth event")
             rec = _Record(k, bottom, comp)
             records.append(rec)
-            new_recs.append(rec)
+            born.update(dict.fromkeys(comp, rec))
 
         # vertices sitting exactly on this output level
         for v in by_level[k]:
@@ -330,11 +329,10 @@ def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResu
         for rec, _ in popped:
             for c in rec.contents:
                 rec_of.pop(c, None)
-        for rec in new_recs:
-            for c in rec.contents:
-                rec_of[c] = rec
-                if c in edge_records:
-                    edge_records[c].append(rec)
+        rec_of.update(born)
+        for c, rec in born.items():
+            if c in edge_records:
+                edge_records[c].append(rec)
 
         # vertices sitting strictly inside the next gap
         if k < K - 1:
@@ -363,14 +361,14 @@ def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResu
     smoothed = _assemble(B, levels_out, slots_out, down, up)
 
     zeta_e: dict[str, tuple[str, ...]] = {}
-    for e in g.edge_ids:
-        x, y = g.span(e)
-        j_start, j_end = _span_positions(B, x, y)
-        path = []
-        for rec in edge_records[e]:
-            for j in range(max(rec.birth, j_start), min(rec.death, j_end + 1)):
-                path.append(canonical_edge_name(j, rec.contents))
-        zeta_e[e] = tuple(path)
+    for i, slot in enumerate(g.slots):
+        # output slots met by the open span (S[i], S[i + 1])
+        j_start, j_stop = pos[i] // 2, (pos[i + 1] + 1) // 2
+        for e in slot:
+            zeta_e[e] = tuple(canonical_edge_name(j, rec.contents)
+                              for rec in edge_records[e]
+                              for j in range(max(rec.birth, j_start),
+                                             min(rec.death, j_stop)))
     zeta = RGraphMorphism(g, smoothed, zeta_v, zeta_e)
     return SmoothingResult(g, eps, smoothed, zeta, provenance)
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reeb import (EMPTY_INTERVAL, Cosheaf, ValidationError, build_rgraph,
                   check_gluing, display, evaluate, expand, extend_map, fork,
@@ -143,6 +145,40 @@ def test_refine_cosheaf_keeps_values():
             assert orig in pool
     mid_origins = {R.node_origin[2][x][0] for x in R.cosheaf.node_sets[2]}
     assert mid_origins == {"e"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_refine_cosheaf_with_several_values_in_one_gap(seed):
+    rng = random.Random(seed)
+    F = random_cosheaf(rng)
+    S = F.criticals
+    extra = [Fraction(rng.randint(-9, 9))]
+    if len(S) >= 2:
+        k = rng.randrange(len(S) - 1)
+        extra += [S[k] + (S[k + 1] - S[k]) * Fraction(t, 4) for t in (1, 2, 3)]
+    R = refine_cosheaf(F, extra)
+    assert validate_cosheaf(R.cosheaf).ok
+    assert R.cosheaf.criticals == tuple(sorted(set(S) | set(extra)))
+    ends = [None, *(Fraction(t, 4) for t in range(-40, 41, 3))]
+    for _ in range(20):
+        lo, hi = rng.choice(ends), rng.choice(ends)
+        assert len(evaluate(F, interval(lo, hi))) == \
+            len(evaluate(R.cosheaf, interval(lo, hi))), (lo, hi)
+    # every origin names a cell of F lying over the refined cell
+    T = R.cosheaf.criticals
+    for i, ns in enumerate(R.cosheaf.node_sets):
+        for x in ns:
+            kind, k, orig = R.node_origin[i][x]
+            if kind == "v":
+                assert orig in F.node_sets[k] and S[k] == T[i]
+            else:
+                assert orig in F.edge_sets[k] and S[k] < T[i] < S[k + 1]
+    for j, es in enumerate(R.cosheaf.edge_sets):
+        for x in es:
+            kind, k, orig = R.edge_origin[j][x]
+            assert kind == "e" and orig in F.edge_sets[k]
+            assert S[k] <= T[j] and T[j + 1] <= S[k + 1]
 
 
 def test_is_cosheaf_iso():

@@ -1,12 +1,18 @@
 """Interleaving certificates: verification, search, and the certificate algebra."""
 
 import dataclasses
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reeb
 from reeb import BudgetExceeded, ValidationError
+from reeb.interleave import _enumerate_bundles, _expand_table, _SearchSide
+from reeb.iso import NodeBudget
 
 
 def parallel_pair(count_left, count_right):
@@ -223,3 +229,58 @@ class TestQuantifiedIso:
     def test_refutes_line_versus_loop(self):
         assert reeb.quantified_iso_check(reeb.line(0, 1), reeb.loop(0, 1)) is None
         assert reeb.quantified_iso_check(reeb.fork(), reeb.line(-1, 1)) is None
+
+
+# ---------------------------------------------------------------------------
+# Properties over random graph pairs.
+
+pairs = st.integers(0, 2**32 - 1).map(lambda seed: tuple(
+    reeb.random_rgraph(random.Random(seed + k), max_vertices=6, max_edges=7)
+    for k in (0, 1)))
+radii = st.integers(1, 8).map(lambda n: Fraction(n, 4))
+props = settings(max_examples=100, deadline=None)
+
+
+def normal_form_equal(a, b):
+    na, nb = reeb.normal_form(a), reeb.normal_form(b)
+    return na.vertex_maps == nb.vertex_maps and na.edge_maps == nb.edge_maps
+
+
+def search_candidates(f, g, eps, limit=8):
+    """Up to limit candidate maps f -> smooth(g, eps) per bundle, from
+    the first few bundles of the search's enumeration."""
+    side = _SearchSide(f, reeb.smooth(g, eps).smoothed)
+    budget = NodeBudget(10**6, "unused")
+    out = []
+    for bundle in islice(_enumerate_bundles(side, budget), 4):
+        every = {piece: [{piece: c} for c in cands]
+                 for _, piece, cands in bundle.choices}
+        out.extend(islice(_expand_table(side, bundle, every, budget), limit))
+    return out
+
+
+@props
+@given(pairs, radii)
+def test_stored_image_equality_agrees_with_normal_forms(pair, eps):
+    f, g = pair
+    maps = search_candidates(f, g, eps)
+    sm_f, sm_g, sm_g2 = reeb.smooth(f, eps), reeb.smooth(g, eps), reeb.smooth(g, 2 * eps)
+    shifted = [reeb.shift_compose(x, sm_f, sm_g, sm_g2) for x in maps]
+    for group in (maps, shifted):
+        for a in group:
+            for b in group:
+                same = reeb.morphism_equal(a, b)
+                assert same == normal_form_equal(a, b)
+                if not same:
+                    diff = reeb.morphism_first_difference(a, b)
+                    assert " at level " in diff or " at slot " in diff
+
+
+@props
+@given(pairs, radii)
+def test_found_certificates_pass_the_verifier(pair, eps):
+    f, g = pair
+    out = reeb.search_certificate(f, g, eps, budget=300)
+    if out.status == "found":
+        ok, msg = reeb.verify_certificate(out.certificate)
+        assert ok, msg

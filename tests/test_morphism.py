@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from reeb import (RGraphMorphism, ValidationError, build_rgraph, compose,
                   compose_smoothings, fork, identity, invert_isomorphism,
-                  is_isomorphism, line, loop, morphism_equal,
-                  morphism_first_difference, normal_form, path_cell_at,
+                  is_isomorphism, levelwise_morphism, line, loop,
+                  morphism_equal, morphism_first_difference, normal_form,
+                  path_cell_at, point,
                   random_rgraph, reduce, reduce_collapse, reduce_embed,
                   refine, refine_collapse, refine_embed, shift_compose,
                   smooth, smooth_morphism, validate_morphism)
@@ -124,10 +125,15 @@ def test_morphism_first_difference_reports_cell():
     b = RGraphMorphism(g, h, {"v0": ("vertex", "v0"), "v1": ("vertex", "v1")},
                        {"e0": ("e1",), "e1": ("e0",)})
     diff = morphism_first_difference(a, b)
-    assert diff is not None and "e0" in diff
+    assert diff == "edge 'e0' at slot 0: ('e0',) vs ('e1',)"
     assert morphism_first_difference(a, a) is None
     with pytest.raises(ValidationError):
         morphism_first_difference(a, identity(line(0, 2)))
+    # a vertex difference names the vertex's level
+    a = RGraphMorphism(point(1), fork(), {"v0": ("vertex", "x")}, {})
+    b = RGraphMorphism(point(1), fork(), {"v0": ("vertex", "y")}, {})
+    assert morphism_first_difference(a, b) == \
+        "vertex 'v0' at level 0: ('vertex', 'x') vs ('vertex', 'y')"
 
 
 def test_path_cell_at():
@@ -203,3 +209,16 @@ def test_shifted_zeta_is_the_iterated_smoothing_witness(g, eps):
     cs = compose_smoothings(g, eps, eps)
     assert morphism_equal(shift_compose(sm.zeta, sm, sm, smooth(g, 2 * eps)),
                           compose(cs.second.zeta, cs.witness))
+
+
+@laws
+@given(graphs, radii, radii)
+def test_normal_form_round_trips(g, a, eps):
+    phi = map_out(g, a)
+    phi = compose(phi, smooth(phi.target, eps).zeta)
+    nf = normal_form(phi)
+    core = levelwise_morphism(nf.source, nf.target, nf.vertex_maps, nf.edge_maps)
+    assert validate_morphism(core).ok
+    back = compose(compose(refine_embed(phi.source, nf.source_refine), core),
+                   refine_collapse(phi.target, nf.target_refine))
+    assert morphism_equal(back, phi)
