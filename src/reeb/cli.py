@@ -56,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smooth", help="epsilon-smoothing of a graph")
     p.add_argument("file")
     p.add_argument("epsilon")
-    p.add_argument("--algo", choices=("sweep", "naive"), default="sweep")
-    p.add_argument("--forest", choices=("lct", "naive"), default="lct")
     p.add_argument("--zeta", action="store_true",
                    help="print the canonical map instead of the graph")
 
@@ -104,8 +102,7 @@ def _run(args, out) -> int:
         return 0
 
     if args.command == "smooth":
-        sm = smooth(_graph(args.file), parse_rational(args.epsilon),
-                    algo=args.algo, forest=args.forest)
+        sm = smooth(_graph(args.file), parse_rational(args.epsilon))
         out.write(emit_morphism(sm.zeta) if args.zeta else emit_rgraph(sm.smoothed))
         return 0
 

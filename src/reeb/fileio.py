@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import RGraph, _assemble, build_rgraph
+from .core import RGraph, _assemble, _build, build_rgraph
 from .errors import InternalError, ParseError, ValidationError
 from .morphism import RGraphMorphism
 from .rationals import format_rational, parse_rational
@@ -171,128 +171,84 @@ class ComplexReeb:
     vertex_image: dict[str, str]    # complex vertex -> graph vertex
 
 
-def _triangle_vertices(field: SimplicialField, tid: str) -> set[str]:
-    return {v for e in field.triangles[tid] for v in field.edges[e]}
-
-
 def reeb_of_complex(field: SimplicialField) -> ComplexReeb:
-    """The Reeb graph of the piecewise linear map the field describes:
-    one graph vertex per component of a level set at a vertex value, one
-    edge per component of the preimage of a gap between vertex values."""
+    """The Reeb graph of the piecewise linear map the field describes, as a
+    quotient of its 1-skeleton refined at the vertex values: horizontal
+    edges and triangles merge the cells they connect, so each class is one
+    component of a level set at a vertex value (a graph vertex) or of the
+    preimage of a gap between values (a graph edge). A class is named by
+    the sorted `v:`/`e:` ids of its cells, plus `t:` for each triangle
+    spanning a gap, then `@value` or `@(lo,hi)`."""
     vals = field.values
-    S = sorted(set(vals.values()))
-    espan = {e: (min(vals[a], vals[b]), max(vals[a], vals[b]))
-             for e, (a, b) in field.edges.items()}
-    tspan = {}
-    for t in field.triangles:
-        tvals = [vals[v] for v in _triangle_vertices(field, t)]
-        tspan[t] = (min(tvals), max(tvals))
+    rising = {f"e:{e}": tuple(f"v:{v}" for v in sorted(ends, key=vals.__getitem__))
+              for e, ends in field.edges.items() if vals[ends[0]] != vals[ends[1]]}
+    g, segs, splits = _build({f"v:{v}": x for v, x in vals.items()}, rising, ())
+    owner = {s: e for e, pieces in segs.items() for s in pieces}
+    level = g.vertex_level
 
-    def ref(cell) -> str:
-        return f"{cell[0]}:{cell[1]}"
+    def piece(e: str, j: int) -> str:
+        """The segment of the skeleton edge e over slot j."""
+        return segs[e][j - level[rising[e][0]]]
 
-    # Components of each level set. Cells: vertices at the value, edges
-    # crossing it strictly. Level edges and triangle slices glue them.
-    level_names: list[list[str]] = []
-    level_lookup: list[dict[tuple[str, str], str]] = []
-    vertex_image: dict[str, str] = {}
-    for i, a in enumerate(S):
-        uf = UnionFind()
-        for v, val in vals.items():
-            if val == a:
-                uf.add(("v", v))
-        for e, (lo, hi) in espan.items():
-            if lo < a < hi:
-                uf.add(("e", e))
-        for e, (x, y) in field.edges.items():
-            if vals[x] == a and vals[y] == a:
-                uf.union(("v", x), ("v", y))
-        for t, sides in field.triangles.items():
-            lo, hi = tspan[t]
-            if not lo <= a <= hi:
-                continue
-            contacts = set()
-            for e in sides:
-                x, y = field.edges[e]
-                if vals[x] == a:
-                    contacts.add(("v", x))
-                if vals[y] == a:
-                    contacts.add(("v", y))
-                if espan[e][0] < a < espan[e][1]:
-                    contacts.add(("e", e))
-            first = None
-            for c in contacts:
-                if first is None:
-                    first = c
-                else:
-                    uf.union(first, c)
-        names = []
-        lookup = {}
-        for comp in uf.groups():
-            name = "{" + ",".join(sorted(ref(c) for c in comp)) + "}@" \
-                   + format_rational(a)
-            names.append(name)
-            for c in comp:
-                lookup[c] = name
-                if c[0] == "v":
-                    vertex_image[c[1]] = name
-        level_names.append(sorted(names))
-        level_lookup.append(lookup)
+    uf = UnionFind((*g.vertex_ids, *g.edge_ids))
+    for a, b in field.edges.values():
+        if vals[a] == vals[b]:
+            uf.union(f"v:{a}", f"v:{b}")
+    triangles_over: dict[str, list[str]] = {}   # long edge's segment -> triangles
+    for t, sides in field.triangles.items():
+        edge_of = {frozenset(field.edges[e]): f"e:{e}" for e in sides}
+        corners = {v for pair in edge_of for v in pair}
+        if len(edge_of) != 3 or len(corners) != 3:
+            raise ValidationError(f"the edges of triangle {t!r} do not close up")
+        x, y, z = sorted(corners, key=vals.__getitem__)
+        lo, mid, hi = (level[f"v:{v}"] for v in (x, y, z))
+        if lo == hi:
+            continue
+        # x-z spans every slot from lo to hi, x-y those below mid and
+        # y-z those above; a horizontal side spans none
+        long, low, high = (edge_of[frozenset(p)] for p in ((x, z), (x, y), (y, z)))
+        for j in range(lo, hi):
+            seg = piece(long, j)
+            uf.union(seg, piece(low if j < mid else high, j))
+            triangles_over.setdefault(seg, []).append(f"t:{t}")
+        for k in range(lo + 1, hi):
+            uf.union(g.down[k][piece(long, k)], f"v:{y}" if k == mid
+                     else g.down[k][piece(low if k < mid else high, k)])
 
-    # Components of each gap preimage. Cells: edges and triangles whose
-    # value range covers the whole gap; triangles glue to their spanning
-    # boundary edges.
-    slot_names: list[list[str]] = []
-    down_maps: list[dict[str, str]] = []
-    up_maps: list[dict[str, str]] = []
-    for j in range(len(S) - 1):
-        lo_v, hi_v = S[j], S[j + 1]
-        uf = UnionFind()
-        spanning = {e for e, (lo, hi) in espan.items() if lo <= lo_v and hi >= hi_v}
-        for e in spanning:
-            uf.add(("e", e))
-        for t, (lo, hi) in tspan.items():
-            if lo <= lo_v and hi >= hi_v:
-                uf.add(("t", t))
-                for e in field.triangles[t]:
-                    if e in spanning:
-                        uf.union(("t", t), ("e", e))
+    def classes(cells, refs, where: str) -> dict[str, list[str]]:
+        """The classes among cells, by name, each with its members."""
+        groups: dict[str, list[str]] = {}
+        for c in cells:
+            groups.setdefault(uf.find(c), []).append(c)
+        return {"{" + ",".join(sorted(r for c in members for r in refs(c))) + "}@" + where:
+                members for members in groups.values()}
 
-        def contact(e: str, value, level: int) -> str:
-            x, y = field.edges[e]
-            if vals[x] > vals[y]:
-                x, y = y, x
-            if vals[x] == value:
-                cell = ("v", x)
-            elif vals[y] == value:
-                cell = ("v", y)
-            else:
-                cell = ("e", e)
-            return level_lookup[level][cell]
-
-        names = []
-        down = {}
-        up = {}
-        for comp in uf.groups():
-            name = "{" + ",".join(sorted(ref(c) for c in comp)) + "}@(" \
-                   + format_rational(lo_v) + "," + format_rational(hi_v) + ")"
-            members = sorted(c[1] for c in comp if c[0] == "e")
-            if not members:
-                raise InternalError("gap component with no spanning edge")
-            downs = {contact(e, lo_v, j) for e in members}
-            ups = {contact(e, hi_v, j + 1) for e in members}
+    name: dict[str, str] = {}
+    level_names = []
+    for k, lev in enumerate(g.levels):
+        named = classes(lev, lambda c: (splits.get(c, c),), format_rational(g.criticals[k]))
+        for n, members in named.items():
+            name.update((c, n) for c in members)
+        level_names.append(list(named))
+    slot_names, down_maps, up_maps = [], [], []
+    for j, slot in enumerate(g.slots):
+        lo, hi = g.criticals[j], g.criticals[j + 1]
+        where = f"({format_rational(lo)},{format_rational(hi)})"
+        named = classes(slot, lambda c: (owner[c], *triangles_over.get(c, ())), where)
+        down, up = {}, {}
+        for n, members in named.items():
+            downs = {name[g.down[j][s]] for s in members}
+            ups = {name[g.up[j][s]] for s in members}
             if len(downs) != 1 or len(ups) != 1:
-                raise InternalError("gap component touching several level "
-                                    "components")
-            names.append(name)
-            down[name] = downs.pop()
-            up[name] = ups.pop()
-        slot_names.append(sorted(names))
+                raise InternalError(f"gap component {n} at slot {j} touches several "
+                                    "level components")
+            down[n], up[n] = downs.pop(), ups.pop()
+        slot_names.append(list(named))
         down_maps.append(down)
         up_maps.append(up)
 
-    graph = _assemble(S, level_names, slot_names, down_maps, up_maps)
-    return ComplexReeb(graph, vertex_image)
+    graph = _assemble(g.criticals, level_names, slot_names, down_maps, up_maps)
+    return ComplexReeb(graph, {v: name[f"v:{v}"] for v in vals})
 
 
 # ---------------------------------------------------------------------------

@@ -517,17 +517,6 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
         a, b = ends[eid]
         return vb[a] + (c - va[a]) * (vb[b] - vb[a]) / (va[b] - va[a])
 
-    def chain_cell_at(graph, chain, value):
-        """The cell of a refined edge chain lying at the given value,
-        which must be strictly inside the chain's span."""
-        for s in chain:
-            x, y = graph.span(s)
-            if x < value < y:
-                return s
-            if value == y:
-                return graph.endpoints(s)[1]
-        raise InternalError("point value left the edge's span")
-
     def chain_cells_between(graph, chain, glo, ghi):
         cells = []
         for s in chain:
@@ -545,7 +534,7 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
             if v in src_splits:
                 eid = src_splits[v]
                 u = other_value(eid, src_graph.value(v), src_vals, dst_vals)
-                pull[v] = frozenset((chain_cell_at(dst_graph, dst_seg[eid], u),))
+                pull[v] = frozenset((path_cell_at(dst_graph, dst_seg[eid], u)[1],))
             else:
                 pull[v] = frozenset((v,))
         owner = {s: e for e, segs in src_seg.items() for s in segs}

@@ -58,15 +58,10 @@ class SmoothingResult:
         return index
 
 
-def smooth(g: RGraph, eps, algo: str = "sweep", forest: str = "lct") -> SmoothingResult:
-    eps = as_rational(eps)
-    if eps < 0:
-        raise ValidationError("smoothing radius must be nonnegative")
-    if algo == "naive":
-        return smooth_naive(g, eps)
-    if algo == "sweep":
-        return smooth_sweep(g, eps, forest=forest)
-    raise ValueError(f"unknown smoothing algorithm {algo!r}")
+def smooth(g: RGraph, eps) -> SmoothingResult:
+    """The eps-smoothing of g with its canonical map, by the sweep;
+    `smooth_naive` is the reference the tests compare it with."""
+    return smooth_sweep(g, eps)
 
 
 def _relabel_zero(g: RGraph) -> SmoothingResult:

@@ -92,8 +92,8 @@ def test_criterion_03_sweep_matches_naive():
             else Fraction(1)
         eps = rng.choice([Fraction(0), Fraction(1, 4), Fraction(1, 2),
                           reeb.collision_free_epsilon(g, rng), 2 * span])
-        fast = reeb.smooth(g, eps, algo="sweep")
-        slow = reeb.smooth(g, eps, algo="naive")
+        fast = reeb.smooth_sweep(g, eps)
+        slow = reeb.smooth_naive(g, eps)
         assert fast.smoothed == slow.smoothed
         assert fast.provenance == slow.provenance
         wit = reeb.identity(fast.smoothed)
@@ -365,17 +365,17 @@ def test_criterion_11_near_linear_scaling():
         edges = [(f"e{i}", f"v{i}", f"v{i+1}") for i in range(m - 1)]
         return reeb.build_rgraph(verts, edges)
 
-    times = []
-    for m in (10_000, 20_000, 40_000):
-        g = path_graph(m)
-        best = None
-        for _ in range(2):
+    sizes = (10_000, 20_000, 40_000)
+    graphs = [path_graph(m) for m in sizes]
+    times = [float("inf")] * len(sizes)
+    # round-robin over the sizes, keeping each one's best time, so a drift
+    # in machine speed during the run slows every size alike
+    for _ in range(3):
+        for i, (m, g) in enumerate(zip(sizes, graphs)):
             t0 = perf_counter()
-            sm = reeb.smooth(g, Fraction(3, 2), algo="sweep", forest="lct")
-            dt = perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        assert len(sm.smoothed.vertex_ids) == m + 3
-        times.append(best)
+            sm = reeb.smooth_sweep(g, Fraction(3, 2), forest="lct")
+            times[i] = min(times[i], perf_counter() - t0)
+            assert len(sm.smoothed.vertex_ids) == m + 3
     for small, big in zip(times, times[1:]):
         assert big / small <= 2.5, times
 

@@ -90,13 +90,6 @@ class TestSmooth:
         phi = reeb.parse_morphism(out, reeb.line(0, 1), sm.smoothed)
         assert reeb.morphism_equal(phi, sm.zeta)
 
-    def test_algo_and_forest_flags(self, files):
-        for extra in (("--algo", "naive"), ("--forest", "naive")):
-            code, out, _ = run("smooth", files["loop"], "1/3", *extra)
-            assert code == 0
-            assert reeb.parse_rgraph(out) == reeb.smooth(
-                reeb.loop(0, 1), "1/3").smoothed
-
     def test_negative_epsilon(self, files):
         code, out, err = run("smooth", files["line"], "--", "-1/4")
         assert code == 1

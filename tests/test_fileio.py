@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reeb
 from reeb import ParseError, SimplicialField
+from reeb.unionfind import UnionFind
 
 
 def octahedron_field():
@@ -163,6 +166,14 @@ class TestReebOfComplex:
             reeb.build_rgraph({"p": 0, "q": 1, "r": 0, "s": 2},
                               [("e", "p", "q"), ("f", "r", "s")]))
 
+    def test_triangle_that_does_not_close_up_is_rejected(self):
+        field = SimplicialField(
+            {v: Fraction(k) for k, v in enumerate("abcd")},
+            {"ab": ("a", "b"), "bc": ("b", "c"), "ad": ("a", "d")},
+            {"T": ("ab", "bc", "ad")})
+        with pytest.raises(reeb.ValidationError, match="'T' do not close up"):
+            reeb.reeb_of_complex(field)
+
     def test_random_fields_match_component_count(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -182,6 +193,52 @@ class TestReebOfComplex:
             want = len({find(v) for v in field.values})
             assert reeb.num_components(res.graph) == want
             assert set(res.vertex_image) == set(field.values)
+
+
+def preimage_components(field, iv):
+    """Components of the preimage of the open interval iv under the
+    piecewise linear map: each simplex's part of the preimage is convex, so
+    the simplices whose value range meets iv, each joined to its faces that
+    also meet it, are the pieces."""
+    vals = field.values
+
+    def meets(vs):
+        lo, hi = min(vals[v] for v in vs), max(vals[v] for v in vs)
+        return (iv.lo is None or hi > iv.lo) and (iv.hi is None or lo < iv.hi)
+
+    uf = UnionFind()
+    for v in vals:
+        if meets((v,)):
+            uf.add(("v", v))
+    for e, ends in field.edges.items():
+        if meets(ends):
+            uf.add(("e", e))
+            for v in ends:
+                if ("v", v) in uf:
+                    uf.union(("e", e), ("v", v))
+    for t, sides in field.triangles.items():
+        if meets({v for e in sides for v in field.edges[e]}):
+            uf.add(("t", t))
+            for e in sides:
+                if ("e", e) in uf:
+                    uf.union(("t", t), ("e", e))
+    return len(uf.groups())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_reeb_cosheaf_counts_preimage_components(seed):
+    rng = random.Random(seed)
+    field = reeb.random_field(rng, denominator=rng.randint(1, 3))
+    F = reeb.reeb_cosheaf(reeb.reeb_of_complex(field).graph)
+    ends = [None, *field.values.values(),
+            *(Fraction(n, 12) for n in range(-30, 31, 5))]
+    for _ in range(30):
+        iv = reeb.interval(rng.choice(ends), rng.choice(ends))
+        if iv.empty:
+            continue
+        assert len(reeb.evaluate(F, iv)) == preimage_components(field, iv), \
+            (iv.lo, iv.hi)
 
 
 class TestMorphismFiles:

@@ -90,14 +90,12 @@ def test_zero_radius_is_a_renaming():
     assert is_isomorphic(sm.smoothed, g) is not None
     assert is_isomorphism(sm.zeta)
     assert all(len(p) == 1 for p in sm.provenance.values())
-    assert smooth(g, 0, "naive").smoothed == sm.smoothed
+    assert smooth_naive(g, 0).smoothed == sm.smoothed
 
 
 def test_negative_radius_rejected():
     with pytest.raises(ValidationError):
         smooth(line(0, 1), Fraction(-1, 2))
-    with pytest.raises(ValueError):
-        smooth(line(0, 1), EPS, algo="other")
 
 
 def test_empty_and_far_apart_components():
