@@ -13,7 +13,7 @@ from .core import (RGraph, ReduceResult, RefineResult, ValidationReport,
                    common_refinement, component_sets, empty_rgraph, fork,
                    line, loop, minimum_gap, num_components, point, reduce,
                    refine, validate)
-from .dynconn import LinkCutForest, NaiveDynForest, make_forest
+from .dynconn import NaiveDynForest, RollbackUnionFind, make_forest
 from .errors import (BudgetExceeded, ForestError, InternalError, ParseError,
                      ReebError, ValidationError)
 from .fileio import (ComplexReeb, SimplicialField, emit_field, emit_morphism,

@@ -12,8 +12,8 @@ image meets t, i.e. x < t + eps and y > t - eps.
 
 Cells are named after their component's member cells, so the two
 implementations below (direct per-window recomputation, and a single
-sweep maintaining a spanning forest under timed deletions) emit
-bit-identical presentations.
+sweep that replays every link's known window lifetime through a
+rolling-back union-find) emit bit-identical presentations.
 
 At eps = 0 windows degenerate to points and the attach rule through
 window overlaps breaks down, so that case is a plain renaming of the
@@ -29,7 +29,7 @@ from functools import cached_property
 
 from .core import (RGraph, _assemble, canonical_edge_name,
                    canonical_vertex_name, component_sets)
-from .dynconn import make_forest
+from .dynconn import make_forest, walk_positions
 from .errors import InternalError, ValidationError
 from .morphism import (RGraphMorphism, compose, identity, is_isomorphism,
                        morphism_equal, smoothed_pull, transport)
@@ -178,26 +178,24 @@ def smooth_naive(g: RGraph, eps: Fraction) -> SmoothingResult:
     return SmoothingResult(g, eps, smoothed, zeta, provenance)
 
 
+@dataclass(slots=True, eq=False)
 class _Record:
     """One maximal run of a window component between two events: born at
     event `birth` out of vertex `bottom`, carrying a constant cell set,
     sealed at event `death` into vertex `top`."""
-    __slots__ = ("birth", "bottom", "contents", "death", "top")
-
-    def __init__(self, birth: int, bottom: str, contents: frozenset):
-        self.birth = birth
-        self.bottom = bottom
-        self.contents = contents
-        self.death: int | None = None
-        self.top: str | None = None
+    birth: int
+    bottom: str
+    contents: frozenset
+    death: int | None = None
+    top: str | None = None
 
 
-def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResult:
-    """Single pass over the output criticals, maintaining a spanning forest
-    of the current window. Link weights are their scheduled deletion times
-    (the index of the event at which the vertex endpoint leaves the
-    window), so the forest's replacement rule keeps deletions
-    replacement-free."""
+def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
+    """Single pass over the output criticals. Every edge-endpoint link's
+    window lifetime is known up front, so `walk_positions` replays them
+    through a rolling-back union-find that holds the window at each level
+    and each gap in turn; a level names the components an event touches
+    and seals their records, the gap above it opens their successors."""
     eps = as_rational(eps)
     if eps < 0:
         raise ValidationError("smoothing radius must be nonnegative")
@@ -209,90 +207,89 @@ def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResu
     idx = {b: k for k, b in enumerate(B)}
 
     # each input critical's doubled position on B (2k on B[k], 2k+1 in the
-    # gap above it), by one merge pass, and the event at which it leaves
+    # gap above it), by one merge pass
     pos: list[int] = []
     k = 0
     for s in S:
         while B[k] < s:
             k += 1
         pos.append(2 * k if B[k] == s else 2 * k - 1)
+
+    enter = [idx[s - eps] for s in S]
     leave = [idx[s + eps] for s in S]
+    # the input level entering or leaving the window at each level (at
+    # most one: enter and leave increase), and the input vertices lying at
+    # each position
+    entering_at = dict(zip(enter, g.levels))
+    leaving_at = dict(zip(leave, g.levels))
+    lying_at: dict[int, tuple[str, ...]] = {}
+    for p, lev in zip(pos, g.levels):
+        lying_at[p] = lying_at.get(p, ()) + lev
 
-    enter_at: list[list[str]] = [[] for _ in range(K)]
-    leave_at: list[list[str]] = [[] for _ in range(K)]
-    by_level: list[list[str]] = [[] for _ in range(K)]
-    by_slot: list[list[str]] = [[] for _ in range(K)]
-    for i, lev in enumerate(g.levels):
-        enter_at[idx[S[i] - eps]].extend(lev)
-        leave_at[leave[i]].extend(lev)
-        (by_slot if pos[i] % 2 else by_level)[pos[i] // 2].extend(lev)
-
-    H = make_forest(forest)
+    # each edge-endpoint link lives over the doubled positions where both
+    # ends are in the window: a vertex at S[i] is there over
+    # [2 enter[i], 2 leave[i]], an edge over slot j over
+    # [2 enter[j] + 1, 2 leave[j + 1] - 1]
+    cells = [*g.vertex_ids, *g.edge_ids]
+    num = {c: n for n, c in enumerate(cells)}
+    links: list[tuple[int, int, int, int]] = []
+    for j, slot in enumerate(g.slots):
+        lower = (2 * enter[j] + 1, 2 * leave[j])
+        upper = (2 * enter[j + 1], 2 * leave[j + 1] - 1)
+        for e in slot:
+            links.append((*lower, num[e], num[g.down[j][e]]))
+            links.append((*upper, num[e], num[g.up[j][e]]))
+    H = make_forest(len(cells))
     records: list[_Record] = []
+    # cell -> its latest record; entries of cells that have left the window
+    # go stale, and only cells in the window are looked up
     rec_of: dict[str, _Record] = {}
     edge_records: dict[str, list[_Record]] = {e: [] for e in g.edge_ids}
     level_names: list[list[str]] = [[] for _ in range(K)]
     provenance: dict[str, frozenset] = {}
     zeta_v: dict[str, tuple[str, str]] = {}
 
-    for k in range(K):
-        entering = enter_at[k]
-        leaving = leave_at[k]
+    for p in walk_positions(H, 2 * K - 1, links):
+        k = p >> 1
+        entering = entering_at.get(k, ())
+        leaving = leaving_at.get(k, ())
+        if not p & 1:
+            # H holds the window at B[k]: vertices at B[k] + eps have just
+            # arrived, edges over vertices at B[k] - eps have just gone.
+            # Seal the records whose component the event touches.
+            popped: list[tuple[_Record, str]] = []
+            handles: list[str] = list(leaving)
+            for v in entering:
+                handles.extend(g.below_edges[v])
+            for cell in handles:
+                rec = rec_of[cell]
+                if rec.death is None:
+                    rec.death = k
+                    popped.append((rec, cell))
 
-        # seal the records whose component is touched at this event
-        popped: list[tuple[_Record, str]] = []
-        seen: set[int] = set()
-        handles: list[str] = list(leaving)
-        for v in entering:
-            handles.extend(g.below_edges[v])
-        for cell in handles:
-            rec = rec_of[cell]
-            if id(rec) not in seen:
-                seen.add(id(rec))
-                rec.death = k
-                popped.append((rec, cell))
+            # name the window components touched by the event
+            cell_to_nu: dict[str, str] = {}
+            for v in entering + leaving:
+                if v in cell_to_nu:
+                    continue
+                comp = frozenset({cells[c] for c in H.component(num[v])})
+                name = canonical_vertex_name(k, comp)
+                level_names[k].append(name)
+                provenance[name] = comp
+                for c in comp:
+                    cell_to_nu[c] = name
+            for rec, cell in popped:
+                rec.top = cell_to_nu[cell]
 
-        # bring the forest to the window at B[k]: edges whose top endpoint
-        # leaves now die, vertices whose value is B[k] + eps arrive
-        for v in leaving:
-            for e in g.below_edges[v]:
-                lo_v, hi_v = g.endpoints(e)
-                H.delete(e, lo_v)
-                H.delete(e, hi_v)
-                H.remove_node(e)
-        for v in entering:
-            H.add_node(v)
-            w = leave[g.vertex_level[v]]
-            for e in g.below_edges[v]:
-                H.insert(e, v, w)
+            # vertices sitting exactly on this output level
+            for v in lying_at.get(p, ()):
+                nu = cell_to_nu.get(v) or canonical_vertex_name(k, rec_of[v].contents)
+                zeta_v[v] = ("vertex", nu)
+            continue
 
-        # name the window components touched by the event
-        cell_to_nu: dict[str, str] = {}
-        for v in entering + leaving:
-            if v in cell_to_nu:
-                continue
-            comp = H.component(v)
-            name = canonical_vertex_name(k, comp)
-            level_names[k].append(name)
-            provenance[name] = comp
-            for c in comp:
-                cell_to_nu[c] = name
-        for rec, cell in popped:
-            rec.top = cell_to_nu[cell]
-
-        # slide past B[k]: leaving vertices go, edges over their upper
-        # endpoints arrive
-        for v in leaving:
-            for e in g.above_edges[v]:
-                H.delete(v, e)
-            H.remove_node(v)
-        for v in entering:
-            w = leave[g.vertex_level[v]]
-            for e in g.above_edges[v]:
-                H.add_node(e)
-                H.insert(e, v, w)
-
-        # open records for the components continuing into the next gap
+        # H holds the window over the gap above B[k]: leaving vertices have
+        # gone, edges over entering vertices have arrived. Open records for
+        # the components the event touched.
         post_handles: list[str] = list(entering)
         for v in leaving:
             post_handles.extend(g.above_edges[v])
@@ -300,50 +297,38 @@ def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResu
         for cell in post_handles:
             if cell in born:
                 continue
-            comp = H.component(cell)
-            bottom = None
-            for c in comp:
-                nu = cell_to_nu.get(c)
-                if nu is not None:
-                    bottom = nu
-                    break
+            # an entering vertex, or an edge over a leaving one, lies in
+            # the component named for its event at B[k]
+            bottom = cell_to_nu.get(cell)
             if bottom is None:
-                raise InternalError("component with no anchor at its birth event")
+                raise InternalError(f"component with no anchor at its birth event: "
+                                    f"{cell!r} opens a component in slot {k} but "
+                                    f"lies in no component named at level {k}")
+            comp = frozenset({cells[c] for c in H.component(num[cell])})
             rec = _Record(k, bottom, comp)
             records.append(rec)
             born.update(dict.fromkeys(comp, rec))
 
-        # vertices sitting exactly on this output level
-        for v in by_level[k]:
-            nu = cell_to_nu.get(v)
-            if nu is not None:
-                zeta_v[v] = ("vertex", nu)
-            else:
-                zeta_v[v] = ("vertex", canonical_vertex_name(k, rec_of[v].contents))
-
-        for rec, _ in popped:
-            for c in rec.contents:
-                rec_of.pop(c, None)
         rec_of.update(born)
         for c, rec in born.items():
             if c in edge_records:
                 edge_records[c].append(rec)
 
-        # vertices sitting strictly inside the next gap
-        if k < K - 1:
-            for v in by_slot[k]:
-                zeta_v[v] = ("edge", canonical_edge_name(k, rec_of[v].contents))
+        # vertices sitting strictly inside this gap
+        for v in lying_at.get(p, ()):
+            zeta_v[v] = ("edge", canonical_edge_name(k, rec_of[v].contents))
 
-    levels_out = [list(names) for names in level_names]
     slots_out: list[list[str]] = [[] for _ in range(max(0, K - 1))]
     down: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]
     up: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]
     for rec in records:
         if rec.death is None:
-            raise InternalError("unsealed component record after the sweep")
+            raise InternalError(f"unsealed component record after the sweep: the "
+                                f"component of {min(rec.contents)!r} born into "
+                                f"slot {rec.birth}")
         for j in range(rec.birth + 1, rec.death):
             nm = canonical_vertex_name(j, rec.contents)
-            levels_out[j].append(nm)
+            level_names[j].append(nm)
             provenance[nm] = rec.contents
         for j in range(rec.birth, rec.death):
             en = canonical_edge_name(j, rec.contents)
@@ -353,7 +338,7 @@ def smooth_sweep(g: RGraph, eps: Fraction, forest: str = "lct") -> SmoothingResu
                            else canonical_vertex_name(j, rec.contents))
             up[j][en] = (rec.top if j == rec.death - 1
                          else canonical_vertex_name(j + 1, rec.contents))
-    smoothed = _assemble(B, levels_out, slots_out, down, up)
+    smoothed = _assemble(B, level_names, slots_out, down, up)
 
     zeta_e: dict[str, tuple[str, ...]] = {}
     for i, slot in enumerate(g.slots):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from time import perf_counter
 
 import reeb
-from reeb.dynconn import make_forest
+from reeb.dynconn import NaiveDynForest
 from reeb.unionfind import UnionFind
 
 
@@ -124,7 +124,7 @@ def test_criterion_04_dynamic_forest():
         return frozenset(frozenset(s) for s in groups.values())
 
     rng = random.Random(44)
-    forest = make_forest("lct")
+    forest = NaiveDynForest()
     nodes, alive = [], {}
     clock, serial = Fraction(0), 0
     replacements = 0
@@ -373,7 +373,7 @@ def test_criterion_11_near_linear_scaling():
     for _ in range(3):
         for i, (m, g) in enumerate(zip(sizes, graphs)):
             t0 = perf_counter()
-            sm = reeb.smooth_sweep(g, Fraction(3, 2), forest="lct")
+            sm = reeb.smooth_sweep(g, Fraction(3, 2))
             times[i] = min(times[i], perf_counter() - t0)
             assert len(sm.smoothed.vertex_ids) == m + 3
     for small, big in zip(times, times[1:]):

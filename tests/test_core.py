@@ -164,15 +164,36 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_bench_patch_points_exist():
-    # the benchmark's tracer wraps library functions by module attribute
-    # name, so a rename would only show when a traced run breaks
+def load_bench_tracing():
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_patch_points_exist():
+    # the benchmark's tracer wraps library functions by module attribute
+    # name, so a rename would only show when a traced run breaks
+    tracing = load_bench_tracing()
     points = [(mod, attr) for mod, attr, _ in tracing.PATCHES]
     points.append(("reeb.smoothing", "make_forest"))
     missing = [f"{mod}.{attr}" for mod, attr in points
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+def test_bench_tracer_counts_the_sweeps_connectivity_calls():
+    # a sweep that stopped obtaining its structure from make_forest would
+    # trace zero connectivity calls, and zeros repeat from run to run
+    tracing = load_bench_tracing()
+    names = {mod for mod, _, _ in tracing.PATCHES} | {"reeb.smoothing"}
+    tracer = tracing.Tracer()
+    tracer.install({name: importlib.import_module(name) for name in names})
+    try:
+        reeb.smooth(loop(0, 1), Fraction(1, 4))
+    finally:
+        tracer.uninstall()
+    counts = tracer.metrics()
+    assert counts["dynconn.ops"] > 0
+    assert counts["dynconn.component_cells"] > 0

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from reeb import ForestError, LinkCutForest, NaiveDynForest, make_forest
+from reeb import ForestError, NaiveDynForest, RollbackUnionFind, make_forest
+from reeb.dynconn import walk_positions
 from reeb.unionfind import UnionFind
 
 
@@ -27,12 +28,12 @@ def partition(nodes, find):
     return sorted(frozenset(s) for s in groups.values())
 
 
-def drive(kind, seed, steps, max_nodes, check_every=1):
+def drive(forest_class, seed, steps, max_nodes, check_every=1):
     """Random contract-respecting op stream: edges carry their scheduled
     deletion time as weight, and deletions always take the minimum-weight
     alive edge, so weights leave in nondecreasing order."""
     rng = random.Random(seed)
-    forest = make_forest(kind)
+    forest = forest_class()
     alive = {}                      # frozen pair -> weight
     nodes = []
     clock = Fraction(0)
@@ -74,25 +75,25 @@ def drive(kind, seed, steps, max_nodes, check_every=1):
         for a, b in alive:
             uf.union(a, b)
         assert partition(nodes, forest.find) == partition(nodes, uf.find), \
-            (kind, seed, step)
+            (seed, step)
         kept = forest.forest_edges()
         assert all(frozenset(p) in alive for p in kept)
         got = sum(alive[frozenset(p)] for p in kept)
-        assert got == kruskal_max(nodes, alive), (kind, seed, step)
+        assert got == kruskal_max(nodes, alive), (seed, step)
     return len(nodes), len(alive)
 
 
-@pytest.mark.parametrize("kind", ["naive", "lct"])
-def test_forest_matches_brute_force(kind):
+@pytest.mark.parametrize("forest_class", [NaiveDynForest], ids=["naive"])
+def test_forest_matches_brute_force(forest_class):
     for seed in (1, 2, 3):
-        drive(kind, seed, steps=400, max_nodes=30)
+        drive(forest_class, seed, steps=400, max_nodes=30)
 
 
-@pytest.mark.parametrize("kind", ["naive", "lct"])
-def test_tie_weights_within_a_batch(kind):
+@pytest.mark.parametrize("forest_class", [NaiveDynForest], ids=["naive"])
+def test_tie_weights_within_a_batch(forest_class):
     # equal-weight edges may be deleted in any order as long as the whole
     # batch goes before the next query
-    forest = make_forest(kind)
+    forest = forest_class()
     for x in "abc":
         forest.add_node(x)
     w = Fraction(5)
@@ -106,9 +107,9 @@ def test_tie_weights_within_a_batch(kind):
     assert forest.forest_edges() == set()
 
 
-@pytest.mark.parametrize("kind", ["naive", "lct"])
-def test_basic_shape(kind):
-    forest = make_forest(kind)
+@pytest.mark.parametrize("forest_class", [NaiveDynForest], ids=["naive"])
+def test_basic_shape(forest_class):
+    forest = forest_class()
     for x in ("a", "b", "c", "d"):
         forest.add_node(x)
     assert forest.insert("a", "b", Fraction(3))
@@ -125,9 +126,9 @@ def test_basic_shape(kind):
     assert forest.component("a") == frozenset("abcd")
 
 
-@pytest.mark.parametrize("kind", ["naive", "lct"])
-def test_error_paths(kind):
-    forest = make_forest(kind)
+@pytest.mark.parametrize("forest_class", [NaiveDynForest], ids=["naive"])
+def test_error_paths(forest_class):
+    forest = forest_class()
     forest.add_node("a")
     with pytest.raises(ForestError):
         forest.add_node("a")
@@ -143,20 +144,75 @@ def test_error_paths(kind):
     assert not forest.has_node("a")
 
 
-def test_make_forest_kinds():
-    assert isinstance(make_forest("lct"), LinkCutForest)
-    assert isinstance(make_forest("naive"), NaiveDynForest)
-    with pytest.raises(ValueError):
-        make_forest("other")
+def test_rollback_restores_every_component_exactly():
+    # a random stream of unions and rollbacks, checked at every step
+    # against a UnionFind built afresh from the unions still in force
+    rng = random.Random(7)
+    n = 40
+    uf = make_forest(n)
+    assert isinstance(uf, RollbackUnionFind)
+    merged = []                   # the pairs whose union merged two classes
+
+    def state():
+        return list(uf.parent), list(uf.size), [uf.component(x) for x in range(n)]
+
+    snapshots = [state()]
+    fresh = UnionFind(range(n))
+    for step in range(3000):
+        if merged and rng.random() < 0.3:
+            count = rng.randint(1, min(len(merged), 6))
+            uf.rollback(count)
+            del merged[len(merged) - count:]
+            del snapshots[len(snapshots) - count:]
+            # parents, sizes and class lists read exactly as before those
+            # unions, the lists in the same order
+            assert state() == snapshots[-1], step
+        else:
+            a, b = rng.randrange(n), rng.randrange(n)
+            merges = uf.union(a, b)
+            assert merges == (not fresh.same(a, b)), step
+            if merges:
+                merged.append((a, b))
+                snapshots.append(state())
+        fresh = UnionFind(range(n))
+        for x, y in merged:
+            fresh.union(x, y)
+        assert partition(range(n), uf.find) == partition(range(n), fresh.find), step
+        for x in range(n):
+            comp = uf.component(x)
+            assert comp[0] == x and len(set(comp)) == len(comp)
+            assert sorted(comp) == sorted(y for y in range(n) if fresh.same(x, y))
+    assert len(uf.undo) == len(merged)
+
+
+@pytest.mark.parametrize("n_positions", [0, 1, 2, 5, 8, 13])
+def test_walk_positions_holds_exactly_the_live_links(n_positions):
+    rng = random.Random(n_positions)
+    n = 12
+    links = []
+    for _ in range(3 * n_positions):
+        first = rng.randrange(n_positions)
+        last = rng.randrange(first, n_positions)
+        links.append((first, last, rng.randrange(n), rng.randrange(n)))
+    uf = RollbackUnionFind(n)
+    seen = []
+    for p in walk_positions(uf, n_positions, links):
+        seen.append(p)
+        fresh = UnionFind(range(n))
+        for first, last, a, b in links:
+            if first <= p <= last:
+                fresh.union(a, b)
+        assert partition(range(n), uf.find) == partition(range(n), fresh.find), p
+    assert seen == list(range(n_positions))
+    assert uf.undo == [] and uf.parent == list(range(n))
 
 
 def test_min_weight_names_the_edge():
-    for kind in ("naive", "lct"):
-        forest = make_forest(kind)
-        for x in ("a", "b", "c"):
-            forest.add_node(x)
-        forest.insert("a", "b", Fraction(7))
-        forest.insert("b", "c", Fraction(2))
-        forest.evert("a")
-        node, w = forest.min_weight("c")
-        assert w == Fraction(2)
+    forest = NaiveDynForest()
+    for x in ("a", "b", "c"):
+        forest.add_node(x)
+    forest.insert("a", "b", Fraction(7))
+    forest.insert("b", "c", Fraction(2))
+    forest.evert("a")
+    node, w = forest.min_weight("c")
+    assert w == Fraction(2)

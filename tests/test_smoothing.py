@@ -2,14 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from reeb import (ValidationError, build_rgraph, collision_free_epsilon,
-                  compose_smoothings, emit_rgraph, fork, is_isomorphic,
-                  is_isomorphism, line, loop, morphism_equal, num_components,
-                  point, random_rgraph, reduce, smooth, smooth_naive,
+from reeb import (NaiveDynForest, ValidationError, build_rgraph,
+                  collision_free_epsilon, compose_smoothings, emit_rgraph,
+                  fork, is_cosheaf_iso, is_isomorphic, is_isomorphism, line,
+                  loop, morphism_equal, num_components, point, random_rgraph,
+                  reduce, reeb_cosheaf, smooth, smooth_cosheaf, smooth_naive,
                   smooth_sweep, validate, validate_morphism)
+from reeb import smoothing
+from reeb.dynconn import walk_positions
 
 EPS = Fraction(1, 4)
+
+
+def partition(nodes, find):
+    groups = {}
+    for x in nodes:
+        groups.setdefault(find(x), set()).add(x)
+    return {frozenset(s) for s in groups.values()}
 
 
 def cycle_rank(g):
@@ -167,9 +179,61 @@ def test_naive_and_sweep_agree_exactly():
             assert a.provenance == b.provenance, (trial, eps)
             assert morphism_equal(a.zeta, b.zeta), (trial, eps)
             assert validate(a.smoothed).ok
-            c = smooth_sweep(g, eps, forest="naive")
-            assert c.smoothed == b.smoothed
-            assert morphism_equal(c.zeta, b.zeta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["collision-free", "span/2", "2 span"]))
+def test_sweep_matches_both_oracles(seed, radius):
+    rng = random.Random(seed)
+    g = random_rgraph(rng)
+    assume(len(g.criticals) >= 2)
+    span = g.criticals[-1] - g.criticals[0]
+    eps = {"collision-free": collision_free_epsilon(g, rng),
+           "span/2": span / 2, "2 span": 2 * span}[radius]
+    sweep = smooth_sweep(g, eps)
+    naive = smooth_naive(g, eps)
+    assert sweep.smoothed == naive.smoothed
+    assert sweep.provenance == naive.provenance
+    assert morphism_equal(sweep.zeta, naive.zeta)
+    assert is_cosheaf_iso(reeb_cosheaf(sweep.smoothed),
+                          smooth_cosheaf(reeb_cosheaf(g), eps)) is not None
+
+
+def test_sweep_links_replay_through_the_naive_forest(monkeypatch):
+    # the link lifetimes each sweep hands to walk_positions, pushed through
+    # the weighted forest oracle (weight = last position, deletions in
+    # position order), give the union-find's partition at every position
+    visited = []
+
+    def replay(uf, n_positions, links):
+        cells = range(len(uf.parent))
+        naive = NaiveDynForest()
+        for x in cells:
+            naive.add_node(x)
+        for p in walk_positions(uf, n_positions, links):
+            for first, last, a, b in links:
+                if last == p - 1:
+                    naive.delete(a, b)
+            for first, last, a, b in links:
+                if first == p:
+                    naive.insert(a, b, last)
+            assert partition(cells, uf.find) == partition(cells, naive.find), p
+            visited.append(p)
+            yield p
+
+    monkeypatch.setattr(smoothing, "walk_positions", replay)
+    rng = random.Random(11)
+    for trial in range(60):
+        g = random_rgraph(rng)
+        span = (max(g.criticals) - min(g.criticals)) if g.criticals else None
+        radii = [Fraction(1, 3)]
+        if span:
+            radii += [collision_free_epsilon(g, rng), span / 2, 2 * span]
+        for eps in radii:
+            del visited[:]
+            K = len(smooth_sweep(g, eps).smoothed.criticals)
+            assert visited == list(range(2 * K - 1)), (trial, eps)
 
 
 def test_compose_smoothings_is_additive():
