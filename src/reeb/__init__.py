@@ -19,13 +19,14 @@ from .errors import (BudgetExceeded, ForestError, InternalError, ParseError,
 from .fileio import (ComplexReeb, SimplicialField, emit_field, emit_morphism,
                      emit_rgraph, export_dot, parse_field, parse_morphism,
                      parse_rgraph, reeb_of_complex)
-from .interleave import (Certificate, DistanceBracket, SearchOutcome,
-                         build_certificate, compose_certificates,
-                         contract_certificate, distance_bracket,
-                         finite_distance, lift_certificate,
-                         quantified_iso_check, search_certificate,
-                         self_certificate, smoothing_certificate,
-                         stability_certificate, verify_certificate)
+from .interleave import (Certificate, DistanceBracket, Refutation,
+                         SearchOutcome, build_certificate,
+                         compose_certificates, contract_certificate,
+                         distance_bracket, finite_distance,
+                         lift_certificate, quantified_iso_check,
+                         search_certificate, self_certificate,
+                         smoothing_certificate, stability_certificate,
+                         verify_certificate, verify_refutation)
 from .iso import is_isomorphic, levelwise_bijections
 from .morphism import (NormalForm, RGraphMorphism, compose, identity,
                        invert_isomorphism, is_isomorphism,

@@ -5,16 +5,21 @@ and beta: g -> smooth(f, eps) whose shifted round trips equal the
 canonical maps into the doubled smoothings. Verification recomputes the
 shifted composites and compares; search enumerates candidate maps
 levelwise over a common refinement, so an exhausted search soundly
-refutes the radius.
+refutes the radius. Before any of that, a rank count on the two Reeb
+cosheaves refutes most radii with a witness `verify_refutation` re-checks.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .core import RGraph, _build, num_components, reduce, refine
+from .cosheaf import (Interval, evaluate, expand, extend_map, interval,
+                      reeb_cosheaf)
 from .errors import BudgetExceeded, InternalError, ValidationError
 from .iso import NodeBudget, is_isomorphic, levelwise_assignments
 from .morphism import (RGraphMorphism, compose, identity, invert_isomorphism,
@@ -23,7 +28,7 @@ from .morphism import (RGraphMorphism, compose, identity, invert_isomorphism,
                        reduce_collapse, reduce_embed, refine_collapse,
                        refine_embed, shift_compose, smooth_morphism,
                        transport, trim_path, validate_morphism)
-from .rationals import as_rational
+from .rationals import as_rational, format_rational
 from .smoothing import SmoothingResult, compose_smoothings, smooth
 
 
@@ -105,6 +110,121 @@ def verify_certificate(cert: Certificate) -> tuple[bool, str]:
     if diff is not None:
         return False, ("round trip through the source leaves the canonical map: "
                        + diff)
+    return True, "ok"
+
+
+# ---------------------------------------------------------------------------
+# Refutation by cosheaf ranks.
+#
+# If F and G are eps-interleaved, F(I) -> F(I^2eps) factors through G(I^eps)
+# for every open interval I, so its image has at most |G(I^eps)| elements,
+# and the same with F and G swapped: an interval that breaks the bound
+# refutes eps before anything is smoothed.
+
+@dataclass(frozen=True)
+class Refutation:
+    """An interval breaking the bound: side "f" bounds the first graph's
+    extension by the second graph's value, side "g" the reverse."""
+    epsilon: Fraction
+    interval: Interval
+    side: str                         # "f" | "g"
+    image: int                        # elements in the extension's image
+    bound: int                        # elements of the other value on I^eps
+
+
+class _Ranks:
+    """Components of a graph's preimages of open intervals, in integer
+    coordinates (values times a common scale). An open interval meets a
+    range of doubled positions, 2k on level k and 2k+1 on the slot above
+    it, and its components are a union-find over the cells there."""
+
+    def __init__(self, g: RGraph, scale: int):
+        self.crit = [c.numerator * (scale // c.denominator) for c in g.criticals]
+        num = {c: n for n, c in enumerate((*g.vertex_ids, *g.edge_ids))}
+        self.at: list[list[int]] = []        # the cells at each position
+        for k, lev in enumerate(g.levels):
+            self.at.append([num[v] for v in lev])
+            if k < g.n_slots:
+                self.at.append([num[e] for e in g.slots[k]])
+        self.attach = [[(num[g.down[j][e]], num[g.up[j][e]]) for e in slot]
+                       for j, slot in enumerate(g.slots)]
+        self._memo: dict[tuple, int] = {}
+
+    def span(self, lo, hi, r) -> tuple[int, int]:
+        """Doubled positions met by the open interval (lo - r, hi + r);
+        None ends are unbounded. Empty when the first exceeds the last."""
+        last = len(self.at) - 1
+        p = 0 if lo is None else 2 * bisect.bisect_right(self.crit, lo - r) - 1
+        q = last if hi is None else 2 * bisect.bisect_left(self.crit, hi + r) - 1
+        return max(p, 0), min(q, last)
+
+    def image(self, small: tuple[int, int], big: tuple[int, int]) -> int:
+        """Elements in the image of the extension from the value on range
+        `small` into that on range `big`; image(r, r) counts the value on r.
+        Over `big`, an edge joins those of its endpoints in the range."""
+        if (small, big) in self._memo:
+            return self._memo[small, big]
+        p, q = big
+        parent = {c: c for cells in self.at[p:q + 1] for c in cells}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for pos in range(p | 1, q + 1, 2):
+            for e, ends in zip(self.at[pos], self.attach[pos >> 1]):
+                for v in ends:
+                    if v in parent:
+                        parent[find(e)] = find(v)
+        count = len({find(c) for cells in self.at[small[0]:small[1] + 1]
+                     for c in cells})
+        self._memo[small, big] = count
+        return count
+
+
+def _refute(f: RGraph, g: RGraph, eps: Fraction) -> Refutation | None:
+    """The first interval that breaks the rank bound at eps, or None. Its
+    ends are neighbouring or next-but-one candidates s + k eps (k in -2..2,
+    s critical in either graph), or unbounded beyond the outermost."""
+    scale = lcm(eps.denominator, *(c.denominator for c in f.criticals),
+                *(c.denominator for c in g.criticals))
+    e = eps.numerator * (scale // eps.denominator)
+    rf, rg = _Ranks(f, scale), _Ranks(g, scale)
+    ends = [None, *sorted({s + k * e for s in rf.crit + rg.crit
+                           for k in range(-2, 3)}), None]
+    for i, lo in enumerate(ends[:-1]):
+        for hi in ends[i + 1:i + 3]:
+            for side, own, other in (("f", rf, rg), ("g", rg, rf)):
+                image = own.image(own.span(lo, hi, 0), own.span(lo, hi, 2 * e))
+                around = other.span(lo, hi, e)
+                bound = other.image(around, around)
+                if image > bound:
+                    iv = interval(None if lo is None else Fraction(lo, scale),
+                                  None if hi is None else Fraction(hi, scale))
+                    return Refutation(eps, iv, side, image, bound)
+    return None
+
+
+def verify_refutation(f: RGraph, g: RGraph, ref: Refutation) -> tuple[bool, str]:
+    """Re-evaluate a refutation from the two graphs' Reeb cosheaves: both
+    counts must be the recorded ones and the image must exceed the bound.
+    Returns (ok, detail); the detail names the interval, side and counts."""
+    iv, eps = ref.interval, ref.epsilon
+    ends = ("-inf" if iv.lo is None else format_rational(iv.lo),
+            "inf" if iv.hi is None else format_rational(iv.hi))
+    where = f"on ({ends[0]}, {ends[1]}), side {ref.side!r}"
+    if ref.side not in ("f", "g") or eps < 0 or iv.empty:
+        return False, (where + ": needs side 'f' or 'g', a nonempty interval "
+                       "and a nonnegative radius")
+    own, other = (f, g) if ref.side == "f" else (g, f)
+    image = len(set(extend_map(reeb_cosheaf(own), iv, expand(iv, 2 * eps)).values()))
+    bound = len(evaluate(reeb_cosheaf(other), expand(iv, eps)))
+    if (image, bound) != (ref.image, ref.bound) or image <= bound:
+        return False, (f"{where}: the extension's image has {image} elements "
+                       f"against a bound of {bound}; the witness records "
+                       f"{ref.image} and {ref.bound}")
     return True, "ok"
 
 
@@ -275,16 +395,24 @@ class SearchOutcome:
     certificate: Certificate | None
     epsilon: Fraction
     nodes: int
+    refutation: Refutation | None = None
 
 
 def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> SearchOutcome:
     """Exhaustive search for a certificate at the given radius. "found"
-    carries a verified certificate; "exhausted" means no candidate pair of
-    maps satisfies the round-trip equations, refuting the radius;
-    "budget" draws no conclusion."""
+    carries a verified certificate; "exhausted" refutes the radius, either
+    by a verified rank `Refutation` (spending no nodes) or because no
+    candidate pair of maps satisfies the round-trip equations; "budget"
+    draws no conclusion."""
     eps = as_rational(eps)
     if eps < 0:
         raise ValidationError("interleaving radius must be nonnegative")
+    ref = _refute(f, g, eps)
+    if ref is not None:
+        ok, msg = verify_refutation(f, g, ref)
+        if not ok:
+            raise InternalError("rank refutation failed verification: " + msg)
+        return SearchOutcome("exhausted", None, eps, 0, ref)
     sm_f = smooth(f, eps)
     sm_g = smooth(g, eps)
     sm_f2 = smooth(f, 2 * eps)
@@ -355,7 +483,8 @@ class DistanceBracket:
     lower: Fraction | None            # refuted up to here (or 0)
     upper: Fraction | None            # witnessed at this radius
     witness: Certificate | None
-    refutation: SearchOutcome | None  # the exhausted search behind `lower`
+    refutation: SearchOutcome | None  # the exhausted search behind `lower`,
+                                      # with its rank witness if it has one
     unknown_gaps: bool                # a probe ran out of budget
 
 

@@ -202,9 +202,22 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     if eps == 0:
         return _relabel_zero(g)
     S = g.criticals
-    B = sorted({s - eps for s in S} | {s + eps for s in S})
+    # B merges the two sorted shifts of S; each input critical enters the
+    # window at B[enter[i]] = S[i] - eps and leaves it at B[leave[i]] = S[i] + eps
+    lows = [s - eps for s in S]
+    highs = [s + eps for s in S]
+    B, enter, leave = [], [], []
+    i = j = 0
+    while j < len(highs):
+        b = lows[i] if i < len(lows) and lows[i] <= highs[j] else highs[j]
+        if i < len(lows) and lows[i] == b:
+            enter.append(len(B))
+            i += 1
+        if highs[j] == b:
+            leave.append(len(B))
+            j += 1
+        B.append(b)
     K = len(B)
-    idx = {b: k for k, b in enumerate(B)}
 
     # each input critical's doubled position on B (2k on B[k], 2k+1 in the
     # gap above it), by one merge pass
@@ -215,8 +228,6 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
             k += 1
         pos.append(2 * k if B[k] == s else 2 * k - 1)
 
-    enter = [idx[s - eps] for s in S]
-    leave = [idx[s + eps] for s in S]
     # the input level entering or leaving the window at each level (at
     # most one: enter and leave increase), and the input vertices lying at
     # each position

@@ -89,6 +89,18 @@ class TestGraphFiles:
             g = reeb.random_rgraph(rng)
             assert reeb.parse_rgraph(reeb.emit_rgraph(g)) == g
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_emit_parse_round_trip_property(self, seed, denominator):
+        rng = random.Random(seed)
+        g = reeb.random_rgraph(rng, denominator=denominator)
+        # one more isolated vertex, at a value some vertex already has
+        values = [g.value(v) for v in g.vertex_ids] or [Fraction(0)]
+        g = reeb.build_rgraph(
+            [*((v, g.value(v)) for v in g.vertex_ids), ("lone", rng.choice(values))],
+            [(e, *g.endpoints(e)) for e in g.edge_ids], g.criticals)
+        assert reeb.parse_rgraph(reeb.emit_rgraph(g)) == g
+
     def test_emit_refuses_unwritable_ids(self):
         spacey = reeb.build_rgraph({"a b": 0, "c": 1}, [("e", "a b", "c")])
         with pytest.raises(reeb.ValidationError):

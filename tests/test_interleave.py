@@ -6,12 +6,14 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reeb
-from reeb import BudgetExceeded, ValidationError
-from reeb.interleave import _enumerate_bundles, _expand_table, _SearchSide
+from reeb import BudgetExceeded, ValidationError, interleave
+from reeb.interleave import (Certificate, _certificate_pair,
+                             _enumerate_bundles, _expand_table, _refute,
+                             _SearchSide)
 from reeb.iso import NodeBudget
 
 
@@ -76,7 +78,48 @@ class TestSearch:
         miss = reeb.search_certificate(line, loop, Fraction(1, 5))
         assert miss.status == "exhausted"
         assert miss.certificate is None
-        assert miss.nodes > 0
+        # refuted by the rank pass, before any search node is spent
+        assert miss.nodes == 0
+        assert miss.refutation is not None
+
+    def test_line_loop_refuted_on_a_named_interval(self):
+        # over (2/5, 3/5) the loop has two strands, still two over
+        # (0, 1), but the line has one over (1/5, 4/5)
+        line, loop = reeb.line(0, 1), reeb.loop(0, 1)
+        ref = reeb.search_certificate(line, loop, Fraction(1, 5)).refutation
+        assert ref == reeb.Refutation(Fraction(1, 5),
+                                      reeb.interval(Fraction(2, 5), Fraction(3, 5)),
+                                      "g", 2, 1)
+        assert reeb.verify_refutation(line, loop, ref) == (True, "ok")
+
+    def test_verify_refutation_names_interval_side_and_counts(self):
+        line, loop = reeb.line(0, 1), reeb.loop(0, 1)
+        ref = reeb.search_certificate(line, loop, Fraction(1, 5)).refutation
+        ok, msg = reeb.verify_refutation(line, loop,
+                                         dataclasses.replace(ref, side="f"))
+        assert not ok
+        assert msg == ("on (2/5, 3/5), side 'f': the extension's image has 1 "
+                       "elements against a bound of 2; the witness records "
+                       "2 and 1")
+        ok, msg = reeb.verify_refutation(
+            line, loop, dataclasses.replace(ref, epsilon=Fraction(1, 4)))
+        assert not ok
+        assert msg == ("on (2/5, 3/5), side 'g': the extension's image has 1 "
+                       "elements against a bound of 1; the witness records "
+                       "2 and 1")
+        ok, msg = reeb.verify_refutation(
+            line, loop, dataclasses.replace(ref, image=1, bound=1,
+                                            epsilon=Fraction(1, 4)))
+        assert not ok
+        assert msg.endswith("image has 1 elements against a bound of 1; "
+                            "the witness records 1 and 1")
+
+    def test_unverifiable_refutation_is_an_internal_error(self, monkeypatch):
+        line, loop = reeb.line(0, 1), reeb.loop(0, 1)
+        bogus = reeb.Refutation(Fraction(1, 4), reeb.interval(0, None), "f", 2, 1)
+        monkeypatch.setattr(interleave, "_refute", lambda f, g, eps: bogus)
+        with pytest.raises(reeb.InternalError, match=r"\(0, inf\), side 'f'"):
+            reeb.search_certificate(line, loop, Fraction(1, 4))
 
     def test_line_stretch_threshold(self):
         a, b = reeb.line(0, 1), reeb.line(0, 2)
@@ -115,8 +158,16 @@ class TestSearch:
         out = reeb.search_certificate(line, loop, Fraction(1, 4), budget=2)
         assert out.status == "budget"
         assert out.certificate is None
+        # the rank pass decides line against loop without spending nodes;
+        # an isomorphic pair has no refutation and must search
+        assert reeb.quantified_iso_check(line, loop, budget=2) is None
+        fork = reeb.fork()
+        renamed = reeb.build_rgraph(
+            [("r" + v, fork.value(v)) for v in fork.vertex_ids],
+            [("r" + e, "r" + fork.endpoints(e)[0], "r" + fork.endpoints(e)[1])
+             for e in fork.edge_ids])
         with pytest.raises(BudgetExceeded):
-            reeb.quantified_iso_check(line, loop, budget=2)
+            reeb.quantified_iso_check(fork, renamed, budget=2)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
@@ -207,6 +258,13 @@ class TestDistance:
         assert ok, msg
         assert br.witness.epsilon == Fraction(1, 4)
 
+    def test_bracket_lower_end_carries_a_rank_witness(self):
+        line, loop = reeb.line(0, 1), reeb.loop(0, 1)
+        br = reeb.distance_bracket(line, loop, Fraction(1, 16))
+        ref = br.refutation.refutation
+        assert ref is not None and ref.epsilon == br.lower
+        assert reeb.verify_refutation(line, loop, ref) == (True, "ok")
+
     def test_identical_graphs_bracket_near_zero(self):
         g = reeb.fork()
         br = reeb.distance_bracket(g, g, Fraction(1, 8))
@@ -284,3 +342,131 @@ def test_found_certificates_pass_the_verifier(pair, eps):
     if out.status == "found":
         ok, msg = reeb.verify_certificate(out.certificate)
         assert ok, msg
+
+
+# ---------------------------------------------------------------------------
+# The rank refutation against the search and an exhaustive oracle.
+
+def equal_count_pair(seed, **sizes):
+    """The first pair of random graphs from the seed with equal component
+    counts, so that the distance is finite."""
+    rng = random.Random(seed)
+    while True:
+        f, g = (reeb.random_rgraph(rng, **sizes) for _ in range(2))
+        if reeb.num_components(f) == reeb.num_components(g):
+            return f, g
+
+
+finite_pairs = st.integers(0, 2**32 - 1).map(
+    lambda seed: equal_count_pair(seed, max_vertices=6, max_edges=7))
+small_pairs = st.integers(0, 2**32 - 1).map(
+    lambda seed: equal_count_pair(seed, max_vertices=4, max_edges=5,
+                                  extra_criticals=1))
+
+
+def search_past_refutation(f, g, eps, budget):
+    """The bundle search alone, without the rank pass in front: a verified
+    certificate, None when exhausted, or "budget"."""
+    sms = (reeb.smooth(f, eps), reeb.smooth(g, eps),
+           reeb.smooth(f, 2 * eps), reeb.smooth(g, 2 * eps))
+    try:
+        pair = _certificate_pair(f, g, *sms, NodeBudget(budget, "budget"))
+    except BudgetExceeded:
+        return "budget"
+    if pair is None:
+        return None
+    cert = Certificate(eps, *pair, *sms)
+    assert reeb.verify_certificate(cert)[0]
+    return cert
+
+
+def exhaustive_refutation(f, g, eps):
+    """Test oracle: every interval between two candidate points s + k eps
+    (k in -2..2, s critical in either graph) or an unbounded end, checked
+    through the Fraction cosheaf path. The first interval that breaks the
+    rank bound, as (lo, hi, side), or None."""
+    F, G = reeb.reeb_cosheaf(f), reeb.reeb_cosheaf(g)
+    pts = sorted({s + k * eps for s in (*f.criticals, *g.criticals)
+                  for k in range(-2, 3)})
+    for lo in (None, *pts):
+        for hi in (*pts, None):
+            iv = reeb.interval(lo, hi)
+            if iv.empty:
+                continue
+            for side, own, other in (("f", F, G), ("g", G, F)):
+                image = set(reeb.extend_map(own, iv, reeb.expand(iv, 2 * eps)).values())
+                if len(image) > len(reeb.evaluate(other, reeb.expand(iv, eps))):
+                    return lo, hi, side
+    return None
+
+
+@props
+@given(finite_pairs, radii)
+def test_refutations_verify_and_spend_no_nodes(pair, eps):
+    f, g = pair
+    out = reeb.search_certificate(f, g, eps, budget=300)
+    if out.refutation is None:
+        assert out.status != "exhausted" or out.nodes > 0
+        return
+    assert (out.status, out.nodes, out.certificate) == ("exhausted", 0, None)
+    assert reeb.verify_refutation(f, g, out.refutation) == (True, "ok")
+    assert out.refutation.epsilon == eps
+    assert out.refutation.image > out.refutation.bound
+
+
+@props
+@given(finite_pairs, radii)
+def test_no_certificate_where_refuted(pair, eps):
+    f, g = pair
+    if _refute(f, g, eps) is not None:
+        assert not isinstance(search_past_refutation(f, g, eps, 2_000), Certificate)
+
+
+@props
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_stability_radius_is_never_refuted(seed, extra):
+    edges, fv, gv = reeb.random_stability_pair(random.Random(seed),
+                                               max_vertices=5, max_edges=6)
+    cert = reeb.stability_certificate(edges, fv, gv)
+    f, g = cert.sm_f.source, cert.sm_g.source
+    assert _refute(f, g, cert.epsilon + Fraction(extra, 4)) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_pairs, radii)
+def test_exhaustive_oracle_covers_the_scan_and_is_sound(pair, eps):
+    f, g = pair
+    oracle = exhaustive_refutation(f, g, eps)
+    if _refute(f, g, eps) is not None:
+        assert oracle is not None
+    if oracle is not None:
+        assert not isinstance(search_past_refutation(f, g, eps, 2_000), Certificate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(radii, min_size=2, max_size=3, unique=True))
+def test_outcomes_are_monotone_in_the_radius(seed, rs):
+    f, g = equal_count_pair(seed, max_vertices=4, max_edges=5)
+    statuses = [reeb.search_certificate(f, g, eps, budget=500).status
+                for eps in sorted(rs)]
+    if "found" in statuses:
+        assert "exhausted" not in statuses[statuses.index("found"):]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(6)
+@example(60)
+def test_stability_outcomes_are_monotone_in_the_radius(seed):
+    # the two examples find a certificate at the stability radius delta
+    # and run out of budget above it, so a budget overrun reported as
+    # "exhausted" breaks monotonicity there
+    edges, fv, gv = reeb.random_stability_pair(random.Random(seed),
+                                               max_vertices=5, max_edges=6)
+    cert = reeb.stability_certificate(edges, fv, gv)
+    f, g, delta = cert.sm_f.source, cert.sm_g.source, cert.epsilon
+    statuses = [reeb.search_certificate(f, g, delta * k / 4, budget=50).status
+                for k in (1, 2, 3, 4, 6)]
+    assert statuses[3] != "exhausted"
+    if "found" in statuses:
+        assert "exhausted" not in statuses[statuses.index("found"):]
