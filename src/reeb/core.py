@@ -386,12 +386,22 @@ def minimum_gap(g: RGraph) -> Fraction | None:
     return min(b - a for a, b in zip(g.criticals, g.criticals[1:]))
 
 
+def member_key(cells) -> str:
+    """The sorted member list a canonical name carries."""
+    return ",".join(sorted(cells))
+
+
+def keyed_name(kind: str, index: int, key: str) -> str:
+    """The canonical name of a level ("v") or slot ("e") from a member key."""
+    return f"{kind}({index};{key})"
+
+
 def canonical_vertex_name(level_index: int, cells) -> str:
-    return f"v({level_index};{','.join(sorted(cells))})"
+    return keyed_name("v", level_index, member_key(cells))
 
 
 def canonical_edge_name(slot_index: int, cells) -> str:
-    return f"e({slot_index};{','.join(sorted(cells))})"
+    return keyed_name("e", slot_index, member_key(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,10 @@ def _rational(token: str, n: int) -> Fraction:
 
 def _file_safe(*ids: str) -> None:
     """Reject ids the record format cannot write back: they would tokenize
-    differently (whitespace) or be eaten as a comment (#)."""
+    differently (whitespace, where str.split and str.isspace agree) or be
+    eaten as a comment (#)."""
     for s in ids:
-        if not s or "#" in s or any(c.isspace() for c in s):
+        if not s or "#" in s or s.split() != [s]:
             raise ValidationError(
                 f"id {s!r} cannot be written to a record file")
 

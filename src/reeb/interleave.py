@@ -11,10 +11,9 @@ cosheaves refutes most radii with a witness `verify_refutation` re-checks.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import lcm
 
 from .core import RGraph, _build, num_components, reduce, refine
@@ -150,13 +149,21 @@ class _Ranks:
                        for j, slot in enumerate(g.slots)]
         self._memo: dict[tuple, int] = {}
 
-    def span(self, lo, hi, r) -> tuple[int, int]:
-        """Doubled positions met by the open interval (lo - r, hi + r);
-        None ends are unbounded. Empty when the first exceeds the last."""
-        last = len(self.at) - 1
-        p = 0 if lo is None else 2 * bisect.bisect_right(self.crit, lo - r) - 1
-        q = last if hi is None else 2 * bisect.bisect_left(self.crit, hi + r) - 1
-        return max(p, 0), min(q, last)
+    def positions(self, ends, r):
+        """Yield, per interval end in order, the first doubled position an
+        open interval (end - r, ...) meets and the last one (..., end + r)
+        meets, by one merge pass; the first and last ends are None,
+        unbounded below and above."""
+        last, crit, n = len(self.at) - 1, self.crit, len(self.crit)
+        yield 0, last
+        a = b = 0
+        for x in ends[1:-1]:
+            while a < n and crit[a] <= x - r:
+                a += 1
+            while b < n and crit[b] < x + r:
+                b += 1
+            yield max(2 * a - 1, 0), min(2 * b - 1, last)
+        yield 0, last
 
     def image(self, small: tuple[int, int], big: tuple[int, int]) -> int:
         """Elements in the image of the extension from the value on range
@@ -194,13 +201,23 @@ def _refute(f: RGraph, g: RGraph, eps: Fraction) -> Refutation | None:
     rf, rg = _Ranks(f, scale), _Ranks(g, scale)
     ends = [None, *sorted({s + k * e for s in rf.crit + rg.crit
                            for k in range(-2, 3)}), None]
-    for i, lo in enumerate(ends[:-1]):
-        for hi in ends[i + 1:i + 3]:
-            for side, own, other in (("f", rf, rg), ("g", rg, rf)):
-                image = own.image(own.span(lo, hi, 0), own.span(lo, hi, 2 * e))
-                around = other.span(lo, hi, e)
+    # per end, each side's positions at 0 and 2 eps in its own graph and at
+    # eps in the other, computed once and only as far as the scan gets
+    sides = (("f", rf, rg), ("g", rg, rf))
+    rows = zip(*(zip(own.positions(ends, 0), own.positions(ends, 2 * e),
+                     other.positions(ends, e)) for _, own, other in sides))
+    seen: list[tuple] = []
+    for i in range(len(ends) - 1):
+        seen.extend(islice(rows, i + 3 - len(seen)))
+        for h in range(i + 1, len(seen)):
+            # a* at the low end ends[i], b* at the high end ends[h]
+            for (side, own, other), (a0, a2, ae), (b0, b2, be) in zip(
+                    sides, seen[i], seen[h]):
+                image = own.image((a0[0], b0[1]), (a2[0], b2[1]))
+                around = (ae[0], be[1])
                 bound = other.image(around, around)
                 if image > bound:
+                    lo, hi = ends[i], ends[h]
                     iv = interval(None if lo is None else Fraction(lo, scale),
                                   None if hi is None else Fraction(hi, scale))
                     return Refutation(eps, iv, side, image, bound)

@@ -28,7 +28,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .core import (RGraph, _assemble, canonical_edge_name,
-                   canonical_vertex_name, component_sets)
+                   canonical_vertex_name, component_sets, keyed_name,
+                   member_key)
 from .dynconn import make_forest, walk_positions
 from .errors import InternalError, ValidationError
 from .morphism import (RGraphMorphism, compose, identity, is_isomorphism,
@@ -65,27 +66,16 @@ def smooth(g: RGraph, eps) -> SmoothingResult:
 
 
 def _relabel_zero(g: RGraph) -> SmoothingResult:
-    levels = [[canonical_vertex_name(k, (v,)) for v in lev]
-              for k, lev in enumerate(g.levels)]
-    slots = [[canonical_edge_name(j, (e,)) for e in slot]
-             for j, slot in enumerate(g.slots)]
-    down = [dict() for _ in g.slots]
-    up = [dict() for _ in g.slots]
-    provenance: dict[str, frozenset] = {}
-    zeta_v: dict[str, tuple[str, str]] = {}
-    zeta_e: dict[str, tuple[str, ...]] = {}
-    for k, lev in enumerate(g.levels):
-        for v in lev:
-            name = canonical_vertex_name(k, (v,))
-            provenance[name] = frozenset((v,))
-            zeta_v[v] = ("vertex", name)
-    for j, slot in enumerate(g.slots):
-        for e in slot:
-            name = canonical_edge_name(j, (e,))
-            provenance[name] = frozenset((e,))
-            zeta_e[e] = (name,)
-            down[j][name] = canonical_vertex_name(j, (g.down[j][e],))
-            up[j][name] = canonical_vertex_name(j + 1, (g.up[j][e],))
+    # each cell is its own one-member component, keyed by its id
+    vname = {v: keyed_name("v", k, v) for k, lev in enumerate(g.levels) for v in lev}
+    ename = {e: keyed_name("e", j, e) for j, slot in enumerate(g.slots) for e in slot}
+    levels = [[vname[v] for v in lev] for lev in g.levels]
+    slots = [[ename[e] for e in slot] for slot in g.slots]
+    down = [{ename[e]: vname[g.down[j][e]] for e in slot} for j, slot in enumerate(g.slots)]
+    up = [{ename[e]: vname[g.up[j][e]] for e in slot} for j, slot in enumerate(g.slots)]
+    provenance = {n: frozenset((c,)) for c, n in (*vname.items(), *ename.items())}
+    zeta_v = {v: ("vertex", n) for v, n in vname.items()}
+    zeta_e = {e: (n,) for e, n in ename.items()}
     smoothed = _assemble(g.criticals, levels, slots, down, up)
     zeta = RGraphMorphism(g, smoothed, zeta_v, zeta_e)
     return SmoothingResult(g, Fraction(0), smoothed, zeta, provenance)
@@ -181,11 +171,12 @@ def smooth_naive(g: RGraph, eps: Fraction) -> SmoothingResult:
 @dataclass(slots=True, eq=False)
 class _Record:
     """One maximal run of a window component between two events: born at
-    event `birth` out of vertex `bottom`, carrying a constant cell set,
-    sealed at event `death` into vertex `top`."""
+    event `birth` out of vertex `bottom`, carrying a constant cell set and
+    the member key all its names share, sealed at `death` into `top`."""
     birth: int
     bottom: str
     contents: frozenset
+    key: str | None                      # None once every name is built
     death: int | None = None
     top: str | None = None
 
@@ -255,7 +246,12 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     # cell -> its latest record; entries of cells that have left the window
     # go stale, and only cells in the window are looked up
     rec_of: dict[str, _Record] = {}
-    edge_records: dict[str, list[_Record]] = {e: [] for e in g.edge_ids}
+    # an input edge over slot i maps onto the output slots met by its open
+    # span (S[i], S[i + 1]); it keeps the records alive over them, the first
+    # being the one alive at the span's first slot
+    spans = [(p // 2, (q + 1) // 2) for p, q in zip(pos, pos[1:])]
+    edge_span = {e: span for slot, span in zip(g.slots, spans) for e in slot}
+    edge_records: dict[str, list[_Record]] = {}
     level_names: list[list[str]] = [[] for _ in range(K)]
     provenance: dict[str, frozenset] = {}
     zeta_v: dict[str, tuple[str, str]] = {}
@@ -294,7 +290,7 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
 
             # vertices sitting exactly on this output level
             for v in lying_at.get(p, ()):
-                nu = cell_to_nu.get(v) or canonical_vertex_name(k, rec_of[v].contents)
+                nu = cell_to_nu.get(v) or keyed_name("v", k, rec_of[v].key)
                 zeta_v[v] = ("vertex", nu)
             continue
 
@@ -316,50 +312,51 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
                                     f"{cell!r} opens a component in slot {k} but "
                                     f"lies in no component named at level {k}")
             comp = frozenset({cells[c] for c in H.component(num[cell])})
-            rec = _Record(k, bottom, comp)
+            rec = _Record(k, bottom, comp, member_key(comp))
             records.append(rec)
             born.update(dict.fromkeys(comp, rec))
 
         rec_of.update(born)
         for c, rec in born.items():
-            if c in edge_records:
-                edge_records[c].append(rec)
+            span = edge_span.get(c)
+            if span is not None:
+                if k <= span[0]:
+                    edge_records[c] = [rec]
+                elif k < span[1]:
+                    edge_records[c].append(rec)
 
         # vertices sitting strictly inside this gap
         for v in lying_at.get(p, ()):
-            zeta_v[v] = ("edge", canonical_edge_name(k, rec_of[v].contents))
+            zeta_v[v] = ("edge", keyed_name("e", k, rec_of[v].key))
 
-    slots_out: list[list[str]] = [[] for _ in range(max(0, K - 1))]
-    down: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]
-    up: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]
     for rec in records:
         if rec.death is None:
             raise InternalError(f"unsealed component record after the sweep: the "
                                 f"component of {min(rec.contents)!r} born into "
                                 f"slot {rec.birth}")
-        for j in range(rec.birth + 1, rec.death):
-            nm = canonical_vertex_name(j, rec.contents)
+    zeta_e = {e: tuple(keyed_name("e", j, rec.key)
+                       for n, rec in enumerate(edge_records[e])
+                       for j in range(rec.birth if n else j_start,
+                                      min(rec.death, j_stop)))
+              for e, (j_start, j_stop) in edge_span.items()}
+    slots_out: list[list[str]] = [[] for _ in range(max(0, K - 1))]
+    down: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]
+    up: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]
+    for rec in records:
+        inner = [keyed_name("v", j, rec.key) for j in range(rec.birth + 1, rec.death)]
+        for j, nm in enumerate(inner, rec.birth + 1):
             level_names[j].append(nm)
             provenance[nm] = rec.contents
+        ends = [rec.bottom, *inner, rec.top]      # its vertices, bottom to top
         for j in range(rec.birth, rec.death):
-            en = canonical_edge_name(j, rec.contents)
+            en = keyed_name("e", j, rec.key)
             slots_out[j].append(en)
             provenance[en] = rec.contents
-            down[j][en] = (rec.bottom if j == rec.birth
-                           else canonical_vertex_name(j, rec.contents))
-            up[j][en] = (rec.top if j == rec.death - 1
-                         else canonical_vertex_name(j + 1, rec.contents))
+            down[j][en] = ends[j - rec.birth]
+            up[j][en] = ends[j - rec.birth + 1]
+        rec.key = None                   # freed as we go, to lower the peak
     smoothed = _assemble(B, level_names, slots_out, down, up)
 
-    zeta_e: dict[str, tuple[str, ...]] = {}
-    for i, slot in enumerate(g.slots):
-        # output slots met by the open span (S[i], S[i + 1])
-        j_start, j_stop = pos[i] // 2, (pos[i + 1] + 1) // 2
-        for e in slot:
-            zeta_e[e] = tuple(canonical_edge_name(j, rec.contents)
-                              for rec in edge_records[e]
-                              for j in range(max(rec.birth, j_start),
-                                             min(rec.death, j_stop)))
     zeta = RGraphMorphism(g, smoothed, zeta_v, zeta_e)
     return SmoothingResult(g, eps, smoothed, zeta, provenance)
 

@@ -1,6 +1,7 @@
 """Text formats: graph and field files, morphism files, DOT export."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import reeb
 from reeb import ParseError, SimplicialField
+from reeb.fileio import _file_safe
 from reeb.unionfind import UnionFind
 
 
@@ -324,3 +326,42 @@ class TestDot:
         g = reeb.build_rgraph({'a"b': 0, "c": 1}, [("e", 'a"b', "c")])
         out = reeb.export_dot(g)
         assert '"a\\"b"' in out
+
+
+# every character str.isspace accepts, so generated ids meet the rare ones
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+class TestUnwritableIds:
+    # empty, a comment mark, ASCII and non-ASCII whitespace
+    UNWRITABLE = ["", "a#b", "#", "a b", "a\tb", " a", "\x1c", "x\x85",
+                  "\u2028", "\u3000y"]
+
+    @staticmethod
+    def emitters(bad):
+        g = reeb.build_rgraph({"w": 0, bad: 1}, [("e", "w", bad)])
+        field = SimplicialField({"w": Fraction(0), bad: Fraction(1)},
+                                {"e": ("w", bad)}, {})
+        return {"emit_rgraph": lambda: reeb.emit_rgraph(g),
+                "emit_field": lambda: reeb.emit_field(field),
+                "emit_morphism": lambda: reeb.emit_morphism(reeb.identity(g))}
+
+    @pytest.mark.parametrize("bad", UNWRITABLE)
+    @pytest.mark.parametrize("emitter", ["emit_rgraph", "emit_field", "emit_morphism"])
+    def test_emitters_name_the_unwritable_id(self, emitter, bad):
+        with pytest.raises(reeb.ValidationError) as info:
+            self.emitters(bad)[emitter]()
+        assert str(info.value) == f"id {bad!r} cannot be written to a record file"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet=st.one_of(st.characters(),
+                                               st.sampled_from(WHITESPACE + "#"))),
+                    max_size=4))
+    def test_check_matches_the_per_character_rule(self, ids):
+        bad = [s for s in ids if not s or "#" in s or any(c.isspace() for c in s)]
+        if not bad:
+            _file_safe(*ids)
+            return
+        with pytest.raises(reeb.ValidationError) as info:
+            _file_safe(*ids)
+        assert str(info.value) == f"id {bad[0]!r} cannot be written to a record file"

@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reeb import (NaiveDynForest, ValidationError, build_rgraph,
-                  collision_free_epsilon, compose_smoothings, emit_rgraph,
-                  fork, is_cosheaf_iso, is_isomorphic, is_isomorphism, line,
-                  loop, morphism_equal, num_components, point, random_rgraph,
-                  reduce, reeb_cosheaf, smooth, smooth_cosheaf, smooth_naive,
-                  smooth_sweep, validate, validate_morphism)
+                  collision_free_epsilon, compose_smoothings, emit_morphism,
+                  emit_rgraph, fork, is_cosheaf_iso, is_isomorphic,
+                  is_isomorphism, line, loop, morphism_equal, num_components,
+                  point, random_rgraph, reduce, reeb_cosheaf, smooth,
+                  smooth_cosheaf, smooth_naive, smooth_sweep, validate,
+                  validate_morphism)
 from reeb import smoothing
 from reeb.dynconn import walk_positions
 
@@ -198,6 +200,44 @@ def test_sweep_matches_both_oracles(seed, radius):
     assert morphism_equal(sweep.zeta, naive.zeta)
     assert is_cosheaf_iso(reeb_cosheaf(sweep.smoothed),
                           smooth_cosheaf(reeb_cosheaf(g), eps)) is not None
+
+
+def chorded_path(m):
+    """A path v0 < ... < v(m-1) at integer values, with a chord from every
+    other vertex rising 2, 3 or 4 steps (split at the levels it crosses)."""
+    verts = {f"v{i}": i for i in range(m)}
+    edges = [(f"p{i}", f"v{i}", f"v{i + 1}") for i in range(m - 1)]
+    edges += [(f"c{i}", f"v{i}", f"v{i + 2 + i % 3}") for i in range(0, m - 4, 2)]
+    return build_rgraph(verts, edges)
+
+
+@pytest.mark.parametrize("eps", [Fraction(3, 2), Fraction(4), Fraction(9)])
+def test_sweep_matches_naive_on_a_long_chorded_path(eps):
+    # a window many levels wide, so an edge's component is reborn several
+    # times before its own span starts and only the later records may
+    # enter its image
+    g = chorded_path(40)
+    sweep = smooth_sweep(g, eps)
+    naive = smooth_naive(g, eps)
+    assert sweep.smoothed == naive.smoothed
+    assert sweep.provenance == naive.provenance
+    assert morphism_equal(sweep.zeta, naive.zeta)
+
+
+@pytest.mark.parametrize("eps,graph_sha,zeta_sha", [
+    (Fraction(3, 2),
+     "ea00576944d73ca5ad76ee710a4366139df3636fa811b3e2d2fbb9131e0026c4",
+     "9a2e5a92829e4109a5f7077faf634f6a833c5307992ff49a0f3c787174e97ba1"),
+    (Fraction(40),
+     "589c3863c767ade4352fd1316a0c6c963990f3a2db362528742bd77f6e524d68",
+     "f38684521181918ef299ef286c85235bb380e0fc732da7ebdeb4392b0d88c569"),
+], ids=["3/2", "40"])
+def test_smoothed_text_is_frozen(eps, graph_sha, zeta_sha):
+    # the emitted smoothing and canonical map, byte for byte; names,
+    # their order and the file layout all feed the digests
+    sm = smooth(chorded_path(30), eps)
+    assert sha256(emit_rgraph(sm.smoothed).encode()).hexdigest() == graph_sha
+    assert sha256(emit_morphism(sm.zeta).encode()).hexdigest() == zeta_sha
 
 
 def test_sweep_links_replay_through_the_naive_forest(monkeypatch):
