@@ -386,22 +386,20 @@ def minimum_gap(g: RGraph) -> Fraction | None:
     return min(b - a for a, b in zip(g.criticals, g.criticals[1:]))
 
 
-def member_key(cells) -> str:
-    """The sorted member list a canonical name carries."""
-    return ",".join(sorted(cells))
-
-
-def keyed_name(kind: str, index: int, key: str) -> str:
-    """The canonical name of a level ("v") or slot ("e") from a member key."""
-    return f"{kind}({index};{key})"
+def keyed_name(kind: str, index: int, member: str) -> str:
+    """A level ("v") or slot ("e") cell's name from the least member of its
+    component; the components at one index are disjoint, so it is unique."""
+    return f"{kind}({index};{member})"
 
 
 def canonical_vertex_name(level_index: int, cells) -> str:
-    return keyed_name("v", level_index, member_key(cells))
+    """The name of the level cell whose component is `cells`."""
+    return keyed_name("v", level_index, min(cells))
 
 
 def canonical_edge_name(slot_index: int, cells) -> str:
-    return keyed_name("e", slot_index, member_key(cells))
+    """The name of the slot cell whose component is `cells`."""
+    return keyed_name("e", slot_index, min(cells))
 
 
 # ---------------------------------------------------------------------------

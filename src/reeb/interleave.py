@@ -19,6 +19,7 @@ from math import lcm
 from .core import RGraph, _build, num_components, reduce, refine
 from .cosheaf import (Interval, evaluate, expand, extend_map, interval,
                       reeb_cosheaf)
+from .dynconn import RollbackUnionFind
 from .errors import BudgetExceeded, InternalError, ValidationError
 from .iso import NodeBudget, is_isomorphic, levelwise_assignments
 from .morphism import (RGraphMorphism, compose, identity, invert_isomorphism,
@@ -147,6 +148,7 @@ class _Ranks:
                 self.at.append([num[e] for e in g.slots[k]])
         self.attach = [[(num[g.down[j][e]], num[g.up[j][e]]) for e in slot]
                        for j, slot in enumerate(g.slots)]
+        self._uf = RollbackUnionFind(len(num))
         self._memo: dict[tuple, int] = {}
 
     def positions(self, ends, r):
@@ -168,25 +170,22 @@ class _Ranks:
     def image(self, small: tuple[int, int], big: tuple[int, int]) -> int:
         """Elements in the image of the extension from the value on range
         `small` into that on range `big`; image(r, r) counts the value on r.
-        Over `big`, an edge joins those of its endpoints in the range."""
+        Over `big`, an edge joins those of its endpoints in the range; the
+        unions are rolled back once counted."""
         if (small, big) in self._memo:
             return self._memo[small, big]
         p, q = big
-        parent = {c: c for cells in self.at[p:q + 1] for c in cells}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = self._uf
+        done = 0
         for pos in range(p | 1, q + 1, 2):
-            for e, ends in zip(self.at[pos], self.attach[pos >> 1]):
-                for v in ends:
-                    if v in parent:
-                        parent[find(e)] = find(v)
-        count = len({find(c) for cells in self.at[small[0]:small[1] + 1]
+            for e, (lower, upper) in zip(self.at[pos], self.attach[pos >> 1]):
+                if p < pos:
+                    done += uf.union(e, lower)
+                if pos < q:
+                    done += uf.union(e, upper)
+        count = len({uf.find(c) for cells in self.at[small[0]:small[1] + 1]
                      for c in cells})
+        uf.rollback(done)
         self._memo[small, big] = count
         return count
 

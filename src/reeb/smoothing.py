@@ -10,10 +10,11 @@ contains an input vertex when its value lies in the closed interval and
 an input edge when the open span (x - eps, y + eps) of its thickened
 image meets t, i.e. x < t + eps and y > t - eps.
 
-Cells are named after their component's member cells, so the two
-implementations below (direct per-window recomputation, and a single
-sweep that replays every link's known window lifetime through a
-rolling-back union-find) emit bit-identical presentations.
+Cells are named after their component's least member, its members being
+kept in the provenance, so the two implementations below (direct
+per-window recomputation, and a single sweep that replays every link's
+known window lifetime through a rolling-back union-find) emit
+bit-identical presentations.
 
 At eps = 0 windows degenerate to points and the attach rule through
 window overlaps breaks down, so that case is a plain renaming of the
@@ -28,8 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .core import (RGraph, _assemble, canonical_edge_name,
-                   canonical_vertex_name, component_sets, keyed_name,
-                   member_key)
+                   canonical_vertex_name, component_sets, keyed_name)
 from .dynconn import make_forest, walk_positions
 from .errors import InternalError, ValidationError
 from .morphism import (RGraphMorphism, compose, identity, is_isomorphism,
@@ -171,12 +171,13 @@ def smooth_naive(g: RGraph, eps: Fraction) -> SmoothingResult:
 @dataclass(slots=True, eq=False)
 class _Record:
     """One maximal run of a window component between two events: born at
-    event `birth` out of vertex `bottom`, carrying a constant cell set and
-    the member key all its names share, sealed at `death` into `top`."""
+    event `birth` out of vertex `bottom`, carrying a constant cell set
+    whose least member `key` names every level and slot it spans, sealed
+    at `death` into `top`."""
     birth: int
     bottom: str
     contents: frozenset
-    key: str | None                      # None once every name is built
+    key: str
     death: int | None = None
     top: str | None = None
 
@@ -312,7 +313,7 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
                                     f"{cell!r} opens a component in slot {k} but "
                                     f"lies in no component named at level {k}")
             comp = frozenset({cells[c] for c in H.component(num[cell])})
-            rec = _Record(k, bottom, comp, member_key(comp))
+            rec = _Record(k, bottom, comp, min(comp))
             records.append(rec)
             born.update(dict.fromkeys(comp, rec))
 
@@ -332,7 +333,7 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     for rec in records:
         if rec.death is None:
             raise InternalError(f"unsealed component record after the sweep: the "
-                                f"component of {min(rec.contents)!r} born into "
+                                f"component of {rec.key!r} born into "
                                 f"slot {rec.birth}")
     zeta_e = {e: tuple(keyed_name("e", j, rec.key)
                        for n, rec in enumerate(edge_records[e])
@@ -354,7 +355,6 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
             provenance[en] = rec.contents
             down[j][en] = ends[j - rec.birth]
             up[j][en] = ends[j - rec.birth + 1]
-        rec.key = None                   # freed as we go, to lower the peak
     smoothed = _assemble(B, level_names, slots_out, down, up)
 
     zeta = RGraphMorphism(g, smoothed, zeta_v, zeta_e)

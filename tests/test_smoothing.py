@@ -14,6 +14,7 @@ from reeb import (NaiveDynForest, ValidationError, build_rgraph,
                   smooth_cosheaf, smooth_naive, smooth_sweep, validate,
                   validate_morphism)
 from reeb import smoothing
+from reeb.core import keyed_name
 from reeb.dynconn import walk_positions
 
 EPS = Fraction(1, 4)
@@ -85,16 +86,24 @@ def test_loop_cycle_survives_below_half(eps, has_cycle):
 
 
 def test_loop_smoothing_frozen_form():
-    assert emit_rgraph(smooth(loop(0, 1), EPS).smoothed) == (
+    # each cell is named by the least member of its window component; the
+    # members themselves are in the provenance
+    sm = smooth(loop(0, 1), EPS)
+    assert emit_rgraph(sm.smoothed) == (
         "criticals -1/4 1/4 3/4 5/4\n"
         "vertex v(0;v0) -1/4\n"
-        "vertex v(1;e0,e1,v0) 1/4\n"
-        "vertex v(2;e0,e1,v1) 3/4\n"
+        "vertex v(1;e0) 1/4\n"
+        "vertex v(2;e0) 3/4\n"
         "vertex v(3;v1) 5/4\n"
-        "edge e(0;e0,e1,v0) v(0;v0) v(1;e0,e1,v0)\n"
-        "edge e(1;e0) v(1;e0,e1,v0) v(2;e0,e1,v1)\n"
-        "edge e(1;e1) v(1;e0,e1,v0) v(2;e0,e1,v1)\n"
-        "edge e(2;e0,e1,v1) v(2;e0,e1,v1) v(3;v1)\n")
+        "edge e(0;e0) v(0;v0) v(1;e0)\n"
+        "edge e(1;e0) v(1;e0) v(2;e0)\n"
+        "edge e(1;e1) v(1;e0) v(2;e0)\n"
+        "edge e(2;e0) v(2;e0) v(3;v1)\n")
+    assert sm.provenance == {
+        "v(0;v0)": {"v0"}, "v(1;e0)": {"e0", "e1", "v0"},
+        "v(2;e0)": {"e0", "e1", "v1"}, "v(3;v1)": {"v1"},
+        "e(0;e0)": {"e0", "e1", "v0"}, "e(1;e0)": {"e0"}, "e(1;e1)": {"e1"},
+        "e(2;e0)": {"e0", "e1", "v1"}}
 
 
 def test_zero_radius_is_a_renaming():
@@ -183,16 +192,24 @@ def test_naive_and_sweep_agree_exactly():
             assert validate(a.smoothed).ok
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1),
-       st.sampled_from(["collision-free", "span/2", "2 span"]))
-def test_sweep_matches_both_oracles(seed, radius):
+RADII = st.sampled_from(["collision-free", "span/2", "2 span"])
+
+
+def draw(seed, radius):
+    """A random graph with two or more criticals and a radius of the named
+    kind for it."""
     rng = random.Random(seed)
     g = random_rgraph(rng)
     assume(len(g.criticals) >= 2)
     span = g.criticals[-1] - g.criticals[0]
-    eps = {"collision-free": collision_free_epsilon(g, rng),
-           "span/2": span / 2, "2 span": 2 * span}[radius]
+    return g, {"collision-free": collision_free_epsilon(g, rng),
+               "span/2": span / 2, "2 span": 2 * span}[radius]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), RADII)
+def test_sweep_matches_both_oracles(seed, radius):
+    g, eps = draw(seed, radius)
     sweep = smooth_sweep(g, eps)
     naive = smooth_naive(g, eps)
     assert sweep.smoothed == naive.smoothed
@@ -224,20 +241,51 @@ def test_sweep_matches_naive_on_a_long_chorded_path(eps):
     assert morphism_equal(sweep.zeta, naive.zeta)
 
 
-@pytest.mark.parametrize("eps,graph_sha,zeta_sha", [
+@pytest.mark.parametrize("eps,graph_sha,zeta_sha,provenance_sha", [
     (Fraction(3, 2),
-     "ea00576944d73ca5ad76ee710a4366139df3636fa811b3e2d2fbb9131e0026c4",
-     "9a2e5a92829e4109a5f7077faf634f6a833c5307992ff49a0f3c787174e97ba1"),
+     "6e4fb6165457bb7d3246217af403c9fb4fbc7c69240aff7f792dad3dd27ee17e",
+     "35d46218af09a6de84971be568df892b6e215738a002d64629bdb7d82690fada",
+     "dfc6ec4d69da6926a88576c993ad6bb28e9d9e4a0213fefd9aebc83b6a43e581"),
     (Fraction(40),
-     "589c3863c767ade4352fd1316a0c6c963990f3a2db362528742bd77f6e524d68",
-     "f38684521181918ef299ef286c85235bb380e0fc732da7ebdeb4392b0d88c569"),
+     "09369f2c58285fc352613537528a49915cbdd0d80993f0a2373546b545ac4ec1",
+     "48e45600dc287c0d37d8147001bca9251d1a7b991c1aca297f2bc641f11b2cf1",
+     "b1a01caeb375dc374200cde71e278c5d6ccbf8b11b0d3695cb12662ce532244e"),
 ], ids=["3/2", "40"])
-def test_smoothed_text_is_frozen(eps, graph_sha, zeta_sha):
+def test_smoothed_text_is_frozen(eps, graph_sha, zeta_sha, provenance_sha):
     # the emitted smoothing and canonical map, byte for byte; names,
-    # their order and the file layout all feed the digests
+    # their order and the file layout all feed the digests. The member
+    # lists the names no longer carry are pinned through the provenance.
     sm = smooth(chorded_path(30), eps)
     assert sha256(emit_rgraph(sm.smoothed).encode()).hexdigest() == graph_sha
     assert sha256(emit_morphism(sm.zeta).encode()).hexdigest() == zeta_sha
+    members = "".join(f"{name} {','.join(sorted(cells))}\n"
+                      for name, cells in sorted(sm.provenance.items()))
+    assert sha256(members.encode()).hexdigest() == provenance_sha
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), RADII)
+def test_cells_are_named_by_their_least_member(seed, radius):
+    g, eps = draw(seed, radius)
+    for sm in (smooth_sweep(g, eps), smooth_naive(g, eps)):
+        h = sm.smoothed
+        for k, level in enumerate(h.levels):
+            for name in level:
+                assert name == keyed_name("v", k, min(sm.provenance[name]))
+        for j, slot in enumerate(h.slots):
+            for name in slot:
+                assert name == keyed_name("e", j, min(sm.provenance[name]))
+
+
+def test_wide_smoothing_text_is_linear_in_its_cells():
+    # a 2,000-vertex path at a radius 250 levels wide: each output cell's
+    # component holds hundreds of input cells, but its line stays short
+    verts = {f"v{i}": i for i in range(2000)}
+    edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(1999)]
+    h = smooth(build_rgraph(verts, edges), 250).smoothed
+    cells = len(h.vertex_ids) + len(h.edge_ids)
+    assert cells == 4999
+    assert len(emit_rgraph(h)) < 50 * cells
 
 
 def test_sweep_links_replay_through_the_naive_forest(monkeypatch):
