@@ -19,7 +19,7 @@ from fractions import Fraction
 from .core import ValidationReport, _assemble, component_sets, refine, RGraph
 from .errors import InternalError, ValidationError
 from .iso import levelwise_bijections
-from .rationals import as_rational
+from .rationals import as_radius, as_rational
 from .unionfind import UnionFind
 
 
@@ -45,9 +45,7 @@ def interval(lo=None, hi=None) -> Interval:
 
 
 def expand(iv: Interval, eps) -> Interval:
-    eps = as_rational(eps)
-    if eps < 0:
-        raise ValidationError("expansion radius must be nonnegative")
+    eps = as_radius(eps, "expansion")
     if iv.empty:
         return iv
     return Interval(iv.lo - eps if iv.lo is not None else None,
@@ -266,9 +264,7 @@ def smooth_cosheaf(F: Cosheaf, eps) -> Cosheaf:
     """Precompose with interval expansion by eps: the value on I becomes
     the old value on I expanded. Stored over the shifted criticals, with
     each new element remembering the set of old references it merged."""
-    eps = as_rational(eps)
-    if eps < 0:
-        raise ValidationError("smoothing radius must be nonnegative")
+    eps = as_radius(eps, "smoothing")
     S = F.criticals
     if not S:
         return Cosheaf((), (), (), (), (), node_merged=(), edge_merged=())

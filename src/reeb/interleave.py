@@ -28,7 +28,7 @@ from .morphism import (RGraphMorphism, compose, identity, invert_isomorphism,
                        reduce_collapse, reduce_embed, refine_collapse,
                        refine_embed, shift_compose, smooth_morphism,
                        transport, trim_path, validate_morphism)
-from .rationals import as_rational, format_rational
+from .rationals import as_radius, as_rational, format_rational
 from .smoothing import SmoothingResult, compose_smoothings, smooth
 
 
@@ -67,14 +67,20 @@ def smoothing_certificate(f: RGraph, eps) -> Certificate:
     the canonical map applied twice, beta the identity. Verified before it
     is returned."""
     eps = as_rational(eps)
-    cs = compose_smoothings(f, eps, eps)
-    g = cs.first.smoothed
-    alpha = compose(cs.first.zeta, cs.second.zeta)
-    cert = Certificate(eps, alpha, identity(g), cs.first, cs.second,
-                       cs.total, smooth(g, 2 * eps))
+    sm = smooth(f, eps)
+    g = sm.smoothed
+    sm_g = smooth(g, eps)
+    return _verified("smoothing", Certificate(
+        eps, compose(sm.zeta, sm_g.zeta), identity(g), sm, sm_g,
+        smooth(f, 2 * eps), smooth(g, 2 * eps)))
+
+
+def _verified(what: str, cert: Certificate) -> Certificate:
+    """The certificate, once `verify_certificate` accepts it; a rejection
+    is an internal error naming what kind of certificate failed."""
     ok, msg = verify_certificate(cert)
     if not ok:
-        raise InternalError("smoothing certificate failed verification: " + msg)
+        raise InternalError(f"{what} certificate failed verification: {msg}")
     return cert
 
 
@@ -420,9 +426,7 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
     by a verified rank `Refutation` (spending no nodes) or because no
     candidate pair of maps satisfies the round-trip equations; "budget"
     draws no conclusion."""
-    eps = as_rational(eps)
-    if eps < 0:
-        raise ValidationError("interleaving radius must be nonnegative")
+    eps = as_radius(eps, "interleaving")
     ref = _refute(f, g, eps)
     if ref is not None:
         ok, msg = verify_refutation(f, g, ref)
@@ -452,10 +456,7 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
             return SearchOutcome("budget", None, eps, meter.nodes)
         if pair is None:
             return SearchOutcome("exhausted", None, eps, meter.nodes)
-    cert = Certificate(eps, pair[0], pair[1], sm_f, sm_g, sm_f2, sm_g2)
-    ok, msg = verify_certificate(cert)
-    if not ok:
-        raise InternalError("found certificate failed verification: " + msg)
+    cert = _verified("found", Certificate(eps, *pair, sm_f, sm_g, sm_f2, sm_g2))
     return SearchOutcome("found", cert, eps, meter.nodes)
 
 
@@ -543,31 +544,22 @@ def distance_bracket(f: RGraph, g: RGraph, tol, budget: int = 200_000) -> Distan
 # Certificate calculus.
 
 def lift_certificate(cert: Certificate, eps2) -> Certificate:
-    """Re-issue a certificate at a larger radius. The result is verified
-    before it is returned."""
+    """Re-issue a certificate at a larger radius, by composing it with
+    the target graph's self-certificate at the difference. The result is
+    verified before it is returned."""
     eps2 = as_rational(eps2)
     delta = eps2 - cert.epsilon
     if delta < 0:
         raise ValidationError("can only lift to a radius at least the current one")
     if delta == 0:
         return cert
-    f = cert.sm_f.source
-    g = cert.sm_g.source
-    cg = compose_smoothings(g, cert.epsilon, delta)
-    alpha2 = compose(compose(cert.alpha, cg.second.zeta), cg.witness)
-    cf = compose_smoothings(f, cert.epsilon, delta)
-    beta2 = compose(compose(cert.beta, cf.second.zeta), cf.witness)
-    new = Certificate(eps2, alpha2, beta2, cf.total, cg.total,
-                      smooth(f, 2 * eps2), smooth(g, 2 * eps2))
-    ok, msg = verify_certificate(new)
-    if not ok:
-        raise InternalError("lifted certificate failed verification: " + msg)
-    return new
+    return compose_certificates(cert, self_certificate(cert.sm_g.source, delta))
 
 
 def compose_certificates(c1: Certificate, c2: Certificate) -> Certificate:
     """Chain a certificate between f and g at radius e1 with one between
-    g and h at radius e2 into one between f and h at radius e1 + e2."""
+    g and h at radius e2 into one between f and h at radius e1 + e2. The
+    result is verified before it is returned."""
     if c1.sm_g.source != c2.sm_f.source:
         raise ValidationError("certificates do not share their middle graph")
     f = c1.sm_f.source
@@ -579,18 +571,16 @@ def compose_certificates(c1: Certificate, c2: Certificate) -> Certificate:
     cf = compose_smoothings(f, e1, e2)
     mid_beta = smooth_morphism(c1.beta, e2, sm_source=c2.sm_f, sm_target=cf.second)
     beta3 = compose(compose(c2.beta, mid_beta), cf.witness)
-    return Certificate(e1 + e2, alpha3, beta3, cf.total, ch.total,
-                       smooth(f, 2 * (e1 + e2)),
-                       smooth(h, 2 * (e1 + e2)))
+    return _verified("composed", Certificate(
+        e1 + e2, alpha3, beta3, cf.total, ch.total,
+        smooth(f, 2 * (e1 + e2)), smooth(h, 2 * (e1 + e2))))
 
 
 def contract_certificate(cert: Certificate, delta) -> Certificate:
     """Turn a certificate between f and g into one, at the same radius,
     between their delta-smoothings. The result is verified before it is
     returned."""
-    delta = as_rational(delta)
-    if delta < 0:
-        raise ValidationError("smoothing radius must be nonnegative")
+    delta = as_radius(delta, "smoothing")
     eps = cert.epsilon
     f = cert.sm_f.source
     g = cert.sm_g.source
@@ -604,13 +594,9 @@ def contract_certificate(cert: Certificate, delta) -> Certificate:
     b1 = smooth_morphism(cert.beta, delta, sm_source=sm_g_d, sm_target=cf1.second)
     cf2 = compose_smoothings(f, delta, eps)
     beta_c = compose(compose(b1, cf1.witness), invert_isomorphism(cf2.witness))
-    new = Certificate(eps, alpha_c, beta_c, cf2.second, cg2.second,
-                      smooth(sm_f_d.smoothed, 2 * eps),
-                      smooth(sm_g_d.smoothed, 2 * eps))
-    ok, msg = verify_certificate(new)
-    if not ok:
-        raise InternalError("contracted certificate failed verification: " + msg)
-    return new
+    return _verified("contracted", Certificate(
+        eps, alpha_c, beta_c, cf2.second, cg2.second,
+        smooth(sm_f_d.smoothed, 2 * eps), smooth(sm_g_d.smoothed, 2 * eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,25 +612,24 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
     gv = {str(v): as_rational(x) for v, x in g_values.items()}
     if set(fv) != set(gv):
         raise ValidationError("the two value assignments name different vertices")
-    eps = Fraction(0)
-    for v in fv:
-        eps = max(eps, abs(fv[v] - gv[v]))
+    eps = max((abs(fv[v] - gv[v]) for v in fv), default=Fraction(0))
 
     if isinstance(edges, dict):
-        edges = [(eid, a, b) for eid, (a, b) in edges.items()]
+        edges = [(eid, *ends) if isinstance(ends, (tuple, list)) else (eid, ends)
+                 for eid, ends in edges.items()]
     oriented_f = []
     oriented_g = []
-    ends: dict[str, tuple[str, str]] = {}
     for item in edges:
-        eid, a, b = (str(x) for x in item)
+        try:
+            eid, a, b = (str(x) for x in item)
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge item {item!r} is not an (id, end, end) "
+                                  "triple") from None
         if a not in fv or b not in fv:
             raise ValidationError(f"edge {eid!r} uses unknown endpoints")
         if fv[a] == fv[b] or gv[a] == gv[b]:
             raise ValidationError(f"edge {eid!r} must have distinct endpoint "
                                   "values under both assignments")
-        if eid in ends:
-            raise ValidationError(f"duplicate edge id {eid!r}")
-        ends[eid] = (a, b)
         oriented_f.append((eid, a, b) if fv[a] < fv[b] else (eid, b, a))
         oriented_g.append((eid, a, b) if gv[a] < gv[b] else (eid, b, a))
 
@@ -652,51 +637,23 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
     verts_g = [(v, gv[v]) for v in sorted(gv)]
     gf, segf, split_f = _build(verts_f, oriented_f, ())
     gg, segg, split_g = _build(verts_g, oriented_g, ())
-
     sm_fu = smooth(gf, eps)
     sm_gu = smooth(gg, eps)
 
-    def other_value(eid, c, va, vb):
-        """Value under the other assignment of the point at value c on the
-        edge, both parameterisations linear."""
-        a, b = ends[eid]
-        return vb[a] + (c - va[a]) * (vb[b] - vb[a]) / (va[b] - va[a])
+    def whole_edge_pull(src_seg, src_splits, dst_seg, dst_splits):
+        """Each cell of input edge e pulls all of e in the other graph, its
+        segments and split vertices. Both value functions are linear along
+        e, so the cells `transport` keeps in a window form one connected
+        run, and that run holds the point's image."""
+        whole = {e: set(segs) for e, segs in dst_seg.items()}
+        for v, e in dst_splits.items():
+            whole[e].add(v)
+        pull = {s: whole[e] for e, segs in src_seg.items() for s in segs}
+        pull.update((v, whole[e]) for v, e in src_splits.items())
+        return lambda x, value: pull.get(x, (x,))
 
-    def chain_cells_between(graph, chain, glo, ghi):
-        cells = []
-        for s in chain:
-            x, y = graph.span(s)
-            if x < ghi and y > glo:
-                cells.append(s)
-            if glo < y < ghi:
-                cells.append(graph.endpoints(s)[1])
-        return cells
-
-    def point_pull(src_graph, src_splits, src_seg, src_vals, dst_graph,
-                   dst_seg, dst_vals):
-        pull: dict[str, frozenset] = {}
-        for v in src_graph.vertex_ids:
-            if v in src_splits:
-                eid = src_splits[v]
-                u = other_value(eid, src_graph.value(v), src_vals, dst_vals)
-                pull[v] = frozenset((path_cell_at(dst_graph, dst_seg[eid], u)[1],))
-            else:
-                pull[v] = frozenset((v,))
-        owner = {s: e for e, segs in src_seg.items() for s in segs}
-        for s in src_graph.edge_ids:
-            eid = owner[s]
-            c1, c2 = src_graph.span(s)
-            u1 = other_value(eid, c1, src_vals, dst_vals)
-            u2 = other_value(eid, c2, src_vals, dst_vals)
-            glo, ghi = min(u1, u2), max(u1, u2)
-            cells = chain_cells_between(dst_graph, dst_seg[eid], glo, ghi)
-            pull[s] = frozenset(cells)
-        return pull
-
-    pull_f = point_pull(gf, split_f, segf, fv, gg, segg, gv)
-    pull_g = point_pull(gg, split_g, segg, gv, gf, segf, fv)
-    alpha_u = transport(gf, lambda x, value: pull_f[x], sm_gu)
-    beta_u = transport(gg, lambda x, value: pull_g[x], sm_fu)
+    alpha_u = transport(gf, whole_edge_pull(segf, split_f, segg, split_g), sm_gu)
+    beta_u = transport(gg, whole_edge_pull(segg, split_g, segf, split_f), sm_fu)
 
     red_f = reduce(gf)
     red_g = reduce(gg)
@@ -710,12 +667,9 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
     alpha = compose(compose(reduce_embed(gf, red_f), alpha_u), u_coll_g)
     beta = compose(compose(reduce_embed(gg, red_g), beta_u), u_coll_f)
 
-    cert = Certificate(eps, alpha, beta, sm_f_red, sm_g_red,
-                       smooth(f_red, 2 * eps), smooth(g_red, 2 * eps))
-    ok, msg = verify_certificate(cert)
-    if not ok:
-        raise InternalError("stability certificate failed verification: " + msg)
-    return cert
+    return _verified("stability", Certificate(
+        eps, alpha, beta, sm_f_red, sm_g_red,
+        smooth(f_red, 2 * eps), smooth(g_red, 2 * eps)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 
 def as_rational(value) -> Fraction:
@@ -30,6 +30,15 @@ def as_rational(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise ParseError(f"not a rational value: {value!r}")
+
+
+def as_radius(value, what: str) -> Fraction:
+    """Coerce a radius like `as_rational` and reject a negative one,
+    naming what kind of radius it is."""
+    value = as_rational(value)
+    if value < 0:
+        raise ValidationError(f"{what} radius must be nonnegative")
+    return value
 
 
 def parse_rational(token: str) -> Fraction:

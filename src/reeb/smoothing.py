@@ -31,10 +31,10 @@ from functools import cached_property
 from .core import (RGraph, _assemble, canonical_edge_name,
                    canonical_vertex_name, component_sets, keyed_name)
 from .dynconn import make_forest, walk_positions
-from .errors import InternalError, ValidationError
+from .errors import InternalError
 from .morphism import (RGraphMorphism, compose, identity, is_isomorphism,
                        morphism_equal, smoothed_pull, transport)
-from .rationals import as_rational
+from .rationals import as_radius
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,7 @@ def _span_positions(B, x: Fraction, y: Fraction) -> tuple[int, int]:
 def smooth_naive(g: RGraph, eps: Fraction) -> SmoothingResult:
     """Reference implementation: recompute the window components at every
     output level and every output slot midpoint independently."""
-    eps = as_rational(eps)
-    if eps < 0:
-        raise ValidationError("smoothing radius must be nonnegative")
+    eps = as_radius(eps, "smoothing")
     if eps == 0:
         return _relabel_zero(g)
     S = g.criticals
@@ -188,9 +186,7 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     through a rolling-back union-find that holds the window at each level
     and each gap in turn; a level names the components an event touches
     and seals their records, the gap above it opens their successors."""
-    eps = as_rational(eps)
-    if eps < 0:
-        raise ValidationError("smoothing radius must be nonnegative")
+    eps = as_radius(eps, "smoothing")
     if eps == 0:
         return _relabel_zero(g)
     S = g.criticals
@@ -373,10 +369,8 @@ class ComposeResult:
 
 
 def compose_smoothings(g: RGraph, eps1, eps2) -> ComposeResult:
-    eps1 = as_rational(eps1)
-    eps2 = as_rational(eps2)
-    if eps1 < 0 or eps2 < 0:
-        raise ValidationError("smoothing radius must be nonnegative")
+    eps1 = as_radius(eps1, "smoothing")
+    eps2 = as_radius(eps2, "smoothing")
     first = smooth(g, eps1)
     second = smooth(first.smoothed, eps2)
     total = smooth(g, eps1 + eps2)

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -174,6 +175,10 @@ class TestSearch:
             reeb.search_certificate(reeb.line(0, 1), reeb.line(0, 1), Fraction(-1, 4))
 
 
+def loop_certificate():
+    return reeb.smoothing_certificate(reeb.loop(0, 1), Fraction(1, 5))
+
+
 class TestCertificateAlgebra:
     def test_lift_raises_the_radius(self):
         cert = reeb.smoothing_certificate(reeb.loop(0, 1), Fraction(1, 5))
@@ -215,6 +220,31 @@ class TestCertificateAlgebra:
         ok, msg = reeb.verify_certificate(shrunk)
         assert ok, msg
 
+    @pytest.mark.parametrize("what, prepare", [
+        ("smoothing", lambda: partial(
+            reeb.smoothing_certificate, reeb.fork(), Fraction(1, 3))),
+        ("composed", lambda: partial(
+            reeb.lift_certificate, loop_certificate(), Fraction(1, 4))),
+        ("composed", lambda: partial(
+            reeb.compose_certificates,
+            reeb.self_certificate(reeb.fork(), Fraction(1, 3)),
+            reeb.self_certificate(reeb.fork(), Fraction(1, 6)))),
+        ("contracted", lambda: partial(
+            reeb.contract_certificate, loop_certificate(), Fraction(1, 10))),
+        ("stability", lambda: partial(
+            reeb.stability_certificate, [("e0", "a", "b")], {"a": 0, "b": 1},
+            {"a": Fraction(1, 2), "b": 2})),
+        ("found", lambda: partial(
+            reeb.search_certificate, reeb.line(0, 1), reeb.line(0, 2), Fraction(1))),
+    ], ids=["smoothing", "lift", "compose", "contract", "stability", "search"])
+    def test_every_verifying_constructor_verifies(self, monkeypatch, what, prepare):
+        build = prepare()
+        monkeypatch.setattr(interleave, "verify_certificate",
+                            lambda cert: (False, "forced"))
+        with pytest.raises(reeb.InternalError,
+                           match=f"^{what} certificate failed verification: forced$"):
+            build()
+
 
 class TestStability:
     def test_radius_is_the_largest_value_change(self):
@@ -231,6 +261,12 @@ class TestStability:
         with pytest.raises(ValidationError):
             reeb.stability_certificate([("e0", "a", "b")], {"a": 0, "b": 1},
                                         {"a": 1, "b": 1})
+
+    @pytest.mark.parametrize("edges", [[("e0", "a")], {"e0": ("a",)}],
+                             ids=["list", "dict"])
+    def test_rejects_malformed_edge_items(self, edges):
+        with pytest.raises(ValidationError, match=r"edge item \('e0', 'a'\)"):
+            reeb.stability_certificate(edges, {"a": 0, "b": 1}, {"a": 1, "b": 2})
 
     def test_rejects_mismatched_vertex_sets(self):
         with pytest.raises(ValidationError):
@@ -430,6 +466,38 @@ def test_stability_radius_is_never_refuted(seed, extra):
     cert = reeb.stability_certificate(edges, fv, gv)
     f, g = cert.sm_f.source, cert.sm_g.source
     assert _refute(f, g, cert.epsilon + Fraction(extra, 4)) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stability_maps_each_vertex_into_the_component_around_it(seed):
+    # a domain vertex kept in one reduced graph maps to the smoothed cell
+    # whose members hold the same point of the other graph: the vertex
+    # itself, or the merged edge through it when that reduction dropped it
+    edges, fv, gv = reeb.random_stability_pair(random.Random(seed),
+                                               max_vertices=5, max_edges=6)
+    cert = reeb.stability_certificate(edges, fv, gv)
+    for m, sm, values in ((cert.alpha, cert.sm_g, gv), (cert.beta, cert.sm_f, fv)):
+        rising = [(e, a, b) if values[a] < values[b] else (e, b, a)
+                  for e, (a, b) in edges.items()]
+        dropped = reeb.reduce(reeb.build_rgraph(values, rising)).dropped_vertices
+        for v in m.source.vertex_ids:
+            if v in values:
+                assert dropped.get(v, v) in sm.provenance[m.vertex_map[v][1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_lifting_only_grows_the_image_components(seed, extra):
+    edges, fv, gv = reeb.random_stability_pair(random.Random(seed),
+                                               max_vertices=5, max_edges=6)
+    cert = reeb.stability_certificate(edges, fv, gv)
+    lifted = reeb.lift_certificate(cert, cert.epsilon + Fraction(extra, 4))
+    for old, new, sm, sm2 in ((cert.alpha, lifted.alpha, cert.sm_g, lifted.sm_g),
+                              (cert.beta, lifted.beta, cert.sm_f, lifted.sm_f)):
+        for v in old.source.vertex_ids:
+            assert (sm.provenance[old.vertex_map[v][1]]
+                    <= sm2.provenance[new.vertex_map[v][1]])
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from reeb import ParseError, as_rational, format_rational, parse_rational
+import reeb
+from reeb import (ParseError, ValidationError, as_rational, format_rational,
+                  parse_rational)
+from reeb.rationals import as_radius
 
 
 def test_as_rational_passthrough_and_ints():
@@ -47,3 +50,28 @@ def test_format_rational():
 def test_roundtrip():
     for tok in ("0", "17/12", "-5/3", "4"):
         assert format_rational(parse_rational(tok)) == tok
+
+
+def test_as_radius_coerces_and_rejects_negatives():
+    assert as_radius("3/4", "smoothing") == Fraction(3, 4)
+    assert as_radius(0, "smoothing") == 0
+    with pytest.raises(ValidationError, match="^expansion radius must be nonnegative$"):
+        as_radius(Fraction(-1, 4), "expansion")
+    with pytest.raises(ParseError):
+        as_radius(0.5, "smoothing")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: reeb.smooth_naive(reeb.line(), -1), "smoothing"),
+    (lambda: reeb.smooth_sweep(reeb.line(), -1), "smoothing"),
+    (lambda: reeb.compose_smoothings(reeb.line(), 1, -1), "smoothing"),
+    (lambda: reeb.smooth_cosheaf(reeb.reeb_cosheaf(reeb.line()), -1), "smoothing"),
+    (lambda: reeb.expand(reeb.interval(0, 1), -1), "expansion"),
+    (lambda: reeb.search_certificate(reeb.line(), reeb.line(), -1), "interleaving"),
+    (lambda: reeb.contract_certificate(
+        reeb.self_certificate(reeb.line(), 0), -1), "smoothing"),
+], ids=["smooth_naive", "smooth_sweep", "compose_smoothings", "smooth_cosheaf",
+        "expand", "search_certificate", "contract_certificate"])
+def test_negative_radii_are_rejected_by_name(call, message):
+    with pytest.raises(ValidationError, match=f"^{message} radius must be nonnegative$"):
+        call()
