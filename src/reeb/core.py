@@ -193,13 +193,25 @@ def _fresh(base: str, used: set[str]) -> str:
     return name
 
 
+def _edge_triples(edges):
+    """Each (id, end, end) edge item of a list or an id -> ends dict, as strings."""
+    if isinstance(edges, dict):
+        edges = [(eid, *ends) if isinstance(ends, (tuple, list)) else (eid, ends)
+                 for eid, ends in edges.items()]
+    for item in edges:
+        try:
+            eid, a, b = item
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge item {item!r} is not an (id, end, end) "
+                                  "triple") from None
+        yield str(eid), str(a), str(b)
+
+
 def _build(vertices, edges, extra_criticals):
     """Shared constructor: place vertices, split long edges at intervening
     criticals. Returns (graph, edge id -> segment tuple, split vertex -> owner edge)."""
     if isinstance(vertices, dict):
         vertices = vertices.items()
-    if isinstance(edges, dict):
-        edges = [(eid, lo, hi) for eid, (lo, hi) in edges.items()]
     values: dict[str, Fraction] = {}
     order: list[str] = []
     for vid, val in vertices:
@@ -210,8 +222,7 @@ def _build(vertices, edges, extra_criticals):
         order.append(vid)
     edge_list: list[tuple[str, str, str]] = []
     eids: set[str] = set()
-    for eid, lo, hi in edges:
-        eid, lo, hi = str(eid), str(lo), str(hi)
+    for eid, lo, hi in _edge_triples(edges):
         if eid in eids:
             raise ValidationError(f"duplicate edge id {eid!r}")
         eids.add(eid)

@@ -21,15 +21,16 @@ from .errors import ForestError, InternalError
 class RollbackUnionFind:
     """Union-find on the cells 0..n-1 whose unions are undone newest first.
     Union by size without path compression, so undoing a union resets one
-    parent; each class is threaded on a circular `nxt` list, so a union and
-    its undo are one swap and `component` takes time linear in the class."""
-    __slots__ = ("parent", "size", "nxt", "undo")
+    parent; each root also holds the least cell of its class, so a union
+    and its undo each set one `least` entry."""
+    __slots__ = ("parent", "size", "least", "undo")
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.size = [1] * n
-        self.nxt = list(range(n))       # the next cell of x's class, circularly
-        self.undo: list[int] = []       # the absorbed root of each union, oldest first
+        self.least = list(range(n))     # at a root, the least cell of its class
+        # per union, oldest first: (absorbed root, survivor's least before it)
+        self.undo: list[tuple[int, int]] = []
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -39,38 +40,30 @@ class RollbackUnionFind:
 
     def union(self, a: int, b: int) -> bool:
         """Merge the classes of a and b; True when they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        parent, size, least = self.parent, self.size, self.least
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
             return False
-        size = self.size
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+        ra, rb = (a, b) if size[a] >= size[b] else (b, a)
+        parent[rb] = ra
         size[ra] += size[rb]
-        nxt = self.nxt
-        nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
-        self.undo.append(rb)
+        self.undo.append((rb, least[ra]))
+        if least[rb] < least[ra]:
+            least[ra] = least[rb]
         return True
 
     def rollback(self, count: int) -> None:
         """Undo the newest `count` unions that merged two classes."""
-        parent, size, nxt, undo = self.parent, self.size, self.nxt, self.undo
+        parent, size, least, undo = self.parent, self.size, self.least, self.undo
         for _ in range(count):
-            rb = undo.pop()
+            rb, old = undo.pop()
             ra = parent[rb]
             parent[rb] = rb
             size[ra] -= size[rb]
-            nxt[ra], nxt[rb] = nxt[rb], nxt[ra]
-
-    def component(self, x: int) -> list[int]:
-        """Every cell in x's class, starting at x."""
-        nxt = self.nxt
-        out = [x]
-        y = nxt[x]
-        while y != x:
-            out.append(y)
-            y = nxt[y]
-        return out
+            least[ra] = old
 
 
 def make_forest(n_cells: int) -> RollbackUnionFind:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import islice, product
 from math import lcm
 
-from .core import RGraph, _build, num_components, reduce, refine
+from .core import RGraph, _build, _edge_triples, num_components, reduce, refine
 from .cosheaf import (Interval, evaluate, expand, extend_map, interval,
                       reeb_cosheaf)
 from .dynconn import RollbackUnionFind
@@ -614,17 +614,9 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
         raise ValidationError("the two value assignments name different vertices")
     eps = max((abs(fv[v] - gv[v]) for v in fv), default=Fraction(0))
 
-    if isinstance(edges, dict):
-        edges = [(eid, *ends) if isinstance(ends, (tuple, list)) else (eid, ends)
-                 for eid, ends in edges.items()]
     oriented_f = []
     oriented_g = []
-    for item in edges:
-        try:
-            eid, a, b = (str(x) for x in item)
-        except (TypeError, ValueError):
-            raise ValidationError(f"edge item {item!r} is not an (id, end, end) "
-                                  "triple") from None
+    for eid, a, b in _edge_triples(edges):
         if a not in fv or b not in fv:
             raise ValidationError(f"edge {eid!r} uses unknown endpoints")
         if fv[a] == fv[b] or gv[a] == gv[b]:

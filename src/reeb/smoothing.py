@@ -14,7 +14,9 @@ Cells are named after their component's least member, its members being
 kept in the provenance, so the two implementations below (direct
 per-window recomputation, and a single sweep that replays every link's
 known window lifetime through a rolling-back union-find) emit
-bit-identical presentations.
+bit-identical presentations. The sweep reads each name off the least
+cell a union-find root holds and walks a component's members only when
+its provenance is first read.
 
 At eps = 0 windows degenerate to points and the attach rule through
 window overlaps breaks down, so that case is a plain renaming of the
@@ -24,6 +26,7 @@ input.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,7 +46,7 @@ class SmoothingResult:
     epsilon: Fraction
     smoothed: RGraph
     zeta: RGraphMorphism                 # the canonical map source -> smoothed
-    provenance: dict[str, frozenset]     # smoothed cell -> source cells it came from
+    provenance: Mapping[str, frozenset]  # smoothed cell -> source cells it came from
 
     @cached_property
     def position_index(self) -> dict[tuple[int, str], str]:
@@ -166,16 +169,66 @@ def smooth_naive(g: RGraph, eps: Fraction) -> SmoothingResult:
     return SmoothingResult(g, eps, smoothed, zeta, provenance)
 
 
+def _walk(adjacent: list[list[tuple[int, int, int]]], start: int, pos: int) -> set[int]:
+    """The cells joined to `start` by links live at doubled position `pos`;
+    `adjacent` lists each cell's links as (first, last, other end)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for first, last, y in adjacent[stack.pop()]:
+            if first <= pos <= last and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+class _Provenance(Mapping):
+    """Smoothed cell -> the source cells of its window component, walked
+    over the sweep's links on first read. Each name holds its doubled
+    position and its least cell; the cells of one record hold the same
+    pair, so they share one walk and one frozenset."""
+
+    def __init__(self, where: dict[str, tuple[int, int]], cells: list[str], links: list):
+        self._where, self._cells, self._links = where, cells, links
+        self._adjacent: list[list[tuple[int, int, int]]] | None = None
+        self._memo: dict[tuple[int, int], frozenset] = {}
+
+    def __getitem__(self, name: str) -> frozenset:
+        at = pos, key = self._where[name]
+        if at not in self._memo:
+            if self._adjacent is None:
+                self._adjacent = [[] for _ in self._cells]
+                for first, last, a, b in self._links:
+                    self._adjacent[a].append((first, last, b))
+                    self._adjacent[b].append((first, last, a))
+            members = _walk(self._adjacent, key, pos)
+            if min(members) != key:
+                raise InternalError(f"provenance of {name!r}, walked at "
+                                    f"{'slot' if pos & 1 else 'level'} {pos >> 1}, "
+                                    f"reaches {self._cells[min(members)]!r} below "
+                                    f"{self._cells[key]!r}")
+            self._memo[at] = frozenset([self._cells[c] for c in members])
+        return self._memo[at]
+
+    def __contains__(self, name) -> bool:
+        return name in self._where
+
+    def __iter__(self):
+        return iter(self._where)
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+
 @dataclass(slots=True, eq=False)
 class _Record:
     """One maximal run of a window component between two events: born at
     event `birth` out of vertex `bottom`, carrying a constant cell set
-    whose least member `key` names every level and slot it spans, sealed
-    at `death` into `top`."""
+    whose least member, cell number `key`, names every level and slot it
+    spans, sealed at `death` into `top`."""
     birth: int
     bottom: str
-    contents: frozenset
-    key: str
+    key: int
     death: int | None = None
     top: str | None = None
 
@@ -185,7 +238,9 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     window lifetime is known up front, so `walk_positions` replays them
     through a rolling-back union-find that holds the window at each level
     and each gap in turn; a level names the components an event touches
-    and seals their records, the gap above it opens their successors."""
+    and seals their records, the gap above it opens their successors.
+    Cells are numbered in name order, so the least cell a union-find root
+    holds names its component, and no component is walked."""
     eps = as_radius(eps, "smoothing")
     if eps == 0:
         return _relabel_zero(g)
@@ -229,7 +284,7 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     # ends are in the window: a vertex at S[i] is there over
     # [2 enter[i], 2 leave[i]], an edge over slot j over
     # [2 enter[j] + 1, 2 leave[j + 1] - 1]
-    cells = [*g.vertex_ids, *g.edge_ids]
+    cells = sorted((*g.vertex_ids, *g.edge_ids))
     num = {c: n for n, c in enumerate(cells)}
     links: list[tuple[int, int, int, int]] = []
     for j, slot in enumerate(g.slots):
@@ -239,19 +294,22 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
             links.append((*lower, num[e], num[g.down[j][e]]))
             links.append((*upper, num[e], num[g.up[j][e]]))
     H = make_forest(len(cells))
+    find, least = H.find, H.least
     records: list[_Record] = []
-    # cell -> its latest record; entries of cells that have left the window
-    # go stale, and only cells in the window are looked up
-    rec_of: dict[str, _Record] = {}
+    # least member -> the latest record it keys (live components are disjoint)
+    rec_of: dict[int, _Record] = {}
     # an input edge over slot i maps onto the output slots met by its open
-    # span (S[i], S[i + 1]); it keeps the records alive over them, the first
-    # being the one alive at the span's first slot
-    spans = [(p // 2, (q + 1) // 2) for p, q in zip(pos, pos[1:])]
-    edge_span = {e: span for slot, span in zip(g.slots, spans) for e in slot}
-    edge_records: dict[str, list[_Record]] = {}
+    # span (S[i], S[i + 1]); `meeting` lists, per output slot, those edges
+    zeta_e: dict[str, list[str]] = {e: [] for e in g.edge_ids}
+    meeting: list[list[str]] = [[] for _ in range(max(0, K - 1))]
+    for slot, p, q in zip(g.slots, pos, pos[1:]):
+        for j in range(p // 2, (q + 1) // 2):
+            meeting[j] += slot
     level_names: list[list[str]] = [[] for _ in range(K)]
-    provenance: dict[str, frozenset] = {}
+    where: dict[str, tuple[int, int]] = {}    # name -> (doubled position, least cell)
     zeta_v: dict[str, tuple[str, str]] = {}
+    # (cell, its least member at the gap before) for the next level's handles
+    pre: list[tuple[str, int]] = []
 
     for p in walk_positions(H, 2 * K - 1, links):
         k = p >> 1
@@ -260,101 +318,78 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
         if not p & 1:
             # H holds the window at B[k]: vertices at B[k] + eps have just
             # arrived, edges over vertices at B[k] - eps have just gone.
-            # Seal the records whose component the event touches.
-            popped: list[tuple[_Record, str]] = []
-            handles: list[str] = list(leaving)
-            for v in entering:
-                handles.extend(g.below_edges[v])
-            for cell in handles:
-                rec = rec_of[cell]
+            # Name the window components the event touches and seal the
+            # records they grew from.
+            named: dict[int, str] = {}
+            for v in entering + leaving:
+                m = least[find(num[v])]
+                if m not in named:
+                    named[m] = nu = keyed_name("v", k, cells[m])
+                    level_names[k].append(nu)
+                    where[nu] = (p, m)
+            for cell, m in pre:
+                rec = rec_of[m]
                 if rec.death is None:
                     rec.death = k
-                    popped.append((rec, cell))
+                    rec.top = named[least[find(num[cell])]]
 
-            # name the window components touched by the event
-            cell_to_nu: dict[str, str] = {}
-            for v in entering + leaving:
-                if v in cell_to_nu:
-                    continue
-                comp = frozenset({cells[c] for c in H.component(num[v])})
-                name = canonical_vertex_name(k, comp)
-                level_names[k].append(name)
-                provenance[name] = comp
-                for c in comp:
-                    cell_to_nu[c] = name
-            for rec, cell in popped:
-                rec.top = cell_to_nu[cell]
+            # an entering vertex, or an edge over a leaving one, opens a
+            # record in the gap above from the component named for it here
+            post: list[tuple[str, str]] = []
+            for cell in (*entering, *(e for v in leaving for e in g.above_edges[v])):
+                bottom = named.get(least[find(num[cell])])
+                if bottom is None:
+                    raise InternalError(f"component with no anchor at its birth event: "
+                                        f"{cell!r} opens a component in slot {k} but "
+                                        f"lies in no component named at level {k}")
+                post.append((cell, bottom))
 
             # vertices sitting exactly on this output level
             for v in lying_at.get(p, ()):
-                nu = cell_to_nu.get(v) or keyed_name("v", k, rec_of[v].key)
-                zeta_v[v] = ("vertex", nu)
+                zeta_v[v] = ("vertex", keyed_name("v", k, cells[least[find(num[v])]]))
             continue
 
         # H holds the window over the gap above B[k]: leaving vertices have
         # gone, edges over entering vertices have arrived. Open records for
         # the components the event touched.
-        post_handles: list[str] = list(entering)
-        for v in leaving:
-            post_handles.extend(g.above_edges[v])
-        born: dict[str, _Record] = {}
-        for cell in post_handles:
-            if cell in born:
-                continue
-            # an entering vertex, or an edge over a leaving one, lies in
-            # the component named for its event at B[k]
-            bottom = cell_to_nu.get(cell)
-            if bottom is None:
-                raise InternalError(f"component with no anchor at its birth event: "
-                                    f"{cell!r} opens a component in slot {k} but "
-                                    f"lies in no component named at level {k}")
-            comp = frozenset({cells[c] for c in H.component(num[cell])})
-            rec = _Record(k, bottom, comp, min(comp))
-            records.append(rec)
-            born.update(dict.fromkeys(comp, rec))
+        for cell, bottom in post:
+            m = least[find(num[cell])]
+            if m not in rec_of or rec_of[m].birth != k:     # not yet opened here
+                rec_of[m] = _Record(k, bottom, m)
+                records.append(rec_of[m])
+        below = (e for v in entering_at.get(k + 1, ()) for e in g.below_edges[v])
+        pre = [(c, least[find(num[c])]) for c in (*leaving_at.get(k + 1, ()), *below)]
 
-        rec_of.update(born)
-        for c, rec in born.items():
-            span = edge_span.get(c)
-            if span is not None:
-                if k <= span[0]:
-                    edge_records[c] = [rec]
-                elif k < span[1]:
-                    edge_records[c].append(rec)
-
-        # vertices sitting strictly inside this gap
+        # vertices sitting strictly inside this gap, and edges meeting it
         for v in lying_at.get(p, ()):
-            zeta_v[v] = ("edge", keyed_name("e", k, rec_of[v].key))
+            zeta_v[v] = ("edge", keyed_name("e", k, cells[least[find(num[v])]]))
+        for e in meeting[k]:
+            zeta_e[e].append(keyed_name("e", k, cells[least[find(num[e])]]))
 
-    for rec in records:
-        if rec.death is None:
-            raise InternalError(f"unsealed component record after the sweep: the "
-                                f"component of {rec.key!r} born into "
-                                f"slot {rec.birth}")
-    zeta_e = {e: tuple(keyed_name("e", j, rec.key)
-                       for n, rec in enumerate(edge_records[e])
-                       for j in range(rec.birth if n else j_start,
-                                      min(rec.death, j_stop)))
-              for e, (j_start, j_stop) in edge_span.items()}
     slots_out: list[list[str]] = [[] for _ in range(max(0, K - 1))]
     down: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]
     up: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]
     for rec in records:
-        inner = [keyed_name("v", j, rec.key) for j in range(rec.birth + 1, rec.death)]
+        if rec.death is None:
+            raise InternalError(f"unsealed component record after the sweep: the "
+                                f"component of {cells[rec.key]!r} born into "
+                                f"slot {rec.birth}")
+        key, at = cells[rec.key], (2 * rec.birth + 1, rec.key)
+        inner = [keyed_name("v", j, key) for j in range(rec.birth + 1, rec.death)]
         for j, nm in enumerate(inner, rec.birth + 1):
             level_names[j].append(nm)
-            provenance[nm] = rec.contents
+            where[nm] = at
         ends = [rec.bottom, *inner, rec.top]      # its vertices, bottom to top
         for j in range(rec.birth, rec.death):
-            en = keyed_name("e", j, rec.key)
+            en = keyed_name("e", j, key)
             slots_out[j].append(en)
-            provenance[en] = rec.contents
+            where[en] = at
             down[j][en] = ends[j - rec.birth]
             up[j][en] = ends[j - rec.birth + 1]
     smoothed = _assemble(B, level_names, slots_out, down, up)
 
-    zeta = RGraphMorphism(g, smoothed, zeta_v, zeta_e)
-    return SmoothingResult(g, eps, smoothed, zeta, provenance)
+    zeta = RGraphMorphism(g, smoothed, zeta_v, {e: tuple(im) for e, im in zeta_e.items()})
+    return SmoothingResult(g, eps, smoothed, zeta, _Provenance(where, cells, links))
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,15 @@ def test_build_rejects_duplicates_and_bad_edges():
         build_rgraph([("a", 1), ("b", 0)], [("e", "a", "b")])
 
 
+@pytest.mark.parametrize("edges", [[("e0", "a")], {"e0": ("a",)},
+                                   [("e0", "a", "b", "c")], [5]],
+                         ids=["short", "dict-short", "long", "not-a-tuple"])
+def test_build_rejects_malformed_edge_items(edges):
+    item = "5" if edges == [5] else r"\('e0', 'a'"
+    with pytest.raises(ValidationError, match=r"edge item " + item):
+        build_rgraph({"a": 0, "b": 1}, edges)
+
+
 def test_empty_graph_is_legal():
     g = empty_rgraph()
     assert g.is_empty
@@ -196,4 +205,5 @@ def test_bench_tracer_counts_the_sweeps_connectivity_calls():
         tracer.uninstall()
     counts = tracer.metrics()
     assert counts["dynconn.ops"] > 0
-    assert counts["dynconn.component_cells"] > 0
+    # names come from the least cell at each root: no component is walked
+    assert counts["dynconn.component_cells"] == 0

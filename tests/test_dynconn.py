@@ -154,7 +154,7 @@ def test_rollback_restores_every_component_exactly():
     merged = []                   # the pairs whose union merged two classes
 
     def state():
-        return list(uf.parent), list(uf.size), [uf.component(x) for x in range(n)]
+        return list(uf.parent), list(uf.size), list(uf.least)
 
     snapshots = [state()]
     fresh = UnionFind(range(n))
@@ -164,8 +164,7 @@ def test_rollback_restores_every_component_exactly():
             uf.rollback(count)
             del merged[len(merged) - count:]
             del snapshots[len(snapshots) - count:]
-            # parents, sizes and class lists read exactly as before those
-            # unions, the lists in the same order
+            # parents, sizes and least cells read exactly as before those unions
             assert state() == snapshots[-1], step
         else:
             a, b = rng.randrange(n), rng.randrange(n)
@@ -179,9 +178,7 @@ def test_rollback_restores_every_component_exactly():
             fresh.union(x, y)
         assert partition(range(n), uf.find) == partition(range(n), fresh.find), step
         for x in range(n):
-            comp = uf.component(x)
-            assert comp[0] == x and len(set(comp)) == len(comp)
-            assert sorted(comp) == sorted(y for y in range(n) if fresh.same(x, y))
+            assert uf.least[uf.find(x)] == min(y for y in range(n) if fresh.same(x, y))
     assert len(uf.undo) == len(merged)
 
 

@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 from hashlib import sha256
@@ -13,7 +14,7 @@ from reeb import (NaiveDynForest, ValidationError, build_rgraph,
                   point, random_rgraph, reduce, reeb_cosheaf, smooth,
                   smooth_cosheaf, smooth_naive, smooth_sweep, validate,
                   validate_morphism)
-from reeb import smoothing
+from reeb import cli, smoothing
 from reeb.core import keyed_name
 from reeb.dynconn import walk_positions
 
@@ -219,6 +220,13 @@ def test_sweep_matches_both_oracles(seed, radius):
                           smooth_cosheaf(reeb_cosheaf(g), eps)) is not None
 
 
+def path(m):
+    """A path v0 < ... < v(m-1) at integer values, as vertices and edges."""
+    verts = {f"v{i}": i for i in range(m)}
+    edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(m - 1)]
+    return verts, edges
+
+
 def chorded_path(m):
     """A path v0 < ... < v(m-1) at integer values, with a chord from every
     other vertex rising 2, 3 or 4 steps (split at the levels it crosses)."""
@@ -280,12 +288,62 @@ def test_cells_are_named_by_their_least_member(seed, radius):
 def test_wide_smoothing_text_is_linear_in_its_cells():
     # a 2,000-vertex path at a radius 250 levels wide: each output cell's
     # component holds hundreds of input cells, but its line stays short
-    verts = {f"v{i}": i for i in range(2000)}
-    edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(1999)]
-    h = smooth(build_rgraph(verts, edges), 250).smoothed
+    h = smooth(build_rgraph(*path(2000)), 250).smoothed
     cells = len(h.vertex_ids) + len(h.edge_ids)
     assert cells == 4999
     assert len(emit_rgraph(h)) < 50 * cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), RADII, st.randoms(use_true_random=False))
+def test_provenance_read_in_any_order_matches_the_oracle(seed, radius, rnd):
+    # the sweep walks each component on its first read; the naive oracle
+    # built every one eagerly
+    g, eps = draw(seed, radius)
+    sweep = smooth_sweep(g, eps)
+    naive = smooth_naive(g, eps)
+    names = list(naive.provenance)
+    rnd.shuffle(names)
+    assert len(sweep.provenance) == len(names)
+    for name in names:
+        assert name in sweep.provenance
+        assert sweep.provenance[name] == naive.provenance[name], name
+    assert sweep.position_index == naive.position_index
+    assert sweep.provenance == naive.provenance
+
+
+def test_provenance_is_walked_once_per_record_and_only_when_read(tmp_path, monkeypatch):
+    walks = []
+    real_walk = smoothing._walk
+
+    def counted(adjacent, start, pos):
+        walks.append((start, pos))
+        return real_walk(adjacent, start, pos)
+
+    monkeypatch.setattr(smoothing, "_walk", counted)
+    verts, edges = path(2000)
+    text = tmp_path / "path.txt"
+    text.write_text(emit_rgraph(build_rgraph(verts, edges)))
+    out = io.StringIO()
+    assert cli.main(["smooth", str(text), "250"], stdout=out) == 0
+    assert out.getvalue() and walks == []
+
+    # a point beside the path lies in one window component, untouched by
+    # the path's events, from 1000 - 250 to 1000 + 250: one record
+    sm = smooth(build_rgraph({**verts, "w": 1000}, edges), 250)
+    B = sm.smoothed.criticals
+    birth, death = B.index(750), B.index(1250)
+    record = [keyed_name("e", j, "w") for j in range(birth, death)]
+    record += [keyed_name("v", k, "w") for k in range(birth + 1, death)]
+    comp = sm.provenance[record[len(record) // 2]]
+    assert comp == {"w"} and len(walks) == 1
+    assert all(sm.provenance[name] is comp for name in record)
+    assert len(walks) == 1
+    # a slot in the middle of the path: hundreds of members, one walk
+    j = B.index(1000)
+    [name] = [e for e in sm.smoothed.slots[j] if not e.endswith(";w)")]
+    assert len(sm.provenance[name]) > 900 and sm.provenance[name] is sm.provenance[name]
+    assert len(walks) == 2
 
 
 def test_sweep_links_replay_through_the_naive_forest(monkeypatch):
