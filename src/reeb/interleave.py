@@ -29,7 +29,7 @@ from .morphism import (RGraphMorphism, compose, identity, invert_isomorphism,
                        refine_embed, shift_compose, smooth_morphism,
                        transport, trim_path, validate_morphism)
 from .rationals import as_radius, as_rational, format_rational
-from .smoothing import SmoothingResult, compose_smoothings, smooth
+from .smoothing import SmoothingResult, smooth
 
 
 @dataclass(frozen=True)
@@ -564,16 +564,12 @@ def compose_certificates(c1: Certificate, c2: Certificate) -> Certificate:
         raise ValidationError("certificates do not share their middle graph")
     f = c1.sm_f.source
     h = c2.sm_g.source
-    e1, e2 = c1.epsilon, c2.epsilon
-    ch = compose_smoothings(h, e2, e1)
-    mid_alpha = smooth_morphism(c2.alpha, e1, sm_source=c1.sm_g, sm_target=ch.second)
-    alpha3 = compose(compose(c1.alpha, mid_alpha), ch.witness)
-    cf = compose_smoothings(f, e1, e2)
-    mid_beta = smooth_morphism(c1.beta, e2, sm_source=c2.sm_f, sm_target=cf.second)
-    beta3 = compose(compose(c2.beta, mid_beta), cf.witness)
+    e = c1.epsilon + c2.epsilon
+    sm_f, sm_h = smooth(f, e), smooth(h, e)
+    alpha = compose(c1.alpha, shift_compose(c2.alpha, c1.sm_g, c2.sm_g, sm_h))
+    beta = compose(c2.beta, shift_compose(c1.beta, c2.sm_f, c1.sm_f, sm_f))
     return _verified("composed", Certificate(
-        e1 + e2, alpha3, beta3, cf.total, ch.total,
-        smooth(f, 2 * (e1 + e2)), smooth(h, 2 * (e1 + e2))))
+        e, alpha, beta, sm_f, sm_h, smooth(f, 2 * e), smooth(h, 2 * e)))
 
 
 def contract_certificate(cert: Certificate, delta) -> Certificate:
@@ -582,20 +578,21 @@ def contract_certificate(cert: Certificate, delta) -> Certificate:
     returned."""
     delta = as_radius(delta, "smoothing")
     eps = cert.epsilon
-    f = cert.sm_f.source
-    g = cert.sm_g.source
-    sm_f_d = smooth(f, delta)
-    sm_g_d = smooth(g, delta)
-    cg1 = compose_smoothings(g, eps, delta)
-    a1 = smooth_morphism(cert.alpha, delta, sm_source=sm_f_d, sm_target=cg1.second)
-    cg2 = compose_smoothings(g, delta, eps)
-    alpha_c = compose(compose(a1, cg1.witness), invert_isomorphism(cg2.witness))
-    cf1 = compose_smoothings(f, eps, delta)
-    b1 = smooth_morphism(cert.beta, delta, sm_source=sm_g_d, sm_target=cf1.second)
-    cf2 = compose_smoothings(f, delta, eps)
-    beta_c = compose(compose(b1, cf1.witness), invert_isomorphism(cf2.witness))
+    f, g = cert.sm_f.source, cert.sm_g.source
+    sm_f_d, sm_g_d = smooth(f, delta), smooth(g, delta)
+    total_f, total_g = smooth(f, eps + delta), smooth(g, eps + delta)
+    sm_f, sm_g = smooth(sm_f_d.smoothed, eps), smooth(sm_g_d.smoothed, eps)
+    # alpha shifts to S_delta f -> S_{eps+delta} g, and the inverse of the
+    # shifted identity S_eps S_delta g -> S_{eps+delta} g carries it on
+    # into S_eps S_delta g; beta likewise
+    back_f = shift_compose(identity(sm_f_d.smoothed), sm_f, sm_f_d, total_f)
+    back_g = shift_compose(identity(sm_g_d.smoothed), sm_g, sm_g_d, total_g)
+    alpha = compose(shift_compose(cert.alpha, sm_f_d, cert.sm_g, total_g),
+                    invert_isomorphism(back_g))
+    beta = compose(shift_compose(cert.beta, sm_g_d, cert.sm_f, total_f),
+                   invert_isomorphism(back_f))
     return _verified("contracted", Certificate(
-        eps, alpha_c, beta_c, cf2.second, cg2.second,
+        eps, alpha, beta, sm_f, sm_g,
         smooth(sm_f_d.smoothed, 2 * eps), smooth(sm_g_d.smoothed, 2 * eps)))
 
 

@@ -446,19 +446,21 @@ def smooth_morphism(alpha: RGraphMorphism, eps, sm_source=None,
     return transport(sm_source.smoothed, smoothed_pull(alpha, sm_source), sm_target)
 
 
-def shift_compose(alpha: RGraphMorphism, sm_source_eps, sm_target_eps,
-                  sm_target_2eps) -> RGraphMorphism:
-    """Turn alpha: f -> smooth(g, eps) into the shifted composite
-    smooth(f, eps) -> smooth(g, 2*eps): each window component of f maps to
-    the doubled window component of g carrying its image."""
-    eps = sm_target_eps.epsilon
-    if sm_target_eps.smoothed != alpha.target:
+def shift_compose(alpha: RGraphMorphism, sm_source, sm_target,
+                  sm_total) -> RGraphMorphism:
+    """Turn alpha: f -> smooth(g, s) into the shifted composite
+    smooth(f, r) -> smooth(g, r + s), given sm_source = smooth(f, r),
+    sm_target = smooth(g, s) and sm_total = smooth(g, r + s): each window
+    component of f maps to the wider window component of g carrying its
+    image."""
+    if sm_target.smoothed != alpha.target:
         raise ValidationError("alpha's target is not the given smoothing")
-    if (sm_source_eps.source != alpha.source
-            or sm_target_2eps.source != sm_target_eps.source):
+    if sm_source.source != alpha.source or sm_total.source != sm_target.source:
         raise ValidationError("smoothing results do not match the morphism's endpoints")
-    if sm_source_eps.epsilon != eps or sm_target_2eps.epsilon != 2 * eps:
-        raise ValidationError("smoothing results taken at a different epsilon")
-    return transport(sm_source_eps.smoothed,
-                     smoothed_pull(alpha, sm_source_eps, sm_target_eps),
-                     sm_target_2eps)
+    if sm_total.epsilon != sm_source.epsilon + sm_target.epsilon:
+        raise ValidationError(
+            f"total smoothing radius {format_rational(sm_total.epsilon)} is not "
+            f"the source radius {format_rational(sm_source.epsilon)} plus the "
+            f"target radius {format_rational(sm_target.epsilon)}")
+    return transport(sm_source.smoothed,
+                     smoothed_pull(alpha, sm_source, sm_target), sm_total)

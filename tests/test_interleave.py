@@ -220,6 +220,44 @@ class TestCertificateAlgebra:
         ok, msg = reeb.verify_certificate(shrunk)
         assert ok, msg
 
+    def test_contract_and_compose_reuse_the_smoothings_they_hold(self, monkeypatch):
+        # contraction smooths f and g at delta and eps + delta, their
+        # delta-smoothings at eps and 2 eps; composition f and h at the
+        # summed radius and its double
+        calls = []
+        sweep = reeb.smoothing.smooth_sweep
+        monkeypatch.setattr(reeb.smoothing, "smooth_sweep",
+                            lambda g, eps: calls.append(eps) or sweep(g, eps))
+        cert = loop_certificate()
+        mid = reeb.self_certificate(cert.sm_g.source, Fraction(1, 7))
+        del calls[:]
+        reeb.contract_certificate(cert, Fraction(1, 10))
+        assert len(calls) == 8
+        del calls[:]
+        reeb.compose_certificates(cert, mid)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 10)])
+    def test_contract_at_zero_radii(self, delta):
+        # a radius-0 contraction, and contractions of a radius-0 certificate
+        for cert in (loop_certificate(), reeb.self_certificate(reeb.fork(), 0)):
+            shrunk = reeb.contract_certificate(cert, delta)
+            assert shrunk.epsilon == cert.epsilon
+            ok, msg = reeb.verify_certificate(shrunk)
+            assert ok, msg
+
+    def test_compose_with_a_radius_zero_certificate_on_either_side(self):
+        cert = loop_certificate()
+        f, g = cert.sm_f.source, cert.sm_g.source
+        for c1, c2 in ((reeb.self_certificate(f, 0), cert),
+                       (cert, reeb.self_certificate(g, 0)),
+                       (reeb.self_certificate(f, 0), reeb.self_certificate(f, 0))):
+            both = reeb.compose_certificates(c1, c2)
+            assert both.epsilon == c1.epsilon + c2.epsilon
+            assert both.alpha.source is c1.alpha.source
+            ok, msg = reeb.verify_certificate(both)
+            assert ok, msg
+
     @pytest.mark.parametrize("what, prepare", [
         ("smoothing", lambda: partial(
             reeb.smoothing_certificate, reeb.fork(), Fraction(1, 3))),

@@ -9,10 +9,11 @@ from reeb import (RGraphMorphism, ValidationError, build_rgraph, compose,
                   compose_smoothings, fork, identity, invert_isomorphism,
                   is_isomorphism, levelwise_morphism, line, loop,
                   morphism_equal, morphism_first_difference, normal_form,
-                  path_cell_at, point,
-                  random_rgraph, reduce, reduce_collapse, reduce_embed,
+                  path_cell_at, point, random_rgraph, random_stability_pair,
+                  reduce, reduce_collapse, reduce_embed,
                   refine, refine_collapse, refine_embed, shift_compose,
-                  smooth, smooth_morphism, validate_morphism)
+                  smooth, smooth_morphism, stability_certificate,
+                  validate_morphism)
 
 
 def collapse_line_onto_point_family():
@@ -202,13 +203,33 @@ def test_zeta_is_natural(g, a, eps):
                           compose(smooth(g, eps).zeta, smooth_morphism(phi, eps)))
 
 
+stability_certs = st.integers(0, 2**32 - 1).map(
+    lambda seed: stability_certificate(*random_stability_pair(
+        random.Random(seed), max_vertices=5, max_edges=6)))
+
+
 @laws
-@given(graphs, radii)
-def test_shifted_zeta_is_the_iterated_smoothing_witness(g, eps):
-    sm = smooth(g, eps)
-    cs = compose_smoothings(g, eps, eps)
-    assert morphism_equal(shift_compose(sm.zeta, sm, sm, smooth(g, 2 * eps)),
+@given(graphs, radii, radii, stability_certs)
+def test_shifted_zeta_is_the_iterated_smoothing_witness(g, r, s, cert):
+    # the canonical map S_r g -> S_{r+s} g, shifted from zeta or iterated
+    cs = compose_smoothings(g, r, s)
+    sm = smooth(g, s)
+    assert morphism_equal(shift_compose(sm.zeta, cs.first, sm, cs.total),
                           compose(cs.second.zeta, cs.witness))
+    # for any m: A -> S_s B, the shifted composite is the smoothed map
+    # followed by S_r S_s B -> S_{r+s} B
+    m, sm_a = cert.alpha, smooth(cert.alpha.source, r)
+    cb = compose_smoothings(cert.sm_g.source, cert.epsilon, r)
+    assert morphism_equal(shift_compose(m, sm_a, cert.sm_g, cb.total),
+                          compose(smooth_morphism(m, r, sm_a, cb.second), cb.witness))
+
+
+def test_shift_compose_rejects_radii_that_do_not_add_up():
+    g = loop(0, 1)
+    sm = smooth(g, Fraction(1, 4))
+    with pytest.raises(ValidationError, match=r"^total smoothing radius 1/3 is not "
+                       r"the source radius 1/5 plus the target radius 1/4$"):
+        shift_compose(sm.zeta, smooth(g, Fraction(1, 5)), sm, smooth(g, Fraction(1, 3)))
 
 
 @laws

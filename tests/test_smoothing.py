@@ -7,13 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reeb import (NaiveDynForest, ValidationError, build_rgraph,
-                  collision_free_epsilon, compose_smoothings, emit_morphism,
-                  emit_rgraph, fork, is_cosheaf_iso, is_isomorphic,
-                  is_isomorphism, line, loop, morphism_equal, num_components,
-                  point, random_rgraph, reduce, reeb_cosheaf, smooth,
-                  smooth_cosheaf, smooth_naive, smooth_sweep, validate,
-                  validate_morphism)
+from reeb import (NaiveDynForest, SimplicialField, ValidationError,
+                  build_rgraph, collision_free_epsilon, compose_smoothings,
+                  emit_morphism, emit_rgraph, fork, is_cosheaf_iso,
+                  is_isomorphic, is_isomorphism, line, loop, morphism_equal,
+                  num_components, point, random_rgraph, reduce, reeb_cosheaf,
+                  reeb_of_complex, smooth, smooth_cosheaf, smooth_naive,
+                  smooth_sweep, validate, validate_morphism)
 from reeb import cli, smoothing
 from reeb.core import keyed_name
 from reeb.dynconn import walk_positions
@@ -218,6 +218,33 @@ def test_sweep_matches_both_oracles(seed, radius):
     assert morphism_equal(sweep.zeta, naive.zeta)
     assert is_cosheaf_iso(reeb_cosheaf(sweep.smoothed),
                           smooth_cosheaf(reeb_cosheaf(g), eps)) is not None
+
+
+def thickening(g, eps):
+    """X x [-eps, eps] under f(x) + t as a simplicial field: each vertex v
+    becomes an edge from v- to v+, each edge u -> w a square cut by its
+    diagonal u- w+. The function is linear on the square, so the field
+    is exact."""
+    values, edges, triangles = {}, {}, {}
+    for v in g.vertex_ids:
+        values[f"{v}-"], values[f"{v}+"] = g.value(v) - eps, g.value(v) + eps
+        edges[f"|{v}"] = (f"{v}-", f"{v}+")
+    for e in g.edge_ids:
+        u, w = g.endpoints(e)
+        edges[f"{e}-"] = (f"{u}-", f"{w}-")
+        edges[f"{e}+"] = (f"{u}+", f"{w}+")
+        edges[f"/{e}"] = (f"{u}-", f"{w}+")
+        triangles[f"{e}<"] = (f"|{u}", f"{e}+", f"/{e}")
+        triangles[f"{e}>"] = (f"{e}-", f"|{w}", f"/{e}")
+    return SimplicialField(values, edges, triangles)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), RADII)
+def test_smoothing_is_the_reeb_graph_of_the_thickening(seed, radius):
+    g, eps = draw(seed, radius)
+    assert is_isomorphic(smooth(g, eps).smoothed,
+                         reeb_of_complex(thickening(g, eps)).graph) is not None
 
 
 def path(m):
