@@ -1,13 +1,14 @@
 """Command line front end.
 
-Exit codes: 0 for success (and for positive answers), 1 for parse or
-validation failures and definitive negative answers, 2 when a search
-gave up on its node budget.
+Exit codes: 0 for success (and for positive answers), 1 for usage,
+parse or validation failures and definitive negative answers, 2 when a
+search gave up on its node budget.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -40,8 +41,26 @@ def _bound(token: str):
     return parse_rational(token)
 
 
+class _UsageError(Exception):
+    """A command line that does not match the usage; carries the text to print."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with this program's exit codes and bounds: a usage error
+    is bad input (exit 1, as 2 means an exhausted budget), and negative
+    rationals such as -1/2 and the bound -inf read as values, not options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own test for "a negative number, hence a positional"
+        self._negative_number_matcher = re.compile(r"^-(\d*\.?\d+(/\d+)?|inf)$")
+
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reeb",
         description="Graphs over the real line: validation, smoothing, "
                     "cosheaf evaluation, interleaving search.")
@@ -153,7 +172,11 @@ def _run(args, out) -> int:
 def main(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=err)
+        return 1
     try:
         return _run(args, out)
     except BudgetExceeded as exc:

@@ -20,12 +20,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .core import RGraph, _assemble, _build, build_rgraph
+from .core import RGraph, _assemble, build_rgraph
+from .dynconn import RollbackUnionFind
 from .errors import InternalError, ParseError, ValidationError
 from .morphism import RGraphMorphism
-from .rationals import format_rational, parse_rational
-from .unionfind import UnionFind
+from .rationals import as_rational, format_rational, parse_rational
 
 
 def _records(text: str):
@@ -174,82 +175,119 @@ class ComplexReeb:
 
 def reeb_of_complex(field: SimplicialField) -> ComplexReeb:
     """The Reeb graph of the piecewise linear map the field describes, as a
-    quotient of its 1-skeleton refined at the vertex values: horizontal
-    edges and triangles merge the cells they connect, so each class is one
-    component of a level set at a vertex value (a graph vertex) or of the
-    preimage of a gap between values (a graph edge). A class is named by
+    quotient of its 1-skeleton refined at the vertex values.
+
+    The distinct values are ranked once into levels; a position is then an
+    integer code, 2k for level k and 2k+1 for the gap (slot) above it. The
+    complex vertices are cells 0..n-1 in field order, and an edge rising
+    from code lo to code hi owns a block of hi-lo-1 cells, its pieces at
+    codes lo+1 .. hi-1: segments over the slots alternating with interior
+    points at the levels between. One union-find merges the ends of each
+    horizontal edge and, at each code strictly inside a triangle's span,
+    the piece of its long edge with the piece of a shorter edge, or with
+    the middle vertex at its level. Each class is a component of a level
+    set (a graph vertex) or of a gap's preimage (a graph edge), named by
     the sorted `v:`/`e:` ids of its cells, plus `t:` for each triangle
-    spanning a gap, then `@value` or `@(lo,hi)`."""
-    vals = field.values
-    rising = {f"e:{e}": tuple(f"v:{v}" for v in sorted(ends, key=vals.__getitem__))
-              for e, ends in field.edges.items() if vals[ends[0]] != vals[ends[1]]}
-    g, segs, splits = _build({f"v:{v}": x for v, x in vals.items()}, rising, ())
-    owner = {s: e for e, pieces in segs.items() for s in pieces}
-    level = g.vertex_level
+    over the gap, then `@value` or `@(lo,hi)`."""
+    ids = list(field.values)
+    xs = [as_rational(x) for x in field.values.values()]
+    # rank as integers over the common denominator
+    den = lcm(*{x.denominator for x in xs})
+    keys = [x.numerator * (den // x.denominator) for x in xs]
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    level = [rank[k] for k in keys]
+    criticals: list = [None] * len(rank)
+    for x, k in zip(xs, level):
+        criticals[k] = x
+    fmt = [format_rational(c) for c in criticals]
+    at = [f"({fmt[w // 2]},{fmt[w // 2 + 1]})" if w & 1 else fmt[w // 2]
+          for w in range(2 * len(fmt) - 1)]
 
-    def piece(e: str, j: int) -> str:
-        """The segment of the skeleton edge e over slot j."""
-        return segs[e][j - level[rising[e][0]]]
-
-    uf = UnionFind((*g.vertex_ids, *g.edge_ids))
-    for a, b in field.edges.values():
-        if vals[a] == vals[b]:
-            uf.union(f"v:{a}", f"v:{b}")
-    triangles_over: dict[str, list[str]] = {}   # long edge's segment -> triangles
-    for t, sides in field.triangles.items():
-        edge_of = {frozenset(field.edges[e]): f"e:{e}" for e in sides}
-        corners = {v for pair in edge_of for v in pair}
-        if len(edge_of) != 3 or len(corners) != 3:
-            raise ValidationError(f"the edges of triangle {t!r} do not close up")
-        x, y, z = sorted(corners, key=vals.__getitem__)
-        lo, mid, hi = (level[f"v:{v}"] for v in (x, y, z))
+    number = {v: i for i, v in enumerate(ids)}
+    ref = [f"v:{v}" for v in ids]           # per cell: the id it names
+    code = [2 * k for k in level]           # per cell: its code
+    # per edge: (lower end, upper end, offset): its piece at code w is
+    # cell offset + w
+    chains: dict[str, tuple[int, int, int]] = {}
+    horizontal = []
+    for e, (a, b) in field.edges.items():
+        for v in (a, b):
+            if v not in number:
+                raise ValidationError(f"edge {e!r}: unknown vertex {v!r}")
+        if a == b:
+            raise ValidationError(f"edge {e!r} repeats vertex {a!r}")
+        a, b = number[a], number[b]
+        lo, hi = code[a], code[b]
+        if (lo, a) > (hi, b):
+            a, b, lo, hi = b, a, hi, lo
+        chains[e] = (a, b, len(ref) - lo - 1)
         if lo == hi:
-            continue
-        # x-z spans every slot from lo to hi, x-y those below mid and
-        # y-z those above; a horizontal side spans none
-        long, low, high = (edge_of[frozenset(p)] for p in ((x, z), (x, y), (y, z)))
-        for j in range(lo, hi):
-            seg = piece(long, j)
-            uf.union(seg, piece(low if j < mid else high, j))
-            triangles_over.setdefault(seg, []).append(f"t:{t}")
-        for k in range(lo + 1, hi):
-            uf.union(g.down[k][piece(long, k)], f"v:{y}" if k == mid
-                     else g.down[k][piece(low if k < mid else high, k)])
+            horizontal.append((a, b))
+        else:
+            ref += [f"e:{e}"] * (hi - lo - 1)
+            code += range(lo + 1, hi)
+    uf = RollbackUnionFind(len(ref))
+    union = uf.union
+    for a, b in horizontal:
+        union(a, b)
 
-    def classes(cells, refs, where: str) -> dict[str, list[str]]:
-        """The classes among cells, by name, each with its members."""
-        groups: dict[str, list[str]] = {}
-        for c in cells:
-            groups.setdefault(uf.find(c), []).append(c)
-        return {"{" + ",".join(sorted(r for c in members for r in refs(c))) + "}@" + where:
-                members for members in groups.values()}
+    over: list[tuple[int, str]] = []     # (long edge's segment, triangle ref)
+    for t, sides in field.triangles.items():
+        try:
+            trio = [chains[e] for e in sides]
+        except KeyError as exc:
+            raise ValidationError(f"triangle {t!r}: unknown edge "
+                                  f"{exc.args[0]!r}") from None
+        if (len(trio) != 3 or len({(a, b) for a, b, _ in trio}) != 3
+                or len({c for a, b, _ in trio for c in (a, b)}) != 3):
+            raise ValidationError(f"the edges of triangle {t!r} do not close up")
+        # the long edge x-z spans every code from lo to hi, x-y those below
+        # mid and y-z those above; a horizontal side spans none
+        spans = [code[b] - code[a] for a, b, _ in trio]
+        i = spans.index(max(spans))
+        x, z, long = trio[i]
+        lo, hi = code[x], code[z]
+        p, q = trio[i - 1], trio[i - 2]
+        low, high = (p, q) if x in p[:2] else (q, p)
+        y = low[1] if low[0] == x else low[0]
+        mid = code[y]
+        for w in range(lo + 1, mid):
+            union(long + w, low[2] + w)
+        if lo < mid < hi:
+            union(long + mid, y)
+        for w in range(mid + 1, hi):
+            union(long + w, high[2] + w)
+        tref = f"t:{t}"
+        over += ((long + w, tref) for w in range(lo + 1, hi, 2))
 
-    name: dict[str, str] = {}
-    level_names = []
-    for k, lev in enumerate(g.levels):
-        named = classes(lev, lambda c: (splits.get(c, c),), format_rational(g.criticals[k]))
-        for n, members in named.items():
-            name.update((c, n) for c in members)
-        level_names.append(list(named))
-    slot_names, down_maps, up_maps = [], [], []
-    for j, slot in enumerate(g.slots):
-        lo, hi = g.criticals[j], g.criticals[j + 1]
-        where = f"({format_rational(lo)},{format_rational(hi)})"
-        named = classes(slot, lambda c: (owner[c], *triangles_over.get(c, ())), where)
-        down, up = {}, {}
-        for n, members in named.items():
-            downs = {name[g.down[j][s]] for s in members}
-            ups = {name[g.up[j][s]] for s in members}
-            if len(downs) != 1 or len(ups) != 1:
-                raise InternalError(f"gap component {n} at slot {j} touches several "
-                                    "level components")
-            down[n], up[n] = downs.pop(), ups.pop()
-        slot_names.append(list(named))
-        down_maps.append(down)
-        up_maps.append(up)
+    root = list(map(uf.find, range(len(ref))))
+    refs: dict[int, list[str]] = {}
+    for r, s in zip(root, ref):
+        refs.setdefault(r, []).append(s)
+    for c, s in over:
+        refs[root[c]].append(s)
+    name = [""] * len(ref)
+    level_names: list[list[str]] = [[] for _ in criticals]
+    for r, rs in refs.items():
+        name[r] = "{" + ",".join(sorted(rs)) + "}@" + at[code[r]]
+        if not code[r] & 1:
+            level_names[code[r] // 2].append(name[r])
 
-    graph = _assemble(g.criticals, level_names, slot_names, down_maps, up_maps)
-    return ComplexReeb(graph, {v: name[f"v:{v}"] for v in vals})
+    down_maps: list[dict[str, str]] = [{} for _ in criticals[1:]]
+    up_maps: list[dict[str, str]] = [{} for _ in criticals[1:]]
+    for a, b, offset in chains.values():
+        lo, hi = code[a], code[b]
+        for w in range(lo + 1, hi, 2):
+            n, j = name[root[offset + w]], w // 2
+            d = name[root[a if w == lo + 1 else offset + w - 1]]
+            u = name[root[b if w == hi - 1 else offset + w + 1]]
+            if down_maps[j].setdefault(n, d) != d or up_maps[j].setdefault(n, u) != u:
+                raise InternalError(f"gap component {n} at slot {j} touches "
+                                    "several level components")
+
+    graph = _assemble(criticals, level_names, [list(m) for m in down_maps],
+                      down_maps, up_maps)
+    return ComplexReeb(graph, {v: name[root[i]] for i, v in enumerate(ids)})
 
 
 # ---------------------------------------------------------------------------

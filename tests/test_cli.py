@@ -1,6 +1,10 @@
 """Command line behavior: outputs and exit codes per subcommand."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,33 @@ class TestCosheafEval:
         assert code == 0
         assert out == "e0 v0 v1\n"
 
+    @pytest.mark.parametrize("lo,hi,want", [
+        ("-1/2", "1", "e0 e1 v0\n"),
+        ("-inf", "1/2", "e0 e1 v0\n"),
+        ("-0.5", "1", "e0 e1 v0\n"),
+        ("-inf", "inf", "e0 e1 v0 v1\n"),
+        ("-3", "-1/2", ""),
+    ])
+    def test_negative_bounds_need_no_separator(self, files, lo, hi, want):
+        assert run("cosheaf-eval", files["loop"], lo, hi) == (0, want, "")
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        (), ("smooth",), ("cosheaf-eval", "x.rg", "-1/2"), ("frobnicate",),
+        ("validate", "x.rg", "--bogus"),
+    ])
+    def test_usage_errors_are_bad_input(self, argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: reeb") and "error:" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: reeb")
+
 
 class TestCheckInterleave:
     def test_positive(self, files):
@@ -167,3 +198,20 @@ class TestExportDot:
         code, out, _ = run("export-dot", files["line"], "--no-rank")
         assert code == 0
         assert "rank=same" not in out
+
+
+class TestOptimizedMode:
+    """Under -O, which strips `assert`, the command line answers exactly as
+    it does in process."""
+
+    @pytest.mark.parametrize("argv", [("reeb", "octa"), ("smooth", "loop", "3/2"),
+                                      ("reeb", "broken")])
+    def test_same_output_and_exit_code(self, files, argv):
+        argv = [files.get(a, a) for a in argv]
+        src = str(Path(reeb.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-O", "-m", "reeb.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        code, out, err = run(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -66,6 +66,60 @@ def torus_field(heights, columns):
     return SimplicialField(vals, edges, tris)
 
 
+def ledge_field():
+    """A horizontal side (ab, under triangle T1), a flat triangle (T2, all
+    at 0), a triangle with a middle vertex (T3) and a lone edge (gc) that
+    crosses the level of d."""
+    return SimplicialField(
+        {"a": Fraction(0), "b": Fraction(0), "c": Fraction(2), "d": Fraction(1),
+         "e": Fraction(0), "g": Fraction(1, 2)},
+        {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c"), "ae": ("a", "e"),
+         "be": ("b", "e"), "ad": ("a", "d"), "dc": ("d", "c"), "gc": ("g", "c")},
+        {"T1": ("ab", "bc", "ac"), "T2": ("ab", "be", "ae"),
+         "T3": ("ad", "dc", "ac")})
+
+
+# `reeb` output for the fixtures above, frozen: the names are part of the
+# file format, so a rewrite of reeb_of_complex must reproduce them exactly
+OCTAHEDRON_REEB = (
+    'criticals -2 0 2\n'
+    'vertex {v:s}@-2 -2\n'
+    'vertex {v:a,v:b,v:c,v:d}@0 0\n'
+    'vertex {v:n}@2 2\n'
+    'edge {e:sa,e:sb,e:sc,e:sd,t:S0,t:S1,t:S2,t:S3}@(-2,0) {v:s}@-2 {v:a,v:b,v:c,v:d}@0\n'
+    'edge {e:na,e:nb,e:nc,e:nd,t:N0,t:N1,t:N2,t:N3}@(0,2) {v:a,v:b,v:c,v:d}@0 {v:n}@2\n'
+)
+TORUS_REEB = (
+    'criticals 0 1 2\n'
+    'vertex {v:x0.0,v:x0.1,v:x0.2}@0 0\n'
+    'vertex {v:x1.0,v:x1.1,v:x1.2}@1 1\n'
+    'vertex {v:x3.0,v:x3.1,v:x3.2}@1 1\n'
+    'vertex {v:x2.0,v:x2.1,v:x2.2}@2 2\n'
+    'edge {e:x0.0~x1.0,e:x0.0~x1.1,e:x0.1~x1.1,e:x0.1~x1.2,e:x0.2~x1.0,e:x0.2~x1.2,'
+    't:T0,t:T1,t:T2,t:T3,t:T4,t:T5}@(0,1) {v:x0.0,v:x0.1,v:x0.2}@0 {v:x1.0,v:x1.1,v:x1.2}@1\n'
+    'edge {e:x0.0~x3.0,e:x0.0~x3.2,e:x0.1~x3.0,e:x0.1~x3.1,e:x0.2~x3.1,e:x0.2~x3.2,'
+    't:T18,t:T19,t:T20,t:T21,t:T22,t:T23}@(0,1) {v:x0.0,v:x0.1,v:x0.2}@0 {v:x3.0,v:x3.1,v:x3.2}@1\n'
+    'edge {e:x1.0~x2.0,e:x1.0~x2.1,e:x1.1~x2.1,e:x1.1~x2.2,e:x1.2~x2.0,e:x1.2~x2.2,'
+    't:T10,t:T11,t:T6,t:T7,t:T8,t:T9}@(1,2) {v:x1.0,v:x1.1,v:x1.2}@1 {v:x2.0,v:x2.1,v:x2.2}@2\n'
+    'edge {e:x2.0~x3.0,e:x2.0~x3.1,e:x2.1~x3.1,e:x2.1~x3.2,e:x2.2~x3.0,e:x2.2~x3.2,'
+    't:T12,t:T13,t:T14,t:T15,t:T16,t:T17}@(1,2) {v:x3.0,v:x3.1,v:x3.2}@1 {v:x2.0,v:x2.1,v:x2.2}@2\n'
+)
+LEDGE_REEB = (
+    'criticals 0 1/2 1 2\n'
+    'vertex {v:a,v:b,v:e}@0 0\n'
+    'vertex {e:ac,e:ad,e:bc}@1/2 1/2\n'
+    'vertex {v:g}@1/2 1/2\n'
+    'vertex {e:ac,e:bc,v:d}@1 1\n'
+    'vertex {e:gc}@1 1\n'
+    'vertex {v:c}@2 2\n'
+    'edge {e:ac,e:ad,e:bc,t:T1,t:T3}@(0,1/2) {v:a,v:b,v:e}@0 {e:ac,e:ad,e:bc}@1/2\n'
+    'edge {e:ac,e:ad,e:bc,t:T1,t:T3}@(1/2,1) {e:ac,e:ad,e:bc}@1/2 {e:ac,e:bc,v:d}@1\n'
+    'edge {e:gc}@(1/2,1) {v:g}@1/2 {e:gc}@1\n'
+    'edge {e:ac,e:bc,e:dc,t:T1,t:T3}@(1,2) {e:ac,e:bc,v:d}@1 {v:c}@2\n'
+    'edge {e:gc}@(1,2) {e:gc}@1 {v:c}@2\n'
+)
+
+
 class TestGraphFiles:
     def test_parse_basic(self):
         text = """
@@ -187,6 +241,59 @@ class TestReebOfComplex:
             {"T": ("ab", "bc", "ad")})
         with pytest.raises(reeb.ValidationError, match="'T' do not close up"):
             reeb.reeb_of_complex(field)
+
+    @pytest.mark.parametrize("field,text", [
+        (octahedron_field, OCTAHEDRON_REEB),
+        (lambda: torus_field([0, 1, 2, 1], 3), TORUS_REEB),
+        (ledge_field, LEDGE_REEB),
+    ], ids=["octahedron", "torus", "ledge"])
+    def test_frozen_output(self, field, text):
+        res = reeb.reeb_of_complex(field())
+        assert reeb.emit_rgraph(res.graph) == text
+        assert set(res.vertex_image.values()) <= set(res.graph.vertex_ids)
+
+    def test_frozen_vertex_image(self):
+        image = reeb.reeb_of_complex(ledge_field()).vertex_image
+        assert image == {"a": "{v:a,v:b,v:e}@0", "b": "{v:a,v:b,v:e}@0",
+                         "e": "{v:a,v:b,v:e}@0", "c": "{v:c}@2",
+                         "d": "{e:ac,e:bc,v:d}@1", "g": "{v:g}@1/2"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_names_do_not_depend_on_insertion_order(self, seed):
+        rng = random.Random(seed)
+        field = reeb.random_field(rng, max_vertices=12, max_triangles=10,
+                                  denominator=rng.randint(1, 3))
+
+        def shuffled(d):
+            items = list(d.items())
+            rng.shuffle(items)
+            return dict(items)
+
+        again = SimplicialField(shuffled(field.values), shuffled(field.edges),
+                                shuffled(field.triangles))
+        a, b = reeb.reeb_of_complex(field), reeb.reeb_of_complex(again)
+        assert reeb.emit_rgraph(a.graph) == reeb.emit_rgraph(b.graph)
+        assert a.vertex_image == b.vertex_image
+
+    @pytest.mark.parametrize("edges,triangles,hint", [
+        ({"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")},
+         {"T": ("ab", "bc", "cd")}, "triangle 'T': unknown edge 'cd'"),
+        ({"ab": ("a", "b"), "bz": ("b", "z")}, {}, "edge 'bz': unknown vertex 'z'"),
+        ({"ab": ("a", "b"), "bb": ("b", "b")}, {}, "edge 'bb' repeats vertex 'b'"),
+    ], ids=["unknown-edge", "unknown-vertex", "self-loop"])
+    def test_malformed_fields_built_in_code(self, edges, triangles, hint):
+        field = SimplicialField(
+            {v: Fraction(k) for k, v in enumerate("abc")}, edges, triangles)
+        with pytest.raises(reeb.ValidationError) as info:
+            reeb.reeb_of_complex(field)
+        assert str(info.value) == hint
+
+    def test_values_are_exact(self):
+        field = SimplicialField({"a": 0, "b": Fraction(1, 2)}, {"ab": ("a", "b")}, {})
+        assert reeb.reeb_of_complex(field).graph.criticals == (0, Fraction(1, 2))
+        with pytest.raises(ParseError, match="not a rational value"):
+            reeb.reeb_of_complex(SimplicialField({"a": 0.5}, {}, {}))
 
     def test_random_fields_match_component_count(self):
         rng = random.Random(5)
