@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from .cosheaf import evaluate, interval, reeb_cosheaf
@@ -59,6 +60,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+@cache         # built on the first call and reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="reeb",

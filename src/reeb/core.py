@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ValidationError
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, scaled
 from .unionfind import UnionFind
 
 
@@ -109,7 +109,7 @@ class RGraph:
 
 def _assemble(criticals, levels, slots, down, up) -> RGraph:
     """Normalize raw pieces into the canonical sorted representation."""
-    crit = tuple(Fraction(c) for c in criticals)
+    crit = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in criticals)
     lev = tuple(tuple(sorted(l)) for l in levels)
     slo = tuple(tuple(sorted(s)) for s in slots)
     dn = tuple({e: d[e] for e in s} for s, d in zip(slo, down))
@@ -213,13 +213,11 @@ def _build(vertices, edges, extra_criticals):
     if isinstance(vertices, dict):
         vertices = vertices.items()
     values: dict[str, Fraction] = {}
-    order: list[str] = []
     for vid, val in vertices:
         vid = str(vid)
         if vid in values:
             raise ValidationError(f"duplicate vertex id {vid!r}")
         values[vid] = as_rational(val)
-        order.append(vid)
     edge_list: list[tuple[str, str, str]] = []
     eids: set[str] = set()
     for eid, lo, hi in _edge_triples(edges):
@@ -231,11 +229,18 @@ def _build(vertices, edges, extra_criticals):
     if clash:
         raise ValidationError(f"ids used for both a vertex and an edge: {sorted(clash)}")
 
-    crit = sorted({as_rational(c) for c in extra_criticals} | set(values.values()))
-    index = {c: k for k, c in enumerate(crit)}
+    # rank every value once, as integers over the common denominator
+    xs = [*values.values(), *map(as_rational, extra_criticals)]
+    _, keys = scaled(xs)
+    rank = {key: k for k, key in enumerate(sorted(set(keys)))}
+    crit: list = [None] * len(rank)
+    for x, key in zip(xs, keys):
+        crit[rank[key]] = x
+    level = {vid: rank[key] for vid, key in zip(values, keys)}
     levels: list[list[str]] = [[] for _ in crit]
-    for vid in order:
-        levels[index[values[vid]]].append(vid)
+    for vid, k in level.items():
+        levels[k].append(vid)
+    fmt: list[str | None] = [None] * len(crit)      # each split critical's text
     n_slots = max(0, len(crit) - 1)
     slots: list[list[str]] = [[] for _ in range(n_slots)]
     down: list[dict[str, str]] = [{} for _ in range(n_slots)]
@@ -248,7 +253,7 @@ def _build(vertices, edges, extra_criticals):
         for end in (lo, hi):
             if end not in values:
                 raise ValidationError(f"edge {eid!r}: unknown vertex {end!r}")
-        i, j = index[values[lo]], index[values[hi]]
+        i, j = level[lo], level[hi]
         if i >= j:
             raise ValidationError(
                 f"edge {eid!r} must rise: need f({lo!r}) < f({hi!r}), "
@@ -265,7 +270,8 @@ def _build(vertices, edges, extra_criticals):
                 if k + 1 == j:
                     top = hi
                 else:
-                    top = _fresh(f"{eid}@{format_rational(crit[k + 1])}", used)
+                    fmt[k + 1] = fmt[k + 1] or format_rational(crit[k + 1])
+                    top = _fresh(f"{eid}@{fmt[k + 1]}", used)
                     levels[k + 1].append(top)
                     split_vertices[top] = eid
                 seg = _fresh(f"{eid}:{k - i}", used)

@@ -77,44 +77,66 @@ def walk_positions(uf: RollbackUnionFind, n_positions: int,
                    links: list[tuple[int, int, int, int]]) -> Iterator[int]:
     """Yield 0..n_positions-1 in order. Each link is (first, last, a, b):
     while position p is yielded, `uf` has united a and b for exactly the
-    links with first <= p <= last, and nothing else."""
+    links with first <= p <= last, and nothing else. Links sharing a
+    lifetime (first, last) go on the segment tree once, as one group, and
+    the walk unites and rolls back on `uf`'s own lists."""
     size = 1
     while size < n_positions:
         size *= 2
-    # the nodes of a bottom-up segment tree covering each link's range
-    # (node 1 is the root and leaf p is node size + p). Each node's links
-    # are chained through one flat list of (link index, older entry) pairs
-    # rather than a list per node, which the cyclic collector would have
-    # to scan for as long as the walk lasts.
-    head: dict[int, int] = {}
-    chain: list[int] = []
-    for i, (first, last, _, _) in enumerate(links):
+    lifetimes: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    for link in links:
+        lifetimes.setdefault(link[:2], []).append(link)
+    # the nodes of a bottom-up segment tree covering each lifetime (node 1
+    # is the root and leaf p is node size + p). Each node's groups are
+    # chained through one flat list of (group, older entry) pairs from
+    # `head`, its newest entry or -1.
+    head = [-1] * (2 * size)
+    chain: list = []
+    for (first, last), group in lifetimes.items():
         lo, hi = first + size, last + size + 1
         while lo < hi:
             if lo & 1:
-                chain += (i, head.get(lo, -1))
+                chain += (group, head[lo])
                 head[lo] = len(chain) - 2
                 lo += 1
             if hi & 1:
                 hi -= 1
-                chain += (i, head.get(hi, -1))
+                chain += (group, head[hi])
                 head[hi] = len(chain) - 2
             lo >>= 1
             hi >>= 1
 
-    union, rollback = uf.union, uf.rollback
+    # RollbackUnionFind.union and .rollback, inlined
+    parent, size_of, least, undo = uf.parent, uf.size, uf.least, uf.undo
     # a nonnegative entry is a node to enter; ~count undoes count unions
     stack = [1]
     while stack:
         node = stack.pop()
         if node < 0:
-            rollback(~node)
+            for _ in range(~node):
+                rb, old = undo.pop()
+                ra = parent[rb]
+                parent[rb] = rb
+                size_of[ra] -= size_of[rb]
+                least[ra] = old
             continue
         done = 0
-        entry = head.get(node, -1)
+        entry = head[node]
         while entry >= 0:
-            _, _, a, b = links[chain[entry]]
-            done += union(a, b)
+            for _, _, a, b in chain[entry]:
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a != b:
+                    if size_of[a] < size_of[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    size_of[a] += size_of[b]
+                    undo.append((b, least[a]))
+                    if least[b] < least[a]:
+                        least[a] = least[b]
+                    done += 1
             entry = chain[entry + 1]
         if done:
             stack.append(~done)

@@ -17,16 +17,14 @@ and target.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .core import RGraph, _assemble, build_rgraph
 from .dynconn import RollbackUnionFind
 from .errors import InternalError, ParseError, ValidationError
 from .morphism import RGraphMorphism
-from .rationals import as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational, parse_rational, scaled
 
 
 def _records(text: str):
@@ -91,12 +89,10 @@ def parse_rgraph(text: str) -> RGraph:
 
 def emit_rgraph(g: RGraph) -> str:
     _file_safe(*g.vertex_ids, *g.edge_ids)
-    lines = []
-    if g.criticals:
-        lines.append("criticals " + " ".join(format_rational(c) for c in g.criticals))
-    for level in g.levels:
-        for v in level:
-            lines.append(f"vertex {v} {format_rational(g.value(v))}")
+    fmt = [format_rational(c) for c in g.criticals]
+    lines = ["criticals " + " ".join(fmt)] if fmt else []
+    for level, x in zip(g.levels, fmt):
+        lines += [f"vertex {v} {x}" for v in level]
     for j in range(g.n_slots):
         for e in g.slots[j]:
             lines.append(f"edge {e} {g.down[j][e]} {g.up[j][e]}")
@@ -149,8 +145,9 @@ def parse_field(text: str) -> SimplicialField:
                     raise ParseError(f"unknown edge {e!r}", line=n)
             if len(set(sides)) != 3:
                 raise ParseError(f"triangle {tid!r} repeats an edge", line=n)
-            ends = Counter(v for e in sides for v in edges[e])
-            if len(ends) != 3 or set(ends.values()) != {2}:
+            # three vertices, joined by three distinct pairs
+            pairs = {(a, b) if a < b else (b, a) for a, b in map(edges.get, sides)}
+            if len(pairs) != 3 or len({v for pair in pairs for v in pair}) != 3:
                 raise ParseError(f"the edges of triangle {tid!r} do not close "
                                  "up", line=n)
             triangles[tid] = (sides[0], sides[1], sides[2])
@@ -191,9 +188,7 @@ def reeb_of_complex(field: SimplicialField) -> ComplexReeb:
     over the gap, then `@value` or `@(lo,hi)`."""
     ids = list(field.values)
     xs = [as_rational(x) for x in field.values.values()]
-    # rank as integers over the common denominator
-    den = lcm(*{x.denominator for x in xs})
-    keys = [x.numerator * (den // x.denominator) for x in xs]
+    _, keys = scaled(xs)    # rank as integers over the common denominator
     rank = {k: i for i, k in enumerate(sorted(set(keys)))}
     level = [rank[k] for k in keys]
     criticals: list = [None] * len(rank)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from math import lcm
 
 from .core import RGraph, _build, _edge_triples, num_components, reduce, refine
 from .cosheaf import (Interval, evaluate, expand, extend_map, interval,
@@ -28,7 +27,7 @@ from .morphism import (RGraphMorphism, compose, identity, invert_isomorphism,
                        reduce_collapse, reduce_embed, refine_collapse,
                        refine_embed, shift_compose, smooth_morphism,
                        transport, trim_path, validate_morphism)
-from .rationals import as_radius, as_rational, format_rational
+from .rationals import as_radius, as_rational, format_rational, scaled
 from .smoothing import SmoothingResult, smooth
 
 
@@ -144,8 +143,8 @@ class _Ranks:
     range of doubled positions, 2k on level k and 2k+1 on the slot above
     it, and its components are a union-find over the cells there."""
 
-    def __init__(self, g: RGraph, scale: int):
-        self.crit = [c.numerator * (scale // c.denominator) for c in g.criticals]
+    def __init__(self, g: RGraph, crit: list[int]):
+        self.crit = crit
         num = {c: n for n, c in enumerate((*g.vertex_ids, *g.edge_ids))}
         self.at: list[list[int]] = []        # the cells at each position
         for k, lev in enumerate(g.levels):
@@ -200,10 +199,8 @@ def _refute(f: RGraph, g: RGraph, eps: Fraction) -> Refutation | None:
     """The first interval that breaks the rank bound at eps, or None. Its
     ends are neighbouring or next-but-one candidates s + k eps (k in -2..2,
     s critical in either graph), or unbounded beyond the outermost."""
-    scale = lcm(eps.denominator, *(c.denominator for c in f.criticals),
-                *(c.denominator for c in g.criticals))
-    e = eps.numerator * (scale // eps.denominator)
-    rf, rg = _Ranks(f, scale), _Ranks(g, scale)
+    scale, (e, *crit) = scaled((eps, *f.criticals, *g.criticals))
+    rf, rg = _Ranks(f, crit[:f.n_levels]), _Ranks(g, crit[f.n_levels:])
     ends = [None, *sorted({s + k * e for s in rf.crit + rg.crit
                            for k in range(-2, 3)}), None]
     # per end, each side's positions at 0 and 2 eps in its own graph and at

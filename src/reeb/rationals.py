@@ -10,6 +10,7 @@ format them back out in ``p/q`` text form.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError, ValidationError
 
@@ -52,9 +53,14 @@ def parse_rational(token: str) -> Fraction:
         raise ParseError(f"bad rational token {token!r}: {exc}") from None
 
 
+def scaled(values) -> tuple[int, list[int]]:
+    """The least common denominator of a sequence of rationals, and each times it."""
+    scale = lcm(*{x.denominator for x in values})
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``p`` or ``p/q`` with no whitespace."""
-    value = Fraction(value)
+    """Render a Fraction (or an int) as ``p`` or ``p/q`` with no whitespace."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -37,7 +37,7 @@ from .dynconn import make_forest, walk_positions
 from .errors import InternalError
 from .morphism import (RGraphMorphism, compose, identity, is_isomorphism,
                        morphism_equal, smoothed_pull, transport)
-from .rationals import as_radius
+from .rationals import as_radius, scaled
 
 
 @dataclass(frozen=True)
@@ -234,137 +234,129 @@ class _Record:
 
 
 def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
-    """Single pass over the output criticals. Every edge-endpoint link's
-    window lifetime is known up front, so `walk_positions` replays them
-    through a rolling-back union-find that holds the window at each level
-    and each gap in turn; a level names the components an event touches
-    and seals their records, the gap above it opens their successors.
-    Cells are numbered in name order, so the least cell a union-find root
-    holds names its component, and no component is walked."""
+    """Single pass over the output criticals, on integers: eps and S times
+    their least common denominator. Every edge-endpoint link's window
+    lifetime is known up front, so `walk_positions` replays them through
+    a rolling-back union-find that holds the window at each level and
+    each gap in turn; a level names the components an event touches and
+    seals their records, the gap above it opens their successors. Cells
+    are numbered in name order, so the least cell a union-find root holds
+    names its component, and no component is walked."""
     eps = as_radius(eps, "smoothing")
     if eps == 0:
         return _relabel_zero(g)
-    S = g.criticals
-    # B merges the two sorted shifts of S; each input critical enters the
-    # window at B[enter[i]] = S[i] - eps and leaves it at B[leave[i]] = S[i] + eps
-    lows = [s - eps for s in S]
-    highs = [s + eps for s in S]
-    B, enter, leave = [], [], []
-    i = j = 0
-    while j < len(highs):
-        b = lows[i] if i < len(lows) and lows[i] <= highs[j] else highs[j]
-        if i < len(lows) and lows[i] == b:
-            enter.append(len(B))
-            i += 1
-        if highs[j] == b:
-            leave.append(len(B))
-            j += 1
-        B.append(b)
+    scale, (e, *S) = scaled((eps, *g.criticals))
+    # B is the union of the two shifts of S; each input critical enters the
+    # window at B[enter[i]] = S[i] - eps and leaves it at B[leave[i]] = S[i] + eps,
+    # and sits at doubled position pos[i] (2k on B[k], 2k+1 in the gap above it)
+    B = sorted({*(s - e for s in S), *(s + e for s in S)})
     K = len(B)
+    index = {b: k for k, b in enumerate(B)}
+    enter = [index[s - e] for s in S]
+    leave = [index[s + e] for s in S]
+    pos = [2 * index[s] if s in index else 2 * bisect.bisect_left(B, s) - 1 for s in S]
+    B = [Fraction(b, scale) for b in B]
 
-    # each input critical's doubled position on B (2k on B[k], 2k+1 in the
-    # gap above it), by one merge pass
-    pos: list[int] = []
-    k = 0
-    for s in S:
-        while B[k] < s:
-            k += 1
-        pos.append(2 * k if B[k] == s else 2 * k - 1)
-
-    # the input level entering or leaving the window at each level (at
-    # most one: enter and leave increase), and the input vertices lying at
-    # each position
-    entering_at = dict(zip(enter, g.levels))
-    leaving_at = dict(zip(leave, g.levels))
-    lying_at: dict[int, tuple[str, ...]] = {}
-    for p, lev in zip(pos, g.levels):
-        lying_at[p] = lying_at.get(p, ()) + lev
-
-    # each edge-endpoint link lives over the doubled positions where both
-    # ends are in the window: a vertex at S[i] is there over
-    # [2 enter[i], 2 leave[i]], an edge over slot j over
-    # [2 enter[j] + 1, 2 leave[j + 1] - 1]
+    # cells are numbered in name order. Per output level k, the cells whose
+    # components it names (input vertices entering the window there, then
+    # those leaving: one input level each at most), those that open records
+    # in the gap above (entering vertices, edges over leaving ones) and
+    # those whose records it seals (leaving vertices, edges under entering
+    # ones); per position, the input vertices lying there
     cells = sorted((*g.vertex_ids, *g.edge_ids))
     num = {c: n for n, c in enumerate(cells)}
+    levels = [tuple([num[v] for v in lev]) for lev in g.levels]
+    touch, opens, seals = [()] * K, [()] * K, [()] * K
+    lying_at: list[tuple[int, ...]] = [()] * (2 * K - 1)
+    for lev, k, p in zip(levels, enter, pos):
+        touch[k] += lev
+        opens[k] += lev
+        lying_at[p] += lev
+    for lev, k in zip(levels, leave):
+        touch[k] += lev
+        seals[k] += lev
+
+    # each edge-endpoint link lives over the doubled positions where both
+    # ends are in the window: a vertex at S[i] is there over [2 enter[i],
+    # 2 leave[i]], an edge over slot j over [2 enter[j] + 1, 2 leave[j + 1] - 1].
+    # `meeting` lists per output slot the input edges whose open span meets it
     links: list[tuple[int, int, int, int]] = []
+    meeting: list[tuple[int, ...]] = [()] * max(0, K - 1)
     for j, slot in enumerate(g.slots):
         lower = (2 * enter[j] + 1, 2 * leave[j])
         upper = (2 * enter[j + 1], 2 * leave[j + 1] - 1)
-        for e in slot:
-            links.append((*lower, num[e], num[g.down[j][e]]))
-            links.append((*upper, num[e], num[g.up[j][e]]))
+        # by lower end: a level lists its vertices in number order
+        ends = sorted((num[g.down[j][x]], num[x], num[g.up[j][x]]) for x in slot)
+        xs = tuple([x for _, x, _ in ends])
+        opens[leave[j]] += xs
+        seals[enter[j + 1]] += xs
+        for i in range(pos[j] // 2, (pos[j + 1] + 1) // 2):
+            meeting[i] += xs
+        for d, x, u in ends:
+            links += ((*lower, x, d), (*upper, x, u))
     H = make_forest(len(cells))
     find, least = H.find, H.least
     records: list[_Record] = []
     # least member -> the latest record it keys (live components are disjoint)
-    rec_of: dict[int, _Record] = {}
-    # an input edge over slot i maps onto the output slots met by its open
-    # span (S[i], S[i + 1]); `meeting` lists, per output slot, those edges
+    rec_of: list[_Record | None] = [None] * len(cells)
     zeta_e: dict[str, list[str]] = {e: [] for e in g.edge_ids}
-    meeting: list[list[str]] = [[] for _ in range(max(0, K - 1))]
-    for slot, p, q in zip(g.slots, pos, pos[1:]):
-        for j in range(p // 2, (q + 1) // 2):
-            meeting[j] += slot
     level_names: list[list[str]] = [[] for _ in range(K)]
     where: dict[str, tuple[int, int]] = {}    # name -> (doubled position, least cell)
     zeta_v: dict[str, tuple[str, str]] = {}
     # (cell, its least member at the gap before) for the next level's handles
-    pre: list[tuple[str, int]] = []
+    pre: list[tuple[int, int]] = []
 
     for p in walk_positions(H, 2 * K - 1, links):
         k = p >> 1
-        entering = entering_at.get(k, ())
-        leaving = leaving_at.get(k, ())
         if not p & 1:
             # H holds the window at B[k]: vertices at B[k] + eps have just
             # arrived, edges over vertices at B[k] - eps have just gone.
             # Name the window components the event touches and seal the
             # records they grew from.
             named: dict[int, str] = {}
-            for v in entering + leaving:
-                m = least[find(num[v])]
+            for v in touch[k]:
+                m = least[find(v)]
                 if m not in named:
                     named[m] = nu = keyed_name("v", k, cells[m])
                     level_names[k].append(nu)
                     where[nu] = (p, m)
-            for cell, m in pre:
+            for x, m in pre:
                 rec = rec_of[m]
                 if rec.death is None:
                     rec.death = k
-                    rec.top = named[least[find(num[cell])]]
+                    rec.top = named[least[find(x)]]
 
             # an entering vertex, or an edge over a leaving one, opens a
             # record in the gap above from the component named for it here
-            post: list[tuple[str, str]] = []
-            for cell in (*entering, *(e for v in leaving for e in g.above_edges[v])):
-                bottom = named.get(least[find(num[cell])])
+            post: list[tuple[int, str]] = []
+            for x in opens[k]:
+                bottom = named.get(least[find(x)])
                 if bottom is None:
                     raise InternalError(f"component with no anchor at its birth event: "
-                                        f"{cell!r} opens a component in slot {k} but "
-                                        f"lies in no component named at level {k}")
-                post.append((cell, bottom))
+                                        f"{cells[x]!r} opens a component in slot {k} "
+                                        f"but lies in no component named at level {k}")
+                post.append((x, bottom))
 
             # vertices sitting exactly on this output level
-            for v in lying_at.get(p, ()):
-                zeta_v[v] = ("vertex", keyed_name("v", k, cells[least[find(num[v])]]))
+            for v in lying_at[p]:
+                zeta_v[cells[v]] = ("vertex", keyed_name("v", k, cells[least[find(v)]]))
             continue
 
         # H holds the window over the gap above B[k]: leaving vertices have
         # gone, edges over entering vertices have arrived. Open records for
         # the components the event touched.
-        for cell, bottom in post:
-            m = least[find(num[cell])]
-            if m not in rec_of or rec_of[m].birth != k:     # not yet opened here
+        for x, bottom in post:
+            m = least[find(x)]
+            if rec_of[m] is None or rec_of[m].birth != k:     # not yet opened here
                 rec_of[m] = _Record(k, bottom, m)
                 records.append(rec_of[m])
-        below = (e for v in entering_at.get(k + 1, ()) for e in g.below_edges[v])
-        pre = [(c, least[find(num[c])]) for c in (*leaving_at.get(k + 1, ()), *below)]
+        pre = [(x, least[find(x)]) for x in seals[k + 1]]
 
         # vertices sitting strictly inside this gap, and edges meeting it
-        for v in lying_at.get(p, ()):
-            zeta_v[v] = ("edge", keyed_name("e", k, cells[least[find(num[v])]]))
-        for e in meeting[k]:
-            zeta_e[e].append(keyed_name("e", k, cells[least[find(num[e])]]))
+        for v in lying_at[p]:
+            zeta_v[cells[v]] = ("edge", keyed_name("e", k, cells[least[find(v)]]))
+        for x in meeting[k]:
+            zeta_e[cells[x]].append(keyed_name("e", k, cells[least[find(x)]]))
 
     slots_out: list[list[str]] = [[] for _ in range(max(0, K - 1))]
     down: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]

@@ -147,6 +147,32 @@ class TestUsage:
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: reeb")
 
+    def test_parser_is_built_on_the_first_call_and_reused(self):
+        # importing the module builds nothing; every later call reuses one
+        code = ("import reeb.cli as cli; n = cli._build_parser.cache_info().currsize; "
+                "cli.main(['validate', 'missing.rg']); "
+                "print(n, cli._build_parser.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": str(Path(reeb.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert done.stdout == "0 1\n", done.stderr
+        assert reeb.cli._build_parser() is reeb.cli._build_parser()
+
+    def test_reused_parser_answers_like_a_fresh_one(self, files):
+        # a usage error, then a valid smooth; then two different commands
+        # in a row: each answers as a call on a newly built parser does
+        calls = [("smooth", files["loop"]), ("smooth", files["loop"], "1/4"),
+                 ("smooth", files["loop"], "1/4", "--zeta"),
+                 ("cosheaf-eval", files["loop"], "-1/2", "1"),
+                 ("validate", files["broken"]), ("reeb", files["octa"])]
+        fresh = []
+        for argv in calls:
+            reeb.cli._build_parser.cache_clear()
+            fresh.append(run(*argv))
+        reeb.cli._build_parser.cache_clear()
+        assert [run(*argv) for argv in calls] == fresh
+        assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 1, 0]
+
 
 class TestCheckInterleave:
     def test_positive(self, files):

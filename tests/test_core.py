@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 from fractions import Fraction
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,31 @@ def test_build_accepts_dicts_and_pairs():
     a = build_rgraph({"a": 0, "b": 1}, {"e": ("a", "b")})
     b = build_rgraph([("a", 0), ("b", 1)], [("e", "a", "b")])
     assert a == b
+
+
+def test_build_ranks_equal_values_onto_one_level_and_names_splits_as_before():
+    # "1/2", "2/4" and "0.5" are one value, so one level; values of
+    # coprime denominators interleave; split vertices are named after the
+    # critical they sit on, primed when a name is taken
+    vertices = [("h1", "1/2"), ("h2", "2/4"), ("h3", "0.5"), ("lo", Fraction(-1, 3)),
+                ("s7", "1/7"), ("n9", "2/9"), ("t10", "3/10"), ("top", 1),
+                ("e0@1/7", "5/7"), ("mid", "0.75")]
+    edges = [("e0", "lo", "top"), ("e0:0", "s7", "mid"), ("e1", "lo", "h2"),
+             ("e2", "n9", "top"), ("e3", "h3", "mid"), ("e0:1", "lo", "e0@1/7")]
+    g, edge_map, split = reeb.core._build(vertices, edges, ["-1", "9/10", Fraction(1, 2)])
+    assert [str(c) for c in g.criticals] == [
+        "-1", "-1/3", "1/7", "2/9", "3/10", "1/2", "5/7", "3/4", "9/10", "1"]
+    assert g.levels[5] == ("e0:0@1/2", "e0:1@1/2", "e0@1/2", "e2@1/2", "h1", "h2", "h3")
+    assert " ".join(split) == (
+        "e0@1/7' e0@2/9 e0@3/10 e0@1/2 e0@5/7 e0@3/4 e0@9/10 e0:0@2/9 e0:0@3/10 "
+        "e0:0@1/2 e0:0@5/7 e1@1/7 e1@2/9 e1@3/10 e2@3/10 e2@1/2 e2@5/7 e2@3/4 "
+        "e2@9/10 e3@5/7 e0:1@1/7 e0:1@2/9 e0:1@3/10 e0:1@1/2")
+    assert edge_map["e0"] == ("e0:0'", "e0:1'", "e0:2", "e0:3", "e0:4", "e0:5",
+                              "e0:6", "e0:7")
+    text = reeb.emit_rgraph(g)
+    assert sha256(text.encode()).hexdigest() == (
+        "f5a8e9f6f67c1793c42c40d9b14dfab70f8b6243f80d6b9a2d325a8777cb3c23")
+    assert validate(g).ok
 
 
 def test_build_sorts_within_levels():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reeb import ForestError, NaiveDynForest, RollbackUnionFind, make_forest
 from reeb.dynconn import walk_positions
@@ -202,6 +204,36 @@ def test_walk_positions_holds_exactly_the_live_links(n_positions):
         assert partition(range(n), uf.find) == partition(range(n), fresh.find), p
     assert seen == list(range(n_positions))
     assert uf.undo == [] and uf.parent == list(range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_walk_positions_with_many_links_per_lifetime(seed):
+    # a few lifetimes, each shared by many links (as the sweep's links of
+    # one slot share theirs), some links repeated or joining a cell to itself
+    rng = random.Random(seed)
+    n, n_positions = rng.randint(1, 15), rng.randint(1, 40)
+    links = []
+    for _ in range(rng.randint(1, 5)):
+        first = rng.randrange(n_positions)
+        last = rng.randrange(first, n_positions)
+        links += [(first, last, rng.randrange(n), rng.randrange(n))
+                  for _ in range(rng.randint(1, 12))]
+    rng.shuffle(links)
+    uf = RollbackUnionFind(n)
+    seen = []
+    for p in walk_positions(uf, n_positions, links):
+        seen.append(p)
+        fresh = UnionFind(range(n))
+        for first, last, a, b in links:
+            if first <= p <= last:
+                fresh.union(a, b)
+        assert partition(range(n), uf.find) == partition(range(n), fresh.find), p
+        for x in range(n):
+            assert uf.least[uf.find(x)] == min(y for y in range(n) if fresh.same(x, y))
+    assert seen == list(range(n_positions))
+    assert uf.undo == [] and uf.parent == list(range(n))
+    assert uf.size == [1] * n and uf.least == list(range(n))
 
 
 def test_min_weight_names_the_edge():

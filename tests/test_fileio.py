@@ -201,6 +201,15 @@ class TestFieldFiles:
             reeb.parse_field(text)
         assert hint in str(info.value)
 
+    def test_parallel_sides_do_not_close_up(self):
+        # the six ends name exactly three vertices, but two sides join the
+        # same pair u-v: no triangle has that boundary
+        text = ("v u 0\nv v 1\nv w 2\ne uv u v\ne vu v u\ne vw v w\n"
+                "t T uv vu vw\n")
+        with pytest.raises(ParseError, match="'T' do not close up") as info:
+            reeb.parse_field(text)
+        assert info.value.line == 7
+
 
 class TestReebOfComplex:
     def test_octahedron_collapses_to_a_line(self):

@@ -5,7 +5,7 @@ import pytest
 import reeb
 from reeb import (ParseError, ValidationError, as_rational, format_rational,
                   parse_rational)
-from reeb.rationals import as_radius
+from reeb.rationals import as_radius, scaled
 
 
 def test_as_rational_passthrough_and_ints():
@@ -45,6 +45,20 @@ def test_format_rational():
     assert format_rational(Fraction(-3, 4)) == "-3/4"
     assert format_rational(Fraction(6, 4)) == "3/2"
     assert format_rational(Fraction(0)) == "0"
+
+
+def test_format_rational_takes_ints_as_they_are():
+    assert format_rational(7) == "7" and format_rational(-2) == "-2"
+
+
+def test_scaled_puts_rationals_on_integers_over_their_common_denominator():
+    xs = [Fraction(1, 7), Fraction(-2, 9), Fraction(3, 10), Fraction(4), Fraction(1, 2)]
+    scale, ints = scaled(xs)
+    assert scale == 630
+    assert ints == [90, -140, 189, 2520, 315]
+    assert [Fraction(n, scale) for n in ints] == xs
+    assert scaled([]) == (1, [])
+    assert scaled([Fraction(5)]) == (1, [5])
 
 
 def test_roundtrip():

@@ -220,6 +220,44 @@ def test_sweep_matches_both_oracles(seed, radius):
                           smooth_cosheaf(reeb_cosheaf(g), eps)) is not None
 
 
+def mixed_graph(rng):
+    """A random graph whose values are sevenths, ninths and tenths."""
+    values = {f"p{i}": Fraction(rng.randint(-30, 30), rng.choice((7, 9, 10)))
+              for i in range(rng.randint(2, 8))}
+    edges = []
+    for k in range(rng.randint(0, 10)):
+        a, b = sorted(rng.sample(sorted(values), 2), key=values.get)
+        if values[a] < values[b]:
+            edges.append((f"e{k}", a, b))
+    return build_rgraph(values, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["coprime", "tie"]))
+def test_sweep_matches_naive_on_mixed_denominators(seed, radius):
+    # the sweep works on integers over lcm(eps, criticals); a radius of
+    # elevenths or thirteenths makes that scale large, and a radius half a
+    # gap between two criticals makes some S_i - eps equal S_j + eps
+    rng = random.Random(seed)
+    g = mixed_graph(rng)
+    S = g.criticals
+    assume(len(S) >= 2)
+    if radius == "coprime":
+        eps = Fraction(rng.randint(1, 60), rng.choice((11, 13)))
+    else:
+        i, j = sorted(rng.sample(range(len(S)), 2))
+        eps = (S[j] - S[i]) / 2
+        assert S[j] - eps == S[i] + eps
+    sweep = smooth_sweep(g, eps)
+    naive = smooth_naive(g, eps)
+    assert sweep.smoothed == naive.smoothed
+    assert sweep.provenance == naive.provenance
+    assert morphism_equal(sweep.zeta, naive.zeta)
+    assert emit_rgraph(sweep.smoothed) == emit_rgraph(naive.smoothed)
+    assert emit_morphism(sweep.zeta) == emit_morphism(naive.zeta)
+    assert sweep.smoothed.criticals == tuple(sorted({s + d for s in S for d in (-eps, eps)}))
+
+
 def thickening(g, eps):
     """X x [-eps, eps] under f(x) + t as a simplicial field: each vertex v
     becomes an edge from v- to v+, each edge u -> w a square cut by its
