@@ -626,20 +626,21 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
     sm_fu = smooth(gf, eps)
     sm_gu = smooth(gg, eps)
 
-    def whole_edge_pull(src_seg, src_splits, dst_seg, dst_splits):
-        """Each cell of input edge e pulls all of e in the other graph, its
-        segments and split vertices. Both value functions are linear along
-        e, so the cells `transport` keeps in a window form one connected
-        run, and that run holds the point's image."""
+    def whole_edge_images(src, src_seg, src_splits, dst_seg, dst_splits):
+        """Each cell of input edge e has all of e in the other graph, its
+        segments and split vertices, as its images; any other cell of src
+        is its own. Both value functions are linear along e, so the cells
+        `transport` keeps in a window form one connected run, and that
+        run holds the point's image."""
         whole = {e: set(segs) for e, segs in dst_seg.items()}
         for v, e in dst_splits.items():
             whole[e].add(v)
         pull = {s: whole[e] for e, segs in src_seg.items() for s in segs}
         pull.update((v, whole[e]) for v, e in src_splits.items())
-        return lambda x, value: pull.get(x, (x,))
+        return {x: pull.get(x, (x,)) for x in (*src.vertex_ids, *src.edge_ids)}, None, None
 
-    alpha_u = transport(gf, whole_edge_pull(segf, split_f, segg, split_g), sm_gu)
-    beta_u = transport(gg, whole_edge_pull(segg, split_g, segf, split_f), sm_fu)
+    alpha_u = transport(gf, whole_edge_images(gf, segf, split_f, segg, split_g), sm_gu)
+    beta_u = transport(gg, whole_edge_images(gg, segg, split_g, segf, split_f), sm_fu)
 
     red_f = reduce(gf)
     red_g = reduce(gg)

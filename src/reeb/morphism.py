@@ -19,7 +19,7 @@ from fractions import Fraction
 from .core import (RGraph, RefineResult, ReduceResult, ValidationReport,
                    refine)
 from .errors import InternalError, ValidationError
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, scaled
 
 
 @dataclass(frozen=True)
@@ -321,50 +321,61 @@ def invert_isomorphism(phi: RGraphMorphism) -> RGraphMorphism:
 # Window transport: the engine behind the smoothing functor's action on
 # morphisms and the shifted composites.
 
-def _cell_meets(graph: RGraph, cell: str, lo: Fraction, hi: Fraction) -> bool:
-    if cell in graph.vertex_level:
-        return lo <= graph.value(cell) <= hi
-    x, y = graph.span(cell)
-    return x < hi and y > lo
-
-
-def _position(criticals, value: Fraction) -> int:
-    """Doubled position of a value among sorted criticals: 2k when it is
-    the k-th of them, 2j+1 when it lies in the open gap of slot j."""
-    k = bisect.bisect_left(criticals, value)
-    if k < len(criticals) and criticals[k] == value:
-        return 2 * k
-    if k == 0 or k == len(criticals):
-        raise InternalError(f"value {format_rational(value)} outside the smoothed range")
-    return 2 * k - 1
-
-
 def _where(pos: int) -> str:
     return f"{'slot' if pos % 2 else 'level'} {pos // 2}"
 
 
-def transport(source_graph: RGraph, pull_at, sm_target) -> RGraphMorphism:
+def _meets(graph: RGraph, values, c: str, lo: int, hi: int) -> bool:
+    """Whether cell c meets the closed window [lo, hi], given the graph's
+    criticals as integers: a vertex by its value, an edge by its open span."""
+    k = graph.vertex_level.get(c)
+    if k is not None:
+        return lo <= values[k] <= hi
+    j = graph.edge_slot[c]
+    return values[j] < hi and values[j + 1] > lo
+
+
+def transport(source_graph: RGraph, pull, sm_target) -> RGraphMorphism:
     """Map each cell of source_graph to the component of the window of
     sm_target.source, at radius sm_target.epsilon, spanned by that cell's
     witness cells.
 
-    pull_at(x, value) gives, for every source_graph cell x, cells of
-    sm_target.source known to carry the image of x at that value along x.
-    Per position the witnesses that meet the window must land in a single
-    smoothed component (anything else is reported as an internal error,
-    since it would contradict the map being continuous).
-    """
-    base = sm_target.source
-    radius = sm_target.epsilon
-    B = sm_target.smoothed.criticals
-    index = sm_target.position_index
+    pull is (images, sm_mid, mid_radius), as `smoothed_pull` returns it.
+    With sm_mid None, images maps every source_graph cell x to cells of
+    sm_target.source that carry the image of x all along x. Otherwise
+    images[x] are cells of sm_mid.smoothed, and at each value the ones
+    meeting the window at mid_radius are carried on through sm_mid's
+    provenance. Per position the witnesses that meet the window must land
+    in a single smoothed component (anything else is reported as an
+    internal error, since it would contradict the map being continuous).
 
-    def resolve(what, x, value):
-        pos = _position(B, value)
-        lo, hi = value - radius, value + radius
+    Every value the call compares is scaled once to an integer and
+    doubled, so that every slot midpoint is an integer too: positions are
+    bisects on the smoothed criticals, and the window tests read the
+    base's and the middle graph's criticals from integer lists.
+    """
+    images, sm_mid, mid_radius = pull
+    base = sm_target.source
+    groups = [(sm_target.epsilon,), sm_target.smoothed.criticals,
+              source_graph.criticals, base.criticals]
+    if sm_mid is not None:
+        groups += [(mid_radius,), sm_mid.smoothed.criticals]
+    _, flat = scaled([x for grp in groups for x in grp])
+    it = iter(flat)
+    (radius,), B, S, V, *mid = [[2 * next(it) for _ in grp] for grp in groups]
+    index = sm_target.position_index
+    if mid:
+        (mid_r,), M = mid
+
+    def resolve(what, x, pos, t):
+        cells = images[x]
+        if mid:
+            cells = {c for z in cells if _meets(sm_mid.smoothed, M, z, t - mid_r, t + mid_r)
+                     for c in sm_mid.provenance[z]}
+        lo, hi = t - radius, t + radius
         names = set()
-        for c in pull_at(x, value):
-            if _cell_meets(base, c, lo, hi):
+        for c in cells:
+            if _meets(base, V, c, lo, hi):
                 hit = index.get((pos, c))
                 if hit is None:
                     raise InternalError(f"{what} {x!r}: witness cell {c!r} "
@@ -373,19 +384,31 @@ def transport(source_graph: RGraph, pull_at, sm_target) -> RGraphMorphism:
         if len(names) != 1:
             raise InternalError(f"{what} {x!r} at {_where(pos)}: the witnesses in "
                                 f"its window land in components {sorted(names)}")
-        return pos, names.pop()
+        return names.pop()
 
     vmap: dict[str, tuple[str, str]] = {}
-    for x in source_graph.vertex_ids:
-        pos, name = resolve("vertex", x, source_graph.value(x))
-        vmap[x] = ("edge" if pos % 2 else "vertex", name)
+    for k, level in enumerate(source_graph.levels):
+        t, i = S[k], bisect.bisect_left(B, S[k])
+        pos = 2 * i if i < len(B) and B[i] == t else 2 * i - 1
+        if level and not 0 <= pos < 2 * len(B) - 1:
+            raise InternalError(f"vertex {level[0]!r}: value "
+                                f"{format_rational(source_graph.criticals[k])} "
+                                "outside the smoothed range")
+        kind = "edge" if pos % 2 else "vertex"
+        for x in level:
+            vmap[x] = (kind, resolve("vertex", x, pos, t))
 
+    # an edge's endpoints lie in the smoothed range, so its pieces do: the
+    # one from b1 up to the next smoothed critical lies in slot i - 1
     emap: dict[str, tuple[str, ...]] = {}
-    for x in source_graph.edge_ids:
-        b1, b2 = source_graph.span(x)
-        cuts = [b1, *B[bisect.bisect_right(B, b1):bisect.bisect_left(B, b2)], b2]
-        emap[x] = tuple(resolve("edge", x, (d1 + d2) / 2)[1]
-                        for d1, d2 in zip(cuts, cuts[1:]))
+    for j, slot in enumerate(source_graph.slots):
+        b1, b2 = S[j], S[j + 1]
+        i = bisect.bisect_right(B, b1)
+        cuts = [b1, *B[i:bisect.bisect_left(B, b2)], b2]
+        pieces = [(2 * (i + m) - 1, (d1 + d2) // 2)
+                  for m, (d1, d2) in enumerate(zip(cuts, cuts[1:]))]
+        for x in slot:
+            emap[x] = tuple(resolve("edge", x, pos, t) for pos, t in pieces)
 
     result = RGraphMorphism(source_graph, sm_target.smoothed, vmap, emap)
     rep = validate_morphism(result)
@@ -396,13 +419,13 @@ def transport(source_graph: RGraph, pull_at, sm_target) -> RGraphMorphism:
 
 
 def smoothed_pull(alpha: RGraphMorphism, sm_source, sm_mid=None):
-    """The pull_at that `transport` needs to carry sm_source.smoothed along
-    alpha: each cell x pulls every cell of alpha.target that the image of
-    x's provenance runs through. When alpha.target is sm_mid.smoothed,
-    those are pulled on through sm_mid's provenance, but only the ones
-    meeting the window at radius sm_source.epsilon around the position:
-    the provenance of a far-away cell can wander back into the window
-    inside a different component."""
+    """The witness images `transport` needs to carry sm_source.smoothed
+    along alpha: each cell x gets every cell of alpha.target that the
+    image of x's provenance runs through. When alpha.target is
+    sm_mid.smoothed, transport carries those on through sm_mid's
+    provenance, but only the ones meeting the window at radius
+    sm_source.epsilon around the position: the provenance of a far-away
+    cell can wander back into the window inside a different component."""
     image = {v: (alpha.vertex_map[v][1],) for v in alpha.source.vertex_ids}
     for e in alpha.source.edge_ids:
         path = alpha.edge_map[e]
@@ -413,19 +436,7 @@ def smoothed_pull(alpha: RGraphMorphism, sm_source, sm_mid=None):
         for c in sm_source.provenance[x]:
             cells.update(image[c])
         images[x] = cells
-    if sm_mid is None:
-        return lambda x, value: images[x]
-    mid, eps = alpha.target, sm_source.epsilon
-
-    def pull_at(x, value):
-        lo, hi = value - eps, value + eps
-        out = set()
-        for z in images[x]:
-            if _cell_meets(mid, z, lo, hi):
-                out.update(sm_mid.provenance[z])
-        return out
-
-    return pull_at
+    return images, sm_mid, sm_source.epsilon
 
 
 def smooth_morphism(alpha: RGraphMorphism, eps, sm_source=None,

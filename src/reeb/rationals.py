@@ -1,10 +1,12 @@
 """Exact rational arithmetic helpers.
 
-All function values and critical values in this package are
-``fractions.Fraction`` instances so that comparisons, midpoints and
-epsilon-shifts are exact. These helpers normalize user-facing inputs
-(ints, strings like ``"3/4"`` or ``"-1.25"``) into ``Fraction`` and
-format them back out in ``p/q`` text form.
+Function values, critical values and radii are ``fractions.Fraction``
+instances at the API and file boundary. These helpers normalize
+user-facing inputs (ints, strings like ``"3/4"`` or ``"-1.25"``) into
+``Fraction`` and format them back out in ``p/q`` text form. Inside,
+`scaled` puts the values one computation compares on a common integer
+scale, and graph building, `reeb_of_complex`, the smoothing sweep, the
+rank refutation and `transport` work on those integers.
 """
 
 from __future__ import annotations

@@ -576,3 +576,111 @@ def test_stability_outcomes_are_monotone_in_the_radius(seed):
     assert statuses[3] != "exhausted"
     if "found" in statuses:
         assert "exhausted" not in statuses[statuses.index("found"):]
+
+
+# ---------------------------------------------------------------------------
+# Certificate maps frozen as the text emit_morphism writes: alpha, a "--"
+# line, then beta. The texts were recorded before transport moved onto
+# integer coordinates, and every map they hold went through transport.
+
+def mixed_pair(seed):
+    """Two random graphs from the seed, one in sevenths, one in tenths."""
+    rng = random.Random(seed)
+    return (reeb.random_rgraph(rng, max_vertices=5, max_edges=6, denominator=7),
+            reeb.random_rgraph(rng, max_vertices=5, max_edges=6, denominator=10))
+
+
+def certificate_text(cert):
+    return reeb.emit_morphism(cert.alpha) + "--\n" + reeb.emit_morphism(cert.beta)
+
+
+@pytest.mark.parametrize("seed,eps,text", [
+    (208, Fraction(9, 13), """\
+vmap p0 edge e(1;p0)
+vmap w0@5/7 edge e(2;w0:0)
+vmap p1 edge e(4;p1)
+emap w0:0 e(1;p0) e(2;w0:0)
+emap w0:1 e(2;w0:0) e(3;w0:0) e(4;p1)
+--
+vmap p0 edge e(0;p0)
+vmap p2 edge e(2;p0)
+vmap w0@9/10 edge e(2;p0)
+vmap w0@3/2 edge e(5;p1)
+vmap p1 edge e(5;p1)
+emap w0:0 e(0;p0) e(1;p0) e(2;p0)
+emap w1 e(0;p0) e(1;p0) e(2;p0)
+emap w0:1 e(2;p0) e(3;p1) e(4;p1) e(5;p1)
+emap w0:2 e(5;p1)
+"""),
+    (235, Fraction(9, 13), """\
+vmap p1 edge e(1;p0)
+vmap p0 edge e(2;p0)
+emap w0 e(1;p0) e(2;p0)
+emap w1 e(1;p0) e(2;p0)
+emap w2 e(1;p0) e(2;p0)
+emap w3 e(1;p0) e(2;p0)
+emap w4 e(1;p0) e(2;p0)
+emap w5 e(1;p0) e(2;p0)
+--
+vmap p1 edge e(0;p1)
+vmap p0 edge e(1;p0)
+emap w0 e(0;p1) e(1;p0)
+emap w1 e(0;p1) e(1;p0)
+emap w2 e(0;p1) e(1;p0)
+"""),
+    (109, Fraction(15, 11), """\
+vmap p0 edge e(0;p1)
+vmap p1 edge e(2;p0)
+emap w0 e(0;p1) e(1;p1) e(2;p0)
+emap w1 e(0;p1) e(1;p1) e(2;p0)
+emap w2 e(0;p1) e(1;p1) e(2;p0)
+--
+vmap p1 edge e(1;p0)
+vmap p2 edge e(2;p1)
+vmap p0 edge e(2;p1)
+emap w1 e(1;p0) e(2;p1)
+emap w4 e(1;p0) e(2;p1)
+emap w0 e(2;p1)
+emap w2 e(2;p1)
+emap w3 e(2;p1)
+emap w5 e(2;p1)
+"""),
+], ids=["208", "235", "109"])
+def test_found_certificate_maps_are_frozen(seed, eps, text):
+    out = reeb.search_certificate(*mixed_pair(seed), eps, budget=2000)
+    assert out.status == "found"
+    assert certificate_text(out.certificate) == text
+
+
+def test_stability_certificate_maps_are_frozen():
+    # split vertices (w1@5/3, w4@19/12), parallel edges, and vertex images
+    # as well as edge images
+    edges = [("w0", "p2", "p0"), ("w1", "p1", "p0"), ("w2", "p2", "p0"),
+             ("w3", "p0", "p2"), ("w4", "p1", "p2")]
+    fv = {"p0": Fraction(11, 6), "p1": Fraction(-1, 6), "p2": Fraction(5, 3)}
+    gv = {"p0": Fraction(19, 12), "p1": Fraction(-1, 6), "p2": Fraction(11, 6)}
+    cert = reeb.stability_certificate(edges, fv, gv)
+    assert cert.epsilon == Fraction(1, 4)
+    assert certificate_text(cert) == """\
+vmap p1 edge e(0;p1)
+vmap p2 edge e(3;p0)
+vmap w1@5/3 edge e(3;p0)
+vmap p0 vertex v(4;p0)
+emap w1:0 e(0;p1) e(1;w1) e(2;p0) e(3;p0)
+emap w4 e(0;p1) e(1;w4:0) e(2;w4:0) e(3;p0)
+emap w0 e(3;p0)
+emap w1:1 e(3;p0)
+emap w2 e(3;p0)
+emap w3 e(3;p0)
+--
+vmap p1 edge e(0;p1)
+vmap p0 vertex v(3;p0)
+vmap w4@19/12 vertex v(3;p0)
+vmap p2 edge e(3;p0)
+emap w1 e(0;p1) e(1;w1:0) e(2;w1:0)
+emap w4:0 e(0;p1) e(1;w4) e(2;p2)
+emap w0 e(3;p0)
+emap w2 e(3;p0)
+emap w3 e(3;p0)
+emap w4:1 e(3;p0)
+"""

@@ -1,19 +1,22 @@
+import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reeb import (RGraphMorphism, ValidationError, build_rgraph, compose,
-                  compose_smoothings, fork, identity, invert_isomorphism,
-                  is_isomorphism, levelwise_morphism, line, loop,
-                  morphism_equal, morphism_first_difference, normal_form,
-                  path_cell_at, point, random_rgraph, random_stability_pair,
-                  reduce, reduce_collapse, reduce_embed,
-                  refine, refine_collapse, refine_embed, shift_compose,
-                  smooth, smooth_morphism, stability_certificate,
-                  validate_morphism)
+from reeb import (InternalError, RGraphMorphism, ValidationError,
+                  build_rgraph, compose, compose_smoothings, fork, identity,
+                  invert_isomorphism, is_isomorphism, levelwise_morphism,
+                  line, loop, morphism_equal, morphism_first_difference,
+                  normal_form, path_cell_at, point, random_rgraph,
+                  random_stability_pair, reduce, reduce_collapse,
+                  reduce_embed, refine, refine_collapse, refine_embed,
+                  shift_compose, smooth, smooth_morphism,
+                  stability_certificate, transport, validate_morphism)
+from test_smoothing import mixed_graph
 
 
 def collapse_line_onto_point_family():
@@ -164,6 +167,47 @@ def test_smooth_morphism_rejects_mismatched_smoothings():
 
 
 # ---------------------------------------------------------------------------
+# transport's internal errors name the cell and where it sits.
+
+def everything(g, h):
+    """Witness images that send every cell of g to every cell of h."""
+    cells = {*h.vertex_ids, *h.edge_ids}
+    return {x: cells for x in (*g.vertex_ids, *g.edge_ids)}, None, None
+
+
+def test_transport_names_a_witness_the_smoothing_does_not_track():
+    g, eps = line(0, 1), Fraction(1, 4)
+    sm = smooth(g, eps)
+    # the smoothed vertex at 1/4 holds v0 and e0; drop v0 from it
+    assert sm.provenance["v(1;e0)"] == frozenset({"v0", "e0"})
+    broken = dataclasses.replace(
+        sm, provenance={**sm.provenance, "v(1;e0)": frozenset({"e0"})})
+    with pytest.raises(InternalError, match="^" + re.escape(
+            "vertex 'v(1;e0)': witness cell 'v0' not tracked at level 1") + "$"):
+        smooth_morphism(identity(g), eps, sm_source=sm, sm_target=broken)
+
+
+def test_transport_names_witnesses_in_two_components():
+    two = build_rgraph({"a0": 0, "a1": 1, "b0": 0, "b1": 1},
+                       [("a", "a0", "a1"), ("b", "b0", "b1")])
+    sm = smooth(two, Fraction(1, 4))
+    g = line(0, 1)
+    with pytest.raises(InternalError, match="^" + re.escape(
+            "vertex 'v0' at slot 0: the witnesses in its window land in "
+            "components ['e(0;a)', 'e(0;b)']") + "$"):
+        transport(g, everything(g, two), sm)
+
+
+def test_transport_names_a_value_outside_the_smoothed_range():
+    # the smoothed line spans [-1/4, 5/4]; q sits above it
+    h = line(0, 1)
+    g = build_rgraph({"p": 0, "q": Fraction(3, 2)}, [("pq", "p", "q")])
+    with pytest.raises(InternalError, match="^" + re.escape(
+            "vertex 'q': value 3/2 outside the smoothed range") + "$"):
+        transport(g, everything(g, h), smooth(h, Fraction(1, 4)))
+
+
+# ---------------------------------------------------------------------------
 # Functor laws of the smoothing on random graphs.
 
 graphs = st.integers(0, 2**32 - 1).map(
@@ -185,9 +229,7 @@ def test_smoothing_preserves_identities(g, eps):
                           identity(smooth(g, eps).smoothed))
 
 
-@laws
-@given(graphs, radii, radii, radii)
-def test_smoothing_preserves_composition(g, a, b, eps):
+def composition_law(g, a, b, eps):
     phi = map_out(g, a)
     psi = map_out(phi.target, b)
     assert morphism_equal(smooth_morphism(compose(phi, psi), eps),
@@ -195,22 +237,13 @@ def test_smoothing_preserves_composition(g, a, b, eps):
                                   smooth_morphism(psi, eps)))
 
 
-@laws
-@given(graphs, radii, radii)
-def test_zeta_is_natural(g, a, eps):
+def naturality_law(g, a, eps):
     phi = map_out(g, a)
     assert morphism_equal(compose(phi, smooth(phi.target, eps).zeta),
                           compose(smooth(g, eps).zeta, smooth_morphism(phi, eps)))
 
 
-stability_certs = st.integers(0, 2**32 - 1).map(
-    lambda seed: stability_certificate(*random_stability_pair(
-        random.Random(seed), max_vertices=5, max_edges=6)))
-
-
-@laws
-@given(graphs, radii, radii, stability_certs)
-def test_shifted_zeta_is_the_iterated_smoothing_witness(g, r, s, cert):
+def shifted_zeta_law(g, r, s, cert):
     # the canonical map S_r g -> S_{r+s} g, shifted from zeta or iterated
     cs = compose_smoothings(g, r, s)
     sm = smooth(g, s)
@@ -222,6 +255,74 @@ def test_shifted_zeta_is_the_iterated_smoothing_witness(g, r, s, cert):
     cb = compose_smoothings(cert.sm_g.source, cert.epsilon, r)
     assert morphism_equal(shift_compose(m, sm_a, cert.sm_g, cb.total),
                           compose(smooth_morphism(m, r, sm_a, cb.second), cb.witness))
+
+
+@laws
+@given(graphs, radii, radii, radii)
+def test_smoothing_preserves_composition(g, a, b, eps):
+    composition_law(g, a, b, eps)
+
+
+@laws
+@given(graphs, radii, radii)
+def test_zeta_is_natural(g, a, eps):
+    naturality_law(g, a, eps)
+
+
+stability_certs = st.integers(0, 2**32 - 1).map(
+    lambda seed: stability_certificate(*random_stability_pair(
+        random.Random(seed), max_vertices=5, max_edges=6)))
+
+
+@laws
+@given(graphs, radii, radii, stability_certs)
+def test_shifted_zeta_is_the_iterated_smoothing_witness(g, r, s, cert):
+    shifted_zeta_law(g, r, s, cert)
+
+
+# The same laws where transport's one integer scale is large: values in
+# sevenths, ninths and tenths, radii in elevenths or thirteenths, or half
+# a gap between two criticals, so that windows around different
+# positions end at the same value.
+
+def mixed_draw(seed, kind, count):
+    """A graph in sevenths, ninths and tenths and `count` radii for it."""
+    rng = random.Random(seed)
+    g = mixed_graph(rng)
+    S = g.criticals
+
+    def radius():
+        if kind == "tie" and len(S) >= 2:
+            i, j = sorted(rng.sample(range(len(S)), 2))
+            return (S[j] - S[i]) / 2
+        return Fraction(rng.randint(1, 60), rng.choice((11, 13)))
+    return g, [radius() for _ in range(count)], rng
+
+
+mixed = (st.integers(0, 2**32 - 1), st.sampled_from(["coprime", "tie"]))
+
+
+@laws
+@given(*mixed)
+def test_smoothing_preserves_composition_on_mixed_denominators(seed, kind):
+    g, rs, _ = mixed_draw(seed, kind, 3)
+    composition_law(g, *rs)
+
+
+@laws
+@given(*mixed)
+def test_zeta_is_natural_on_mixed_denominators(seed, kind):
+    g, rs, _ = mixed_draw(seed, kind, 2)
+    naturality_law(g, *rs)
+
+
+@laws
+@given(*mixed)
+def test_shifted_zeta_is_the_iterated_smoothing_witness_on_mixed_denominators(seed, kind):
+    g, rs, rng = mixed_draw(seed, kind, 2)
+    cert = stability_certificate(*random_stability_pair(
+        rng, max_vertices=5, max_edges=6, denominator=rng.choice((7, 9, 10))))
+    shifted_zeta_law(g, *rs, cert)
 
 
 def test_shift_compose_rejects_radii_that_do_not_add_up():
