@@ -11,13 +11,15 @@ cosheaves refutes most radii with a witness `verify_refutation` re-checks.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice, product
 
-from .core import RGraph, _build, _edge_triples, num_components, reduce, refine
-from .cosheaf import (Interval, evaluate, expand, extend_map, interval,
-                      reeb_cosheaf)
+from .core import (RGraph, _build, _edge_triples, component_sets,
+                   num_components, reduce, refine)
+from .cosheaf import Interval, expand, interval
 from .dynconn import RollbackUnionFind
 from .errors import BudgetExceeded, InternalError, ValidationError
 from .iso import NodeBudget, is_isomorphic, levelwise_assignments
@@ -95,6 +97,14 @@ def verify_certificate(cert: Certificate) -> tuple[bool, str]:
         return False, "smoothing radii do not match the certificate's epsilon"
     if cert.sm_f2.source != f or cert.sm_g2.source != g:
         return False, "doubled smoothings taken over different graphs"
+    for name in ("sm_f", "sm_g", "sm_f2", "sm_g2"):
+        sm = getattr(cert, name)
+        n, where = len(sm.source.criticals), f"{name} at radius {format_rational(sm.epsilon)}"
+        _, (r, *xs) = scaled((sm.epsilon, *sm.source.criticals, *sm.smoothed.criticals))
+        if xs[n:] != sorted({*(s - r for s in xs[:n]), *(s + r for s in xs[:n])}):
+            return False, f"{where}: its criticals are not its source's moved by -r and +r"
+        if sm.zeta.source != sm.source or sm.zeta.target != sm.smoothed:
+            return False, f"{where}: zeta does not run from its source to its smoothed graph"
     if cert.alpha.source != f or cert.alpha.target != cert.sm_g.smoothed:
         return False, "alpha does not run from the source graph into the smoothed target"
     if cert.beta.source != g or cert.beta.target != cert.sm_f.smoothed:
@@ -226,10 +236,29 @@ def _refute(f: RGraph, g: RGraph, eps: Fraction) -> Refutation | None:
     return None
 
 
+def _over(g: RGraph, iv: Interval) -> list[frozenset[str]]:
+    """g's Reeb cosheaf on an open interval: the components of the vertices
+    strictly inside it and of the edges whose open span meets it."""
+    S = g.criticals
+    a = 0 if iv.lo is None else bisect.bisect_right(S, iv.lo)
+    b = len(S) if iv.hi is None else bisect.bisect_left(S, iv.hi)
+    return component_sets(g, [v for lev in g.levels[a:b] for v in lev],
+                          [e for slot in g.slots[max(a - 1, 0):b] for e in slot])
+
+
+def _rank_counts(own: RGraph, other: RGraph, iv: Interval, eps) -> tuple[int, int]:
+    """The image of own's extension from iv to iv^2eps, as the number of
+    components over iv^2eps that those over iv land in, and the number of
+    other's components over iv^eps."""
+    where = {c: n for n, comp in enumerate(_over(own, expand(iv, 2 * eps))) for c in comp}
+    image = len({where[next(iter(comp))] for comp in _over(own, iv)})
+    return image, len(_over(other, expand(iv, eps)))
+
+
 def verify_refutation(f: RGraph, g: RGraph, ref: Refutation) -> tuple[bool, str]:
-    """Re-evaluate a refutation from the two graphs' Reeb cosheaves: both
-    counts must be the recorded ones and the image must exceed the bound.
-    Returns (ok, detail); the detail names the interval, side and counts."""
+    """Re-evaluate a refutation from the two graphs, apart from `_refute`:
+    both counts must be the recorded ones and the image must exceed the
+    bound. Returns (ok, detail); the detail names the interval, side and counts."""
     iv, eps = ref.interval, ref.epsilon
     ends = ("-inf" if iv.lo is None else format_rational(iv.lo),
             "inf" if iv.hi is None else format_rational(iv.hi))
@@ -238,8 +267,7 @@ def verify_refutation(f: RGraph, g: RGraph, ref: Refutation) -> tuple[bool, str]
         return False, (where + ": needs side 'f' or 'g', a nonempty interval "
                        "and a nonnegative radius")
     own, other = (f, g) if ref.side == "f" else (g, f)
-    image = len(set(extend_map(reeb_cosheaf(own), iv, expand(iv, 2 * eps)).values()))
-    bound = len(evaluate(reeb_cosheaf(other), expand(iv, eps)))
+    image, bound = _rank_counts(own, other, iv, eps)
     if (image, bound) != (ref.image, ref.bound) or image <= bound:
         return False, (f"{where}: the extension's image has {image} elements "
                        f"against a bound of {bound}; the witness records "
@@ -391,19 +419,20 @@ def _pair_search(exp_side, exp_bundles, exp_shift, bnd_side, bnd_bundles,
                  bnd_shift, pin_exp, pin_bnd, budget):
     """Expand one side morphism by morphism, filter the other side's
     bundles against its shifted composite, and check the other round trip
-    on the few survivors. Returns (expanded, bundled) or None."""
+    on the few survivors; a pin is called for its doubled smoothing once a
+    shift has built it. Returns (expanded, bundled) or None."""
     for bundle in exp_bundles:
         every = {piece: [{piece: c} for c in cands]
                  for _, piece, cands in bundle.choices}
         for x in _expand_table(exp_side, bundle, every, budget):
-            sx = exp_shift(x)
+            sx, pin = exp_shift(x), pin_exp().zeta
             for other in bnd_bundles:
                 budget.spend()
-                table = _filter_bundle(bnd_side, other, sx, pin_exp, budget)
+                table = _filter_bundle(bnd_side, other, sx, pin, budget)
                 if table is None:
                     continue
                 for y in _expand_table(bnd_side, other, table, budget):
-                    if morphism_equal(compose(x, bnd_shift(y)), pin_bnd):
+                    if morphism_equal(compose(x, bnd_shift(y)), pin_bnd().zeta):
                         return x, y
     return None
 
@@ -430,10 +459,10 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
         if not ok:
             raise InternalError("rank refutation failed verification: " + msg)
         return SearchOutcome("exhausted", None, eps, 0, ref)
-    sm_f = smooth(f, eps)
-    sm_g = smooth(g, eps)
-    sm_f2 = smooth(f, 2 * eps)
-    sm_g2 = smooth(g, 2 * eps)
+    sm_f, sm_g = smooth(f, eps), smooth(g, eps)
+    # built on first use: only a shifted composite or the certificate reads them
+    sm_f2 = cache(lambda: smooth(f, 2 * eps))
+    sm_g2 = cache(lambda: smooth(g, 2 * eps))
     meter = NodeBudget(budget, f"search exceeded {budget} nodes")
 
     # an isomorphism interleaves at every radius; take that exit before
@@ -453,13 +482,13 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
             return SearchOutcome("budget", None, eps, meter.nodes)
         if pair is None:
             return SearchOutcome("exhausted", None, eps, meter.nodes)
-    cert = _verified("found", Certificate(eps, *pair, sm_f, sm_g, sm_f2, sm_g2))
+    cert = _verified("found", Certificate(eps, *pair, sm_f, sm_g, sm_f2(), sm_g2()))
     return SearchOutcome("found", cert, eps, meter.nodes)
 
 
 def _certificate_pair(f, g, sm_f, sm_g, sm_f2, sm_g2, meter):
     """The first (alpha, beta) whose round trips both equal the canonical
-    maps, or None when there is none."""
+    maps, or None when there is none; sm_f2() and sm_g2() give S_2eps."""
     side_a = _SearchSide(f, sm_g.smoothed)
     side_b = _SearchSide(g, sm_f.smoothed)
     bundles_a = list(_enumerate_bundles(side_a, meter))
@@ -468,17 +497,17 @@ def _certificate_pair(f, g, sm_f, sm_g, sm_f2, sm_g2, meter):
         return None
 
     def shift_alpha(a):
-        return shift_compose(a, sm_f, sm_g, sm_g2)
+        return shift_compose(a, sm_f, sm_g, sm_g2())
 
     def shift_beta(b):
-        return shift_compose(b, sm_g, sm_f, sm_f2)
+        return shift_compose(b, sm_g, sm_f, sm_f2())
 
     # expand whichever side has fewer concrete maps
     if sum(map(_bundle_count, bundles_a)) <= sum(map(_bundle_count, bundles_b)):
         return _pair_search(side_a, bundles_a, shift_alpha, side_b, bundles_b,
-                            shift_beta, sm_g2.zeta, sm_f2.zeta, meter)
+                            shift_beta, sm_g2, sm_f2, meter)
     got = _pair_search(side_b, bundles_b, shift_beta, side_a, bundles_a,
-                       shift_alpha, sm_f2.zeta, sm_g2.zeta, meter)
+                       shift_alpha, sm_f2, sm_g2, meter)
     return None if got is None else (got[1], got[0])
 
 

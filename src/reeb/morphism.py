@@ -346,8 +346,9 @@ def transport(source_graph: RGraph, pull, sm_target) -> RGraphMorphism:
     images[x] are cells of sm_mid.smoothed, and at each value the ones
     meeting the window at mid_radius are carried on through sm_mid's
     provenance. Per position the witnesses that meet the window must land
-    in a single smoothed component (anything else is reported as an
-    internal error, since it would contradict the map being continuous).
+    in a single smoothed component there, and each edge's pieces must
+    chain between its endpoints' images (anything else is an internal
+    error naming the cell: it would contradict the map being continuous).
 
     Every value the call compares is scaled once to an integer and
     doubled, so that every slot midpoint is an integer too: positions are
@@ -355,8 +356,8 @@ def transport(source_graph: RGraph, pull, sm_target) -> RGraphMorphism:
     base's and the middle graph's criticals from integer lists.
     """
     images, sm_mid, mid_radius = pull
-    base = sm_target.source
-    groups = [(sm_target.epsilon,), sm_target.smoothed.criticals,
+    base, T = sm_target.source, sm_target.smoothed
+    groups = [(sm_target.epsilon,), T.criticals,
               source_graph.criticals, base.criticals]
     if sm_mid is not None:
         groups += [(mid_radius,), sm_mid.smoothed.criticals]
@@ -384,7 +385,10 @@ def transport(source_graph: RGraph, pull, sm_target) -> RGraphMorphism:
         if len(names) != 1:
             raise InternalError(f"{what} {x!r} at {_where(pos)}: the witnesses in "
                                 f"its window land in components {sorted(names)}")
-        return names.pop()
+        name = names.pop()
+        if (T.edge_slot.get(name) if pos % 2 else T.vertex_level.get(name)) != pos // 2:
+            raise InternalError(f"{what} {x!r}: image {name!r} is not a cell at {_where(pos)}")
+        return name
 
     vmap: dict[str, tuple[str, str]] = {}
     for k, level in enumerate(source_graph.levels):
@@ -407,15 +411,21 @@ def transport(source_graph: RGraph, pull, sm_target) -> RGraphMorphism:
         cuts = [b1, *B[i:bisect.bisect_left(B, b2)], b2]
         pieces = [(2 * (i + m) - 1, (d1 + d2) // 2)
                   for m, (d1, d2) in enumerate(zip(cuts, cuts[1:]))]
+        down, up, s0 = source_graph.down[j], source_graph.up[j], i - 1
         for x in slot:
-            emap[x] = tuple(resolve("edge", x, pos, t) for pos, t in pieces)
-
-    result = RGraphMorphism(source_graph, sm_target.smoothed, vmap, emap)
-    rep = validate_morphism(result)
-    if not rep.ok:
-        raise InternalError("window transport produced an invalid morphism: "
-                            + "; ".join(rep.violations))
-    return result
+            path = tuple(resolve("edge", x, pos, t) for pos, t in pieces)
+            # piece m sits in slot s0 + m: each must end where the next
+            # begins, and the ends must be the images of x's endpoints
+            lower = [T.down[s0 + m][p] for m, p in enumerate(path)]
+            upper = [T.up[s0 + m][p] for m, p in enumerate(path)]
+            (lk, lo), (hk, hi) = vmap[down[x]], vmap[up[x]]
+            if (upper[:-1] != lower[1:]
+                    or (path[0] if lk == "edge" else lower[0]) != lo
+                    or (path[-1] if hk == "edge" else upper[-1]) != hi):
+                raise InternalError(f"edge {x!r}: image path {list(path)} does not chain "
+                                    f"from the image of {down[x]!r} to that of {up[x]!r}")
+            emap[x] = path
+    return RGraphMorphism(source_graph, T, vmap, emap)
 
 
 def smoothed_pull(alpha: RGraphMorphism, sm_source, sm_mid=None):

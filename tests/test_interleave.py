@@ -1,7 +1,9 @@
 """Interleaving certificates: verification, search, and the certificate algebra."""
 
 import dataclasses
+import json
 import random
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 import reeb
 from reeb import BudgetExceeded, ValidationError, interleave
 from reeb.interleave import (Certificate, _certificate_pair,
-                             _enumerate_bundles, _expand_table, _refute,
-                             _SearchSide)
+                             _enumerate_bundles, _expand_table, _rank_counts,
+                             _refute, _SearchSide)
 from reeb.iso import NodeBudget
+
+import search_outcomes
 
 
 def parallel_pair(count_left, count_right):
@@ -56,6 +60,17 @@ class TestVerify:
         ok, msg = reeb.verify_certificate(bad)
         assert not ok
         assert "epsilon" in msg
+
+    def test_verify_names_a_relabelled_smoothing_record(self):
+        cert = reeb.self_certificate(reeb.loop(0, 1), Fraction(1, 4))
+        ok, msg = reeb.verify_certificate(relabelled(cert, Fraction(1, 8)))
+        assert (ok, msg) == (False, "sm_f at radius 1/8: its criticals are not "
+                             "its source's moved by -r and +r")
+        bad = dataclasses.replace(
+            cert, sm_g2=dataclasses.replace(cert.sm_g2, zeta=cert.sm_g.zeta))
+        assert reeb.verify_certificate(bad) == (
+            False, "sm_g2 at radius 1/2: zeta does not run from its source to "
+            "its smoothed graph")
 
     def test_verify_catches_misdirected_map(self):
         out = reeb.search_certificate(reeb.line(0, 1), reeb.loop(0, 1), Fraction(1, 4))
@@ -236,6 +251,38 @@ class TestCertificateAlgebra:
         del calls[:]
         reeb.compose_certificates(cert, mid)
         assert len(calls) == 4
+
+    def test_a_probe_smooths_only_what_its_outcome_reads(self, monkeypatch):
+        # a rank refutation smooths nothing; the doubled smoothings wait
+        # for the first shifted composite, so a probe that runs out of
+        # nodes enumerating bundles smooths f and g at eps only
+        calls, searched = [], []
+        sweep, pair_search = reeb.smoothing.smooth_sweep, interleave._pair_search
+        monkeypatch.setattr(reeb.smoothing, "smooth_sweep",
+                            lambda g, eps: calls.append(eps) or sweep(g, eps))
+        monkeypatch.setattr(interleave, "_pair_search",
+                            lambda *args: searched.append(1) or pair_search(*args))
+        line, loop = reeb.line(0, 1), reeb.loop(0, 1)
+        out = reeb.search_certificate(line, loop, Fraction(1, 5))
+        assert (out.refutation is not None, calls) == (True, [])
+        out = reeb.search_certificate(*parallel_pair(1, 2), Fraction(1, 4), budget=5)
+        assert (out.status, searched, calls) == ("budget", [], [Fraction(1, 4)] * 2)
+        del calls[:]
+        out = reeb.search_certificate(line, loop, Fraction(1, 4))
+        assert out.status == "found"
+        assert sorted(calls) == [Fraction(1, 4)] * 2 + [Fraction(1, 2)] * 2
+        for sm, g in ((out.certificate.sm_f2, line), (out.certificate.sm_g2, loop)):
+            want = reeb.smooth(g, Fraction(1, 2))
+            assert (sm.source, sm.epsilon, sm.smoothed, sm.zeta, dict(sm.provenance)) == \
+                (g, want.epsilon, want.smoothed, want.zeta, dict(want.provenance))
+
+    def test_rank_refuted_probe_builds_no_cosheaf(self, monkeypatch):
+        def forbidden(g):
+            raise AssertionError("reeb_cosheaf called")
+        monkeypatch.setattr(reeb.cosheaf, "reeb_cosheaf", forbidden)
+        monkeypatch.setattr(interleave, "reeb_cosheaf", forbidden, raising=False)
+        out = reeb.search_certificate(reeb.line(0, 1), reeb.loop(0, 1), Fraction(1, 5))
+        assert out.refutation is not None
 
     @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 10)])
     def test_contract_at_zero_radii(self, delta):
@@ -444,7 +491,8 @@ def search_past_refutation(f, g, eps, budget):
     sms = (reeb.smooth(f, eps), reeb.smooth(g, eps),
            reeb.smooth(f, 2 * eps), reeb.smooth(g, 2 * eps))
     try:
-        pair = _certificate_pair(f, g, *sms, NodeBudget(budget, "budget"))
+        pair = _certificate_pair(f, g, *sms[:2], lambda: sms[2], lambda: sms[3],
+                                 NodeBudget(budget, "budget"))
     except BudgetExceeded:
         return "budget"
     if pair is None:
@@ -452,6 +500,14 @@ def search_past_refutation(f, g, eps, budget):
     cert = Certificate(eps, *pair, *sms)
     assert reeb.verify_certificate(cert)[0]
     return cert
+
+
+def cosheaf_rank_counts(F, G, iv, eps):
+    """Test oracle for `interleave._rank_counts`, through whole Reeb
+    cosheaves: the image of F's extension from iv to iv^2eps, and the
+    number of elements of G on iv^eps."""
+    image = set(reeb.extend_map(F, iv, reeb.expand(iv, 2 * eps)).values())
+    return len(image), len(reeb.evaluate(G, reeb.expand(iv, eps)))
 
 
 def exhaustive_refutation(f, g, eps):
@@ -468,10 +524,76 @@ def exhaustive_refutation(f, g, eps):
             if iv.empty:
                 continue
             for side, own, other in (("f", F, G), ("g", G, F)):
-                image = set(reeb.extend_map(own, iv, reeb.expand(iv, 2 * eps)).values())
-                if len(image) > len(reeb.evaluate(other, reeb.expand(iv, eps))):
+                image, bound = cosheaf_rank_counts(own, other, iv, eps)
+                if image > bound:
                     return lo, hi, side
     return None
+
+
+def rank_case(seed, shape):
+    """Two graphs, a radius and an open interval of the given shape. The
+    graphs are in quarters or in sevenths against tenths; the radius is 0,
+    in quarters, or in elevenths or thirteenths; the ends are drawn from
+    the criticals, from them moved by one or two radii (where windows end
+    exactly on a critical), and from values in thirds and twelfths."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        f, g = (reeb.random_rgraph(rng, max_vertices=5, max_edges=6) for _ in "fg")
+    else:
+        f, g = mixed_pair(rng.getrandbits(32))
+    eps = rng.choice((Fraction(0), Fraction(rng.randint(1, 8), 4),
+                      Fraction(rng.randint(1, 30), rng.choice((11, 13)))))
+    crit = (*f.criticals, *g.criticals)
+    pool = sorted({*crit, *(s + k * eps for s in crit for k in (-2, -1, 1, 2)),
+                   *(Fraction(rng.randint(-12, 36), rng.choice((3, 12))) for _ in range(3)),
+                   Fraction(-1, 3), Fraction(5, 2)})
+    lo, hi = sorted(rng.sample(pool, 2))
+    lo, hi = {"bounded": (lo, hi), "below": (None, hi), "above": (lo, None),
+              "whole": (None, None)}[shape]
+    return f, g, eps, reeb.interval(lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["bounded", "below", "above", "whole"]))
+def test_rank_counts_match_the_cosheaf_route(seed, shape):
+    f, g, eps, iv = rank_case(seed, shape)
+    F, G = reeb.reeb_cosheaf(f), reeb.reeb_cosheaf(g)
+    for side, own, other, cosheaves in (("f", f, g, (F, G)), ("g", g, f, (G, F))):
+        counts = cosheaf_rank_counts(*cosheaves, iv, eps)
+        assert _rank_counts(own, other, iv, eps) == counts
+        ref = reeb.Refutation(eps, iv, side, *counts)
+        assert reeb.verify_refutation(f, g, ref)[0] == (counts[0] > counts[1])
+
+
+def relabelled(cert, r):
+    """The certificate with its radius and every smoothing record's radius
+    replaced, r for the single and 2r for the doubled ones."""
+    def at(sm, radius):
+        return dataclasses.replace(sm, epsilon=radius)
+    return dataclasses.replace(cert, epsilon=r, sm_f=at(cert.sm_f, r), sm_g=at(cert.sm_g, r),
+                               sm_f2=at(cert.sm_f2, 2 * r), sm_g2=at(cert.sm_g2, 2 * r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]))
+def test_relabelled_certificates_are_rejected_and_never_raise(seed, factor):
+    # the stability certificate of a seeded pair, and the one the search
+    # finds at the same radius; relabelled to a smaller radius, each must
+    # be rejected by name. A graph here has at least one vertex, so a
+    # record's criticals fix its radius
+    edges, fv, gv = reeb.random_stability_pair(random.Random(seed),
+                                               max_vertices=5, max_edges=6)
+    cert = reeb.stability_certificate(edges, fv, gv)
+    out = reeb.search_certificate(cert.sm_f.source, cert.sm_g.source, cert.epsilon,
+                                  budget=300)
+    for c in (cert, out.certificate):
+        if c is None or c.epsilon == 0:
+            continue
+        ok, msg = reeb.verify_certificate(relabelled(c, c.epsilon * factor))
+        assert not ok
+        assert re.fullmatch(r"sm_f at radius \S+: its criticals are not its "
+                            r"source's moved by -r and \+r", msg), msg
 
 
 @props
@@ -576,6 +698,13 @@ def test_stability_outcomes_are_monotone_in_the_radius(seed):
     assert statuses[3] != "exhausted"
     if "found" in statuses:
         assert "exhausted" not in statuses[statuses.index("found"):]
+
+
+def test_search_outcomes_are_frozen():
+    # status, nodes and rank refutation of every probe, as recorded in
+    # search_outcomes.json (see search_outcomes.py for how to regenerate)
+    want = json.loads(search_outcomes.TABLE.read_text())
+    assert search_outcomes.outcome_rows() == want
 
 
 # ---------------------------------------------------------------------------

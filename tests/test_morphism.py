@@ -198,6 +198,37 @@ def test_transport_names_witnesses_in_two_components():
         transport(g, everything(g, two), sm)
 
 
+def forged_index(sm, wrong):
+    """A copy of sm whose position index sends the (doubled position,
+    source cell) keys of `wrong` to the smoothed cells given there."""
+    broken = dataclasses.replace(sm)
+    broken.__dict__["position_index"] = {**sm.position_index, **wrong}
+    return broken
+
+
+# two strands a: a0 -> a1 and b: b0 -> b1 over [0, 1], smoothed at 1/4
+# (criticals -1/4, 1/4, 3/4, 5/4); the line's v0 and e0 map into strand a
+strands = build_rgraph({"a0": 0, "a1": 1, "b0": 0, "b1": 1},
+                       [("a", "a0", "a1"), ("b", "b0", "b1")])
+onto_a = ({"v0": {"a0"}, "v1": {"a1"}, "e0": {"a"}}, None, None)
+
+
+def test_transport_names_a_vertex_image_off_its_position():
+    sm = forged_index(smooth(strands, Fraction(1, 4)), {(1, "a0"): "v(1;a)"})
+    with pytest.raises(InternalError, match="^" + re.escape(
+            "vertex 'v0': image 'v(1;a)' is not a cell at slot 0") + "$"):
+        transport(line(0, 1), onto_a, sm)
+
+
+def test_transport_names_an_edge_path_that_does_not_chain():
+    sm = smooth(strands, Fraction(1, 4))
+    assert validate_morphism(transport(line(0, 1), onto_a, sm)).ok
+    with pytest.raises(InternalError, match="^" + re.escape(
+            "edge 'e0': image path ['e(0;a)', 'e(1;b)', 'e(2;a)'] does not chain "
+            "from the image of 'v0' to that of 'v1'") + "$"):
+        transport(line(0, 1), onto_a, forged_index(sm, {(3, "a"): "e(1;b)"}))
+
+
 def test_transport_names_a_value_outside_the_smoothed_range():
     # the smoothed line spans [-1/4, 5/4]; q sits above it
     h = line(0, 1)
@@ -222,39 +253,48 @@ def map_out(g, a):
     return compose(reduce_collapse(g, red), smooth(red.graph, a).zeta)
 
 
+def valid(m):
+    """m, once `validate_morphism`, the Fraction oracle for what
+    `transport` checks on integers, accepts it."""
+    rep = validate_morphism(m)
+    assert rep.ok, rep.violations
+    return m
+
+
 @laws
 @given(graphs, radii)
 def test_smoothing_preserves_identities(g, eps):
-    assert morphism_equal(smooth_morphism(identity(g), eps),
+    assert morphism_equal(valid(smooth_morphism(identity(g), eps)),
                           identity(smooth(g, eps).smoothed))
 
 
 def composition_law(g, a, b, eps):
     phi = map_out(g, a)
     psi = map_out(phi.target, b)
-    assert morphism_equal(smooth_morphism(compose(phi, psi), eps),
-                          compose(smooth_morphism(phi, eps),
-                                  smooth_morphism(psi, eps)))
+    assert morphism_equal(valid(smooth_morphism(compose(phi, psi), eps)),
+                          compose(valid(smooth_morphism(phi, eps)),
+                                  valid(smooth_morphism(psi, eps))))
 
 
 def naturality_law(g, a, eps):
     phi = map_out(g, a)
     assert morphism_equal(compose(phi, smooth(phi.target, eps).zeta),
-                          compose(smooth(g, eps).zeta, smooth_morphism(phi, eps)))
+                          compose(smooth(g, eps).zeta, valid(smooth_morphism(phi, eps))))
 
 
 def shifted_zeta_law(g, r, s, cert):
     # the canonical map S_r g -> S_{r+s} g, shifted from zeta or iterated
     cs = compose_smoothings(g, r, s)
     sm = smooth(g, s)
-    assert morphism_equal(shift_compose(sm.zeta, cs.first, sm, cs.total),
-                          compose(cs.second.zeta, cs.witness))
+    assert morphism_equal(valid(shift_compose(sm.zeta, cs.first, sm, cs.total)),
+                          compose(cs.second.zeta, valid(cs.witness)))
     # for any m: A -> S_s B, the shifted composite is the smoothed map
     # followed by S_r S_s B -> S_{r+s} B
     m, sm_a = cert.alpha, smooth(cert.alpha.source, r)
     cb = compose_smoothings(cert.sm_g.source, cert.epsilon, r)
-    assert morphism_equal(shift_compose(m, sm_a, cert.sm_g, cb.total),
-                          compose(smooth_morphism(m, r, sm_a, cb.second), cb.witness))
+    assert morphism_equal(valid(shift_compose(m, sm_a, cert.sm_g, cb.total)),
+                          compose(valid(smooth_morphism(m, r, sm_a, cb.second)),
+                                  cb.witness))
 
 
 @laws
