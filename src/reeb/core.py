@@ -207,6 +207,17 @@ def _edge_triples(edges):
         yield str(eid), str(a), str(b)
 
 
+def _ranked(xs) -> tuple[list, list[int]]:
+    """The distinct values among xs in increasing order, and the index
+    of each x there, ranked once as integers over a common denominator."""
+    _, keys = scaled(xs)
+    rank = {key: k for k, key in enumerate(sorted(set(keys)))}
+    crit: list = [None] * len(rank)
+    for x, key in zip(xs, keys):
+        crit[rank[key]] = x
+    return crit, [rank[key] for key in keys]
+
+
 def _build(vertices, edges, extra_criticals):
     """Shared constructor: place vertices, split long edges at intervening
     criticals. Returns (graph, edge id -> segment tuple, split vertex -> owner edge)."""
@@ -229,26 +240,9 @@ def _build(vertices, edges, extra_criticals):
     if clash:
         raise ValidationError(f"ids used for both a vertex and an edge: {sorted(clash)}")
 
-    # rank every value once, as integers over the common denominator
-    xs = [*values.values(), *map(as_rational, extra_criticals)]
-    _, keys = scaled(xs)
-    rank = {key: k for k, key in enumerate(sorted(set(keys)))}
-    crit: list = [None] * len(rank)
-    for x, key in zip(xs, keys):
-        crit[rank[key]] = x
-    level = {vid: rank[key] for vid, key in zip(values, keys)}
-    levels: list[list[str]] = [[] for _ in crit]
-    for vid, k in level.items():
-        levels[k].append(vid)
-    fmt: list[str | None] = [None] * len(crit)      # each split critical's text
-    n_slots = max(0, len(crit) - 1)
-    slots: list[list[str]] = [[] for _ in range(n_slots)]
-    down: list[dict[str, str]] = [{} for _ in range(n_slots)]
-    up: list[dict[str, str]] = [{} for _ in range(n_slots)]
-
-    used = set(values) | eids
-    edge_map: dict[str, tuple[str, ...]] = {}
-    split_vertices: dict[str, str] = {}
+    crit, ranks = _ranked([*values.values(), *map(as_rational, extra_criticals)])
+    level = dict(zip(values, ranks))
+    placed: list[tuple[str, str, str, int, int]] = []
     for eid, lo, hi in edge_list:
         for end in (lo, hi):
             if end not in values:
@@ -258,6 +252,27 @@ def _build(vertices, edges, extra_criticals):
             raise ValidationError(
                 f"edge {eid!r} must rise: need f({lo!r}) < f({hi!r}), "
                 f"got {format_rational(values[lo])} and {format_rational(values[hi])}")
+        placed.append((eid, lo, hi, i, j))
+    return _split(crit, level.items(), placed, set(values) | eids)
+
+
+def _split(crit, vertices, edges, used):
+    """Place (id, level) vertices and (id, lower, upper, lower level, upper
+    level) edges over the ranked criticals `crit`, cutting an edge that
+    passes a critical into segments `id:0`, `id:1`, ... joined by vertices
+    `id@value`, each name primed until not in `used`. Returns (graph, edge
+    id -> segment tuple, split vertex -> owner edge)."""
+    levels: list[list[str]] = [[] for _ in crit]
+    for vid, k in vertices:
+        levels[k].append(vid)
+    fmt: list[str | None] = [None] * len(crit)      # each split critical's text
+    n_slots = max(0, len(crit) - 1)
+    slots: list[list[str]] = [[] for _ in range(n_slots)]
+    down: list[dict[str, str]] = [{} for _ in range(n_slots)]
+    up: list[dict[str, str]] = [{} for _ in range(n_slots)]
+    edge_map: dict[str, tuple[str, ...]] = {}
+    split_vertices: dict[str, str] = {}
+    for eid, lo, hi, i, j in edges:
         if j == i + 1:
             slots[i].append(eid)
             down[i][eid] = lo
@@ -281,7 +296,6 @@ def _build(vertices, edges, extra_criticals):
                 segs.append(seg)
                 bottom = top
             edge_map[eid] = tuple(segs)
-
     return _assemble(crit, levels, slots, down, up), edge_map, split_vertices
 
 
@@ -305,12 +319,15 @@ class RefineResult:
 
 def refine(g: RGraph, extra) -> RefineResult:
     """Split edges at the given extra critical values (values already
-    present are ignored; values outside the range add empty levels)."""
-    vertices = [(v, g.criticals[i]) for i, lev in enumerate(g.levels) for v in lev]
-    edges = [(e, g.down[j][e], g.up[j][e]) for j, slot in enumerate(g.slots) for e in slot]
-    crit = set(g.criticals) | {as_rational(x) for x in extra}
-    graph, edge_map, split_vertices = _build(vertices, edges, crit)
-    return RefineResult(graph, edge_map, split_vertices)
+    present are ignored; values outside the range add empty levels).
+    The extras join g's criticals on one integer scale, and g's edges are
+    cut by the routine `build_rgraph` uses; g is taken to be valid."""
+    crit, ranks = _ranked([*g.criticals, *map(as_rational, extra)])
+    at = ranks[:g.n_levels]                           # each old level's new one
+    vertices = [(v, k) for k, lev in zip(at, g.levels) for v in lev]
+    edges = [(e, g.down[j][e], g.up[j][e], at[j], at[j + 1])
+             for j, slot in enumerate(g.slots) for e in slot]
+    return RefineResult(*_split(crit, vertices, edges, {*g.vertex_ids, *g.edge_ids}))
 
 
 @dataclass(frozen=True)
@@ -370,7 +387,7 @@ def reduce(g: RGraph) -> ReduceResult:
 
 def common_refinement(g: RGraph, h: RGraph) -> tuple[RefineResult, RefineResult]:
     """Refine each graph at the other's criticals so both share one set."""
-    return refine(g, set(h.criticals)), refine(h, set(g.criticals))
+    return refine(g, h.criticals), refine(h, g.criticals)
 
 
 def component_sets(g: RGraph, vertex_ids, edge_ids) -> list[frozenset[str]]:

@@ -15,7 +15,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice, product
+from itertools import accumulate, islice, product
 
 from .core import (RGraph, _build, _edge_triples, component_sets,
                    num_components, reduce, refine)
@@ -115,16 +115,17 @@ def verify_certificate(cert: Certificate) -> tuple[bool, str]:
     rep = validate_morphism(cert.beta)
     if not rep.ok:
         return False, "beta is not a morphism: " + rep.violations[0]
-    beta_shift = shift_compose(cert.beta, cert.sm_g, cert.sm_f, cert.sm_f2)
-    diff = morphism_first_difference(compose(cert.alpha, beta_shift), cert.sm_f2.zeta)
-    if diff is not None:
-        return False, ("round trip through the target leaves the canonical map: "
-                       + diff)
-    alpha_shift = shift_compose(cert.alpha, cert.sm_f, cert.sm_g, cert.sm_g2)
-    diff = morphism_first_difference(compose(cert.beta, alpha_shift), cert.sm_g2.zeta)
-    if diff is not None:
-        return False, ("round trip through the source leaves the canonical map: "
-                       + diff)
+    for first, moved, src, mid, total, through in (
+            ("alpha", "beta", "sm_g", "sm_f", "sm_f2", "target"),
+            ("beta", "alpha", "sm_f", "sm_g", "sm_g2", "source")):
+        try:
+            shifted = shift_compose(*(getattr(cert, a) for a in (moved, src, mid, total)))
+        except InternalError as exc:
+            return False, f"{moved} does not shift from {src} through {mid} into {total}: {exc}"
+        diff = morphism_first_difference(compose(getattr(cert, first), shifted),
+                                         getattr(cert, total).zeta)
+        if diff is not None:
+            return False, f"round trip through the {through} leaves the canonical map: {diff}"
     return True, "ok"
 
 
@@ -151,7 +152,8 @@ class _Ranks:
     """Components of a graph's preimages of open intervals, in integer
     coordinates (values times a common scale). An open interval meets a
     range of doubled positions, 2k on level k and 2k+1 on the slot above
-    it, and its components are a union-find over the cells there."""
+    it, and its components are a union-find over the cells there. Prefix
+    sums count the cells of a range without the union-find."""
 
     def __init__(self, g: RGraph, crit: list[int]):
         self.crit = crit
@@ -163,8 +165,13 @@ class _Ranks:
                 self.at.append([num[e] for e in g.slots[k]])
         self.attach = [[(num[g.down[j][e]], num[g.up[j][e]]) for e in slot]
                        for j, slot in enumerate(g.slots)]
+        self.before = [0, *accumulate(map(len, self.at))]   # cells before each position
         self._uf = RollbackUnionFind(len(num))
         self._memo: dict[tuple, int] = {}
+
+    def cells(self, r: tuple[int, int]) -> int:
+        """The number of cells on the positions of range r."""
+        return self.before[r[1] + 1] - self.before[r[0]] if r[0] <= r[1] else 0
 
     def positions(self, ends, r):
         """Yield, per interval end in order, the first doubled position an
@@ -198,8 +205,9 @@ class _Ranks:
                     done += uf.union(e, lower)
                 if pos < q:
                     done += uf.union(e, upper)
-        count = len({uf.find(c) for cells in self.at[small[0]:small[1] + 1]
-                     for c in cells})
+        # over a range alone, each union that merged two classes removes one
+        count = self.cells(big) - done if small == big else len(
+            {uf.find(c) for cells in self.at[small[0]:small[1] + 1] for c in cells})
         uf.rollback(done)
         self._memo[small, big] = count
         return count
@@ -208,7 +216,10 @@ class _Ranks:
 def _refute(f: RGraph, g: RGraph, eps: Fraction) -> Refutation | None:
     """The first interval that breaks the rank bound at eps, or None. Its
     ends are neighbouring or next-but-one candidates s + k eps (k in -2..2,
-    s critical in either graph), or unbounded beyond the outermost."""
+    s critical in either graph), or unbounded beyond the outermost. An
+    image has at most as many elements as I has cells, and a bound is at
+    least 1 once I^eps holds a cell, so only a check with two cells over
+    I, or one against an empty I^eps, counts components."""
     scale, (e, *crit) = scaled((eps, *f.criticals, *g.criticals))
     rf, rg = _Ranks(f, crit[:f.n_levels]), _Ranks(g, crit[f.n_levels:])
     ends = [None, *sorted({s + k * e for s in rf.crit + rg.crit
@@ -225,9 +236,12 @@ def _refute(f: RGraph, g: RGraph, eps: Fraction) -> Refutation | None:
             # a* at the low end ends[i], b* at the high end ends[h]
             for (side, own, other), (a0, a2, ae), (b0, b2, be) in zip(
                     sides, seen[i], seen[h]):
-                image = own.image((a0[0], b0[1]), (a2[0], b2[1]))
-                around = (ae[0], be[1])
-                bound = other.image(around, around)
+                small, around = (a0[0], b0[1]), (ae[0], be[1])
+                n, some = own.cells(small), other.cells(around)
+                if n == 0 or n == 1 and some:
+                    continue
+                image = own.image(small, (a2[0], b2[1]))
+                bound = other.image(around, around) if some else 0
                 if image > bound:
                     lo, hi = ends[i], ends[h]
                     iv = interval(None if lo is None else Fraction(lo, scale),
@@ -301,11 +315,10 @@ class _SearchSide:
     images back in the original graphs."""
 
     def __init__(self, src: RGraph, tgt: RGraph):
-        su = set(src.criticals) | set(tgt.criticals)
         self.src = src
         self.tgt = tgt
-        rs = refine(src, su)
-        rt = refine(tgt, su)
+        rs = refine(src, tgt.criticals)
+        rt = refine(tgt, src.criticals)
         self.S = rs.graph
         self.T = rt.graph
         self.pieces = {e: tuple(rs.edge_map[e]) for e in src.edge_ids}
@@ -319,7 +332,10 @@ def _enumerate_bundles(side: _SearchSide, budget: NodeBudget):
 
     A vertex with edges into the level below draws its candidates from
     the targets adjacent to their already fixed images, so constraints
-    propagate along chains instead of being discovered after the fact."""
+    propagate along chains instead of being discovered after the fact:
+    each target vertex holds a bitmask of its upper neighbours, bit k for
+    the k-th vertex of the level above, and a vertex's candidates are the
+    bits set in the masks of all its lower neighbours' images."""
     S, T = side.S, side.T
     for i in range(S.n_levels):
         if S.levels[i] and not T.levels[i]:
@@ -327,21 +343,28 @@ def _enumerate_bundles(side: _SearchSide, budget: NodeBudget):
     for j in range(S.n_slots):
         if S.slots[j] and not T.slots[j]:
             return
+    above = dict.fromkeys(T.vertex_ids, 0)
+    for j, slot in enumerate(T.slots):
+        bit = {w: 1 << k for k, w in enumerate(T.levels[j + 1])}
+        for e in slot:
+            above[T.down[j][e]] |= bit[T.up[j][e]]
+    edges = [(j, e, S.down[j][e], S.up[j][e]) for j, slot in enumerate(S.slots) for e in slot]
+    lows: dict[str, list[str]] = {v: [] for v in S.vertex_ids}
+    for _, _, lo, hi in edges:
+        lows[hi].append(lo)
 
     def candidates(i, v, va):
-        below = S.below_edges[v]
-        if not below:
+        if not lows[v]:
             return T.levels[i]
-        pairs = T.edge_groups[i - 1]
-        return [w for w in T.levels[i]
-                if all((va[S.down[i - 1][e]], w) in pairs for e in below)]
+        mask = -1
+        for u in lows[v]:
+            mask &= above[va[u]]
+        return [w for k, w in enumerate(T.levels[i]) if mask >> k & 1]
 
+    # each edge's upper end was drawn adjacent to its lower end's image
     for va in levelwise_assignments(S, candidates, budget):
-        choices = tuple(
-            (j, e, T.edge_groups[j].get((va[S.down[j][e]], va[S.up[j][e]])))
-            for j in range(S.n_slots) for e in S.slots[j])
-        if all(cs for _, _, cs in choices):
-            yield _Bundle(dict(va), choices)
+        yield _Bundle(dict(va), tuple((j, e, T.edge_groups[j][va[lo], va[hi]])
+                                      for j, e, lo, hi in edges))
 
 
 def _bundle_count(bundle: _Bundle) -> int:
@@ -490,8 +513,9 @@ def _certificate_pair(f, g, sm_f, sm_g, sm_f2, sm_g2, meter):
     """The first (alpha, beta) whose round trips both equal the canonical
     maps, or None when there is none; sm_f2() and sm_g2() give S_2eps."""
     side_a = _SearchSide(f, sm_g.smoothed)
-    side_b = _SearchSide(g, sm_f.smoothed)
     bundles_a = list(_enumerate_bundles(side_a, meter))
+    # refined only once side a's enumeration has stayed within the budget
+    side_b = _SearchSide(g, sm_f.smoothed)
     bundles_b = list(_enumerate_bundles(side_b, meter))
     if not (bundles_a and bundles_b):
         return None

@@ -132,9 +132,8 @@ def normal_form(phi: RGraphMorphism) -> NormalForm:
     express the morphism as one vertex map per level and one edge map per
     slot: between graphs with equal criticals, every vertex image is a
     vertex and every edge image a single edge."""
-    su = set(phi.source.criticals) | set(phi.target.criticals)
-    rs = refine(phi.source, su)
-    rt = refine(phi.target, su)
+    rs = refine(phi.source, phi.target.criticals)
+    rt = refine(phi.target, phi.source.criticals)
     S, T = rs.graph, rt.graph
     m = compose(compose(refine_collapse(phi.source, rs), phi),
                 refine_embed(phi.target, rt))

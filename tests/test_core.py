@@ -1,17 +1,23 @@
 import ast
 import importlib
 import importlib.util
+import random
 from fractions import Fraction
 from hashlib import sha256
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reeb
 
-from reeb import (RGraph, ValidationError, build_rgraph, common_refinement,
-                  component_sets, empty_rgraph, fork, line, loop, minimum_gap,
-                  num_components, point, reduce, refine, validate)
+from reeb import (ParseError, RGraph, ValidationError, build_rgraph,
+                  common_refinement, component_sets, empty_rgraph, fork, line,
+                  loop, minimum_gap, num_components, point, reduce, refine,
+                  validate)
+from reeb.core import RefineResult, _build
+from reeb.rationals import as_rational, format_rational
 
 
 def test_build_basic_line():
@@ -135,6 +141,77 @@ def test_refine_inserts_levels_and_splits():
     assert rr2.graph == g
     rr3 = refine(g, [Fraction(4)])
     assert rr3.graph.levels[-1] == ()
+
+
+def build_refine(g, extra):
+    """Test oracle for `refine`: rebuild g through `_build` from its
+    vertices and edges, with the union of its criticals and the extras."""
+    vertices = [(v, g.criticals[i]) for i, lev in enumerate(g.levels) for v in lev]
+    edges = [(e, g.down[j][e], g.up[j][e]) for j, slot in enumerate(g.slots) for e in slot]
+    crit = set(g.criticals) | {as_rational(x) for x in extra}
+    return RefineResult(*_build(vertices, edges, crit))
+
+
+def split_named_graph(rng):
+    """A random graph in quarters, sevenths or tenths, some of whose ids
+    look like the names refinement generates (`w3@1/2` for a vertex,
+    `w3:0` for an edge), so that fresh names need primes."""
+    den = rng.choice((4, 7, 10))
+    grid = [Fraction(rng.randint(-12, 12), den) for _ in range(6)]
+    values, edges = {}, []
+    for i in range(rng.randint(0, 6)):
+        name = f"p{i}"
+        if rng.random() < 0.4:
+            name = f"w{rng.randint(0, 5)}@{format_rational(rng.choice(grid))}"
+        if name not in values:
+            values[name] = rng.choice(grid)
+    names = sorted(values)
+    taken = set()
+    for k in range(rng.randint(0, 8) if len(names) > 1 else 0):
+        a, b = sorted(rng.sample(names, 2), key=values.get)
+        eid = f"w{rng.randint(0, 5)}:{rng.randint(0, 2)}" if rng.random() < 0.4 else f"w{k}"
+        if values[a] < values[b] and eid not in taken:
+            taken.add(eid)
+            edges.append((eid, a, b))
+    return build_rgraph(values, edges, rng.sample(grid, rng.randint(0, 2))), grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_refine_matches_the_build_route(seed):
+    # extras on, between, below and above the graph's criticals and on its
+    # grid, in its own and other denominators; the empty graph included
+    rng = random.Random(seed)
+    g, grid = (empty_rgraph(), [Fraction(1, 3)]) if rng.random() < 0.05 else split_named_graph(rng)
+    crit = list(g.criticals)
+    pool = [*crit, *grid, *((a + b) / 2 for a, b in zip(crit, crit[1:])),
+            *(Fraction(rng.randint(-40, 40), rng.choice((3, 7, 9, 10))) for _ in range(3))]
+    if crit:
+        pool += [crit[0] - Fraction(1, 3), crit[-1] + 2]
+    extra = rng.sample(pool, rng.randint(0, min(len(pool), 5)))
+    extra = [rng.choice((x, str(x))) if x.denominator > 1 else int(x) for x in extra]
+    got, want = refine(g, extra), build_refine(g, extra)
+    assert got.graph == want.graph
+    assert got.edge_map == want.edge_map
+    assert got.split_vertices == want.split_vertices
+
+
+def test_refine_primes_fresh_names_like_the_build_route():
+    g = build_rgraph({"a": 0, "b": 1, "e@1/2": 2},
+                     [("e", "a", "b"), ("e:0", "b", "e@1/2")])
+    extra = ["1/2", Fraction(3, 4), Fraction(3, 2)]
+    got, want = refine(g, extra), build_refine(g, extra)
+    assert got == want
+    assert got.edge_map == {"e": ("e:0'", "e:1", "e:2"), "e:0": ("e:0:0", "e:0:1")}
+    assert got.split_vertices == {"e@1/2'": "e", "e@3/4": "e", "e:0@3/2": "e:0"}
+
+
+def test_refine_rejects_a_float_extra():
+    for g in (line(0, 1), empty_rgraph()):
+        with pytest.raises(ParseError):
+            refine(g, [0.5])
+        with pytest.raises(ParseError):
+            build_refine(g, [0.5])
 
 
 def test_reduce_drops_pass_through_levels():

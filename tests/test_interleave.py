@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 import reeb
 from reeb import BudgetExceeded, ValidationError, interleave
-from reeb.interleave import (Certificate, _certificate_pair,
+from reeb.interleave import (Certificate, Refutation, _Bundle, _certificate_pair,
                              _enumerate_bundles, _expand_table, _rank_counts,
-                             _refute, _SearchSide)
-from reeb.iso import NodeBudget
+                             _Ranks, _refute, _SearchSide)
+from reeb.iso import NodeBudget, levelwise_assignments
+from reeb.rationals import scaled
+from reeb.unionfind import UnionFind
 
 import search_outcomes
 
@@ -813,3 +815,151 @@ emap w2 e(3;p0)
 emap w3 e(3;p0)
 emap w4:1 e(3;p0)
 """
+
+
+# ---------------------------------------------------------------------------
+# The probe's setup kernels against the routes they replaced.
+
+def range_image(ranks, small, big):
+    """Elements in the image of the value on range `small` in the value on
+    range `big`, by a fresh union-find over the cells of `big`."""
+    p, q = big
+    uf = UnionFind(c for cells in ranks.at[p:q + 1] for c in cells)
+    for pos in range(p | 1, q + 1, 2):
+        for e, (lower, upper) in zip(ranks.at[pos], ranks.attach[pos >> 1]):
+            if p < pos:
+                uf.union(e, lower)
+            if pos < q:
+                uf.union(e, upper)
+    return len({uf.find(c) for cells in ranks.at[small[0]:small[1] + 1] for c in cells})
+
+
+def unfiltered_refute(f, g, eps):
+    """Test oracle for `_refute`: the same candidate ends and order, but
+    every check counts its image and its bound by union-find."""
+    scale, (e, *crit) = scaled((eps, *f.criticals, *g.criticals))
+    rf, rg = _Ranks(f, crit[:f.n_levels]), _Ranks(g, crit[f.n_levels:])
+    ends = [None, *sorted({s + k * e for s in rf.crit + rg.crit
+                           for k in range(-2, 3)}), None]
+    sides = (("f", rf, rg), ("g", rg, rf))
+    rows = list(zip(*(zip(own.positions(ends, 0), own.positions(ends, 2 * e),
+                          other.positions(ends, e)) for _, own, other in sides)))
+    for i in range(len(ends) - 1):
+        for h in range(i + 1, min(i + 3, len(ends))):
+            for (side, own, other), (a0, a2, ae), (b0, b2, be) in zip(sides, rows[i], rows[h]):
+                image = range_image(own, (a0[0], b0[1]), (a2[0], b2[1]))
+                bound = range_image(other, (ae[0], be[1]), (ae[0], be[1]))
+                if image > bound:
+                    lo, hi = ends[i], ends[h]
+                    iv = reeb.interval(None if lo is None else Fraction(lo, scale),
+                                       None if hi is None else Fraction(hi, scale))
+                    return Refutation(eps, iv, side, image, bound)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_refute_by_cell_counts_matches_the_unfiltered_scan(seed):
+    # graphs in quarters, or in sevenths against tenths; radii 0, in
+    # quarters, elevenths or thirteenths, or half a gap between criticals
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        f, g = (reeb.random_rgraph(rng, max_vertices=6, max_edges=7) for _ in "fg")
+    else:
+        f, g = mixed_pair(rng.getrandbits(32))
+    crit = sorted({*f.criticals, *g.criticals})
+    gaps = [(b - a) / 2 for a, b in zip(crit, crit[1:])] or [Fraction(1, 2)]
+    eps = rng.choice((Fraction(0), Fraction(rng.randint(1, 12), 4),
+                      Fraction(rng.randint(1, 40), rng.choice((11, 13))), rng.choice(gaps)))
+    assert _refute(f, g, eps) == unfiltered_refute(f, g, eps)
+
+
+def name_keyed_bundles(side, budget):
+    """Test oracle for `_enumerate_bundles`: its candidates callback probes
+    the target's `edge_groups` with (lower image, candidate) name pairs."""
+    S, T = side.S, side.T
+    for i in range(S.n_levels):
+        if S.levels[i] and not T.levels[i]:
+            return
+    for j in range(S.n_slots):
+        if S.slots[j] and not T.slots[j]:
+            return
+
+    def candidates(i, v, va):
+        below = S.below_edges[v]
+        if not below:
+            return T.levels[i]
+        pairs = T.edge_groups[i - 1]
+        return [w for w in T.levels[i]
+                if all((va[S.down[i - 1][e]], w) in pairs for e in below)]
+
+    for va in levelwise_assignments(S, candidates, budget):
+        choices = tuple(
+            (j, e, T.edge_groups[j].get((va[S.down[j][e]], va[S.up[j][e]])))
+            for j in range(S.n_slots) for e in S.slots[j])
+        if all(cs for _, _, cs in choices):
+            yield _Bundle(dict(va), choices)
+
+
+def bundle_trace(enumerate_bundles, side, limit):
+    """Every bundle with the node count at its yield, the final count, and
+    whether the budget ran out."""
+    budget = NodeBudget(limit, "budget")
+    seen = []
+    try:
+        for bundle in enumerate_bundles(side, budget):
+            seen.append((bundle, budget.nodes))
+    except BudgetExceeded:
+        return seen, budget.nodes, True
+    return seen, budget.nodes, False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([Fraction(1, 2), Fraction(1)]),
+       st.sampled_from([7, 40, 200, 5_000]))
+def test_bitmask_candidates_enumerate_like_name_pairs(seed, k, limit):
+    f, g, delta = search_outcomes.stability_graphs(seed)
+    eps = delta * k
+    for src, tgt in ((f, g), (g, f)):
+        side = _SearchSide(src, reeb.smooth(tgt, eps).smoothed)
+        assert bundle_trace(_enumerate_bundles, side, limit) == \
+            bundle_trace(name_keyed_bundles, side, limit)
+
+
+def provenance_drops(cert):
+    """The certificate with one member dropped from one provenance entry
+    of one smoothing record, for every such member: (record, entry,
+    whether the entry is left empty, certificate)."""
+    for name in ("sm_f", "sm_g", "sm_f2", "sm_g2"):
+        sm = getattr(cert, name)
+        for cell, members in sm.provenance.items():
+            for m in sorted(members):
+                prov = {**sm.provenance, cell: members - {m}}
+                yield name, cell, len(members) == 1, dataclasses.replace(
+                    cert, **{name: dataclasses.replace(sm, provenance=prov)})
+
+
+def test_forged_provenance_is_rejected_or_verified_never_raised():
+    # a shifted composite that cannot be formed rejects the certificate,
+    # naming the three records it goes through and the cell
+    cert = reeb.search_certificate(reeb.line(), reeb.loop(), Fraction(1, 4)).certificate
+    tally = {}
+    for name, cell, emptied, forged in provenance_drops(cert):
+        ok, msg = reeb.verify_certificate(forged)
+        tally[emptied, ok] = tally.get((emptied, ok), 0) + 1
+        if not ok:
+            m = re.fullmatch(r"(alpha|beta) does not shift from (sm_\w+) through "
+                             r"(sm_\w+) into (sm_\w+): (vertex|edge) '[^']+'.*", msg)
+            assert m and name in m.groups()[1:4], msg
+    # 37 drops leave their entry nonempty, 10 of them break a shift
+    assert tally == {(False, True): 27, (False, False): 10, (True, True): 4, (True, False): 7}
+
+
+def test_verified_raises_on_a_forged_search_certificate():
+    cert = reeb.search_certificate(reeb.line(), reeb.loop(), Fraction(1, 4)).certificate
+    forged = next(c for name, cell, _, c in provenance_drops(cert)
+                  if (name, cell) == ("sm_f2", "e(0;e0)"))
+    with pytest.raises(reeb.InternalError, match=r"^found certificate failed verification: "
+                       r"beta does not shift from sm_g through sm_f into sm_f2: "
+                       r"vertex 'v\(0;v0\)': witness cell '\w+' not tracked at slot 0$"):
+        interleave._verified("found", forged)
