@@ -184,9 +184,6 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=err)
         return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
     except ReebError as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -12,7 +12,7 @@ close up into the boundary of a 2-simplex.
 
 Morphism files give `vmap <vid> vertex <wid>`, `vmap <vid> edge <eid>`
 and `emap <eid> <e1> <e2> ...` lines against a separately loaded source
-and target.
+and target, one for every source vertex and edge.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import RGraph, _assemble, build_rgraph
+from .core import RGraph, _assemble, _ranked, build_rgraph
 from .dynconn import RollbackUnionFind
 from .errors import InternalError, ParseError, ValidationError
 from .morphism import RGraphMorphism
-from .rationals import as_rational, format_rational, parse_rational, scaled
+from .rationals import as_rational, format_rational, parse_rational
 
 
 def _records(text: str):
@@ -187,13 +187,7 @@ def reeb_of_complex(field: SimplicialField) -> ComplexReeb:
     the sorted `v:`/`e:` ids of its cells, plus `t:` for each triangle
     over the gap, then `@value` or `@(lo,hi)`."""
     ids = list(field.values)
-    xs = [as_rational(x) for x in field.values.values()]
-    _, keys = scaled(xs)    # rank as integers over the common denominator
-    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-    level = [rank[k] for k in keys]
-    criticals: list = [None] * len(rank)
-    for x, k in zip(xs, level):
-        criticals[k] = x
+    criticals, level = _ranked([as_rational(x) for x in field.values.values()])
     fmt = [format_rational(c) for c in criticals]
     at = [f"({fmt[w // 2]},{fmt[w // 2 + 1]})" if w & 1 else fmt[w // 2]
           for w in range(2 * len(fmt) - 1)]
@@ -323,6 +317,11 @@ def parse_morphism(text: str, source: RGraph, target: RGraph) -> RGraphMorphism:
             edge_map[eid] = tuple(path)
         else:
             raise ParseError(f"unknown directive {kind!r}", line=n)
+    for kind, ids, mapped in (("vertex", source.vertex_ids, vertex_map),
+                              ("edge", source.edge_ids, edge_map)):
+        for cid in ids:
+            if cid not in mapped:
+                raise ParseError(f"source {kind} {cid!r} is left unmapped")
     return RGraphMorphism(source, target, vertex_map, edge_map)
 
 

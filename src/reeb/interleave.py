@@ -11,11 +11,11 @@ cosheaves refutes most radii with a witness `verify_refutation` re-checks.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, islice, product
+from itertools import accumulate, product
 
 from .core import (RGraph, _build, _edge_triples, component_sets,
                    num_components, reduce, refine)
@@ -152,8 +152,11 @@ class _Ranks:
     """Components of a graph's preimages of open intervals, in integer
     coordinates (values times a common scale). An open interval meets a
     range of doubled positions, 2k on level k and 2k+1 on the slot above
-    it, and its components are a union-find over the cells there. Prefix
-    sums count the cells of a range without the union-find."""
+    it; prefix sums count the cells of a range, and a rollback union-find
+    over them gives its components. The union-find holds the unions of
+    the last range asked about; a query on another range rolls them all
+    back and applies the new range's, so a run of queries on one range
+    unions it once."""
 
     def __init__(self, g: RGraph, crit: list[int]):
         self.crit = crit
@@ -165,85 +168,67 @@ class _Ranks:
                 self.at.append([num[e] for e in g.slots[k]])
         self.attach = [[(num[g.down[j][e]], num[g.up[j][e]]) for e in slot]
                        for j, slot in enumerate(g.slots)]
+        self.last = len(self.at) - 1
         self.before = [0, *accumulate(map(len, self.at))]   # cells before each position
         self._uf = RollbackUnionFind(len(num))
-        self._memo: dict[tuple, int] = {}
+        self._held = (0, -1)                 # the range whose unions _uf holds
+
+    def span(self, lo, hi, r: int) -> tuple[int, int]:
+        """The first and last doubled positions that (lo - r, hi + r) meets;
+        an end of None is unbounded."""
+        last = self.last
+        p = 0 if lo is None else 2 * bisect_right(self.crit, lo - r) - 1
+        q = last if hi is None else 2 * bisect_left(self.crit, hi + r) - 1
+        return p if p > 0 else 0, q if q < last else last
 
     def cells(self, r: tuple[int, int]) -> int:
         """The number of cells on the positions of range r."""
         return self.before[r[1] + 1] - self.before[r[0]] if r[0] <= r[1] else 0
 
-    def positions(self, ends, r):
-        """Yield, per interval end in order, the first doubled position an
-        open interval (end - r, ...) meets and the last one (..., end + r)
-        meets, by one merge pass; the first and last ends are None,
-        unbounded below and above."""
-        last, crit, n = len(self.at) - 1, self.crit, len(self.crit)
-        yield 0, last
-        a = b = 0
-        for x in ends[1:-1]:
-            while a < n and crit[a] <= x - r:
-                a += 1
-            while b < n and crit[b] < x + r:
-                b += 1
-            yield max(2 * a - 1, 0), min(2 * b - 1, last)
-        yield 0, last
-
     def image(self, small: tuple[int, int], big: tuple[int, int]) -> int:
         """Elements in the image of the extension from the value on range
         `small` into that on range `big`; image(r, r) counts the value on r.
-        Over `big`, an edge joins those of its endpoints in the range; the
-        unions are rolled back once counted."""
-        if (small, big) in self._memo:
-            return self._memo[small, big]
-        p, q = big
+        Over `big`, an edge joins those of its endpoints in the range."""
         uf = self._uf
-        done = 0
-        for pos in range(p | 1, q + 1, 2):
-            for e, (lower, upper) in zip(self.at[pos], self.attach[pos >> 1]):
-                if p < pos:
-                    done += uf.union(e, lower)
-                if pos < q:
-                    done += uf.union(e, upper)
-        # over a range alone, each union that merged two classes removes one
-        count = self.cells(big) - done if small == big else len(
-            {uf.find(c) for cells in self.at[small[0]:small[1] + 1] for c in cells})
-        uf.rollback(done)
-        self._memo[small, big] = count
-        return count
+        if big != self._held:
+            uf.rollback(len(uf.undo))
+            p, q = self._held = big
+            for pos in range(p | 1, q + 1, 2):
+                for e, (lower, upper) in zip(self.at[pos], self.attach[pos >> 1]):
+                    if p < pos:
+                        uf.union(e, lower)
+                    if pos < q:
+                        uf.union(e, upper)
+        if small == big:    # each union that merged two classes removes one
+            return self.cells(big) - len(uf.undo)
+        return len({uf.find(c) for cells in self.at[small[0]:small[1] + 1] for c in cells})
 
 
 def _refute(f: RGraph, g: RGraph, eps: Fraction) -> Refutation | None:
     """The first interval that breaks the rank bound at eps, or None. Its
     ends are neighbouring or next-but-one candidates s + k eps (k in -2..2,
-    s critical in either graph), or unbounded beyond the outermost. An
-    image has at most as many elements as I has cells, and a bound is at
-    least 1 once I^eps holds a cell, so only a check with two cells over
-    I, or one against an empty I^eps, counts components."""
+    s critical in either graph), or unbounded beyond the outermost, scanned
+    by low end, then high end, then side f before side g. Each side has
+    one `_Ranks` for its images at 2 eps and one for its bounds at eps;
+    along this order both ends of each one's ranges never decrease, so a
+    held range serves every later check on it. An image has at most as
+    many elements as I has cells, and a bound is at least 1 once I^eps
+    holds a cell, so only a check with two cells over I, or one against
+    an empty I^eps, counts components."""
     scale, (e, *crit) = scaled((eps, *f.criticals, *g.criticals))
-    rf, rg = _Ranks(f, crit[:f.n_levels]), _Ranks(g, crit[f.n_levels:])
-    ends = [None, *sorted({s + k * e for s in rf.crit + rg.crit
-                           for k in range(-2, 3)}), None]
-    # per end, each side's positions at 0 and 2 eps in its own graph and at
-    # eps in the other, computed once and only as far as the scan gets
-    sides = (("f", rf, rg), ("g", rg, rf))
-    rows = zip(*(zip(own.positions(ends, 0), own.positions(ends, 2 * e),
-                     other.positions(ends, e)) for _, own, other in sides))
-    seen: list[tuple] = []
-    for i in range(len(ends) - 1):
-        seen.extend(islice(rows, i + 3 - len(seen)))
-        for h in range(i + 1, len(seen)):
-            # a* at the low end ends[i], b* at the high end ends[h]
-            for (side, own, other), (a0, a2, ae), (b0, b2, be) in zip(
-                    sides, seen[i], seen[h]):
-                small, around = (a0[0], b0[1]), (ae[0], be[1])
+    cf, cg = crit[:f.n_levels], crit[f.n_levels:]
+    ends = [None, *sorted({s + k * e for s in crit for k in range(-2, 3)}), None]
+    sides = (("f", _Ranks(f, cf), _Ranks(g, cg)), ("g", _Ranks(g, cg), _Ranks(f, cf)))
+    for i, lo in enumerate(ends[:-1]):
+        for hi in ends[i + 1:i + 3]:
+            for side, own, other in sides:
+                small, around = own.span(lo, hi, 0), other.span(lo, hi, e)
                 n, some = own.cells(small), other.cells(around)
                 if n == 0 or n == 1 and some:
                     continue
-                image = own.image(small, (a2[0], b2[1]))
+                image = own.image(small, own.span(lo, hi, 2 * e))
                 bound = other.image(around, around) if some else 0
                 if image > bound:
-                    lo, hi = ends[i], ends[h]
                     iv = interval(None if lo is None else Fraction(lo, scale),
                                   None if hi is None else Fraction(hi, scale))
                     return Refutation(eps, iv, side, image, bound)
@@ -254,8 +239,8 @@ def _over(g: RGraph, iv: Interval) -> list[frozenset[str]]:
     """g's Reeb cosheaf on an open interval: the components of the vertices
     strictly inside it and of the edges whose open span meets it."""
     S = g.criticals
-    a = 0 if iv.lo is None else bisect.bisect_right(S, iv.lo)
-    b = len(S) if iv.hi is None else bisect.bisect_left(S, iv.hi)
+    a = 0 if iv.lo is None else bisect_right(S, iv.lo)
+    b = len(S) if iv.hi is None else bisect_left(S, iv.hi)
     return component_sets(g, [v for lev in g.levels[a:b] for v in lev],
                           [e for slot in g.slots[max(a - 1, 0):b] for e in slot])
 

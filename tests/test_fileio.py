@@ -407,6 +407,9 @@ class TestMorphismFiles:
         ("emap uw zz", "unknown target edge"),
         ("emap zz pq", "unknown source edge"),
         ("route x y", "unknown directive"),
+        ("", "source vertex 'u' is left unmapped"),
+        ("vmap u vertex p\nvmap w vertex q\nvmap x vertex r\nvmap y vertex r\n"
+         "emap uw pq\nemap wy qr", "source edge 'wx' is left unmapped"),
     ])
     def test_errors(self, text, hint):
         src, tgt, _ = self.fold()

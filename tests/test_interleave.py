@@ -16,10 +16,8 @@ import reeb
 from reeb import BudgetExceeded, ValidationError, interleave
 from reeb.interleave import (Certificate, Refutation, _Bundle, _certificate_pair,
                              _enumerate_bundles, _expand_table, _rank_counts,
-                             _Ranks, _refute, _SearchSide)
+                             _refute, _SearchSide)
 from reeb.iso import NodeBudget, levelwise_assignments
-from reeb.rationals import scaled
-from reeb.unionfind import UnionFind
 
 import search_outcomes
 
@@ -820,39 +818,18 @@ emap w4:1 e(3;p0)
 # ---------------------------------------------------------------------------
 # The probe's setup kernels against the routes they replaced.
 
-def range_image(ranks, small, big):
-    """Elements in the image of the value on range `small` in the value on
-    range `big`, by a fresh union-find over the cells of `big`."""
-    p, q = big
-    uf = UnionFind(c for cells in ranks.at[p:q + 1] for c in cells)
-    for pos in range(p | 1, q + 1, 2):
-        for e, (lower, upper) in zip(ranks.at[pos], ranks.attach[pos >> 1]):
-            if p < pos:
-                uf.union(e, lower)
-            if pos < q:
-                uf.union(e, upper)
-    return len({uf.find(c) for cells in ranks.at[small[0]:small[1] + 1] for c in cells})
-
-
 def unfiltered_refute(f, g, eps):
     """Test oracle for `_refute`: the same candidate ends and order, but
-    every check counts its image and its bound by union-find."""
-    scale, (e, *crit) = scaled((eps, *f.criticals, *g.criticals))
-    rf, rg = _Ranks(f, crit[:f.n_levels]), _Ranks(g, crit[f.n_levels:])
-    ends = [None, *sorted({s + k * e for s in rf.crit + rg.crit
+    every check counts its image and its bound with `_rank_counts`, on
+    `Fraction` intervals and name-keyed components."""
+    ends = [None, *sorted({s + k * eps for s in (*f.criticals, *g.criticals)
                            for k in range(-2, 3)}), None]
-    sides = (("f", rf, rg), ("g", rg, rf))
-    rows = list(zip(*(zip(own.positions(ends, 0), own.positions(ends, 2 * e),
-                          other.positions(ends, e)) for _, own, other in sides)))
-    for i in range(len(ends) - 1):
-        for h in range(i + 1, min(i + 3, len(ends))):
-            for (side, own, other), (a0, a2, ae), (b0, b2, be) in zip(sides, rows[i], rows[h]):
-                image = range_image(own, (a0[0], b0[1]), (a2[0], b2[1]))
-                bound = range_image(other, (ae[0], be[1]), (ae[0], be[1]))
+    for i, lo in enumerate(ends[:-1]):
+        for hi in ends[i + 1:i + 3]:
+            iv = reeb.interval(lo, hi)
+            for side, own, other in (("f", f, g), ("g", g, f)):
+                image, bound = _rank_counts(own, other, iv, eps)
                 if image > bound:
-                    lo, hi = ends[i], ends[h]
-                    iv = reeb.interval(None if lo is None else Fraction(lo, scale),
-                                       None if hi is None else Fraction(hi, scale))
                     return Refutation(eps, iv, side, image, bound)
     return None
 
@@ -872,6 +849,29 @@ def test_refute_by_cell_counts_matches_the_unfiltered_scan(seed):
     eps = rng.choice((Fraction(0), Fraction(rng.randint(1, 12), 4),
                       Fraction(rng.randint(1, 40), rng.choice((11, 13))), rng.choice(gaps)))
     assert _refute(f, g, eps) == unfiltered_refute(f, g, eps)
+
+
+def test_refute_above_the_diameter_unions_each_range_once(monkeypatch):
+    # the chorded path v0..v499 against its 1/3 shift, at a radius above
+    # the diameter: every image range is the whole graph, so a held range
+    # must serve every check instead of being redone per check
+    def chorded(shift):
+        values = {f"v{i}": i + shift for i in range(500)}
+        edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(499)]
+        edges += [(f"c{i}", f"v{i}", f"v{i + 2}") for i in range(0, 498, 3)]
+        return reeb.build_rgraph(values, edges)
+    f, g = chorded(0), chorded(Fraction(1, 3))
+    assert len(f.vertex_ids) + len(f.edge_ids) == 1497
+    calls = 0
+    union = reeb.dynconn.RollbackUnionFind.union
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return union(self, a, b)
+    monkeypatch.setattr(reeb.dynconn.RollbackUnionFind, "union", counted)
+    assert _refute(f, g, Fraction(501)) is None
+    assert calls <= 8 * 1497
 
 
 def name_keyed_bundles(side, budget):
