@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, product
+from math import prod
 
 from .core import (RGraph, _build, _edge_triples, component_sets,
                    num_components, reduce, refine)
@@ -23,12 +24,11 @@ from .cosheaf import Interval, expand, interval
 from .dynconn import RollbackUnionFind
 from .errors import BudgetExceeded, InternalError, ValidationError
 from .iso import NodeBudget, is_isomorphic, levelwise_assignments
-from .morphism import (RGraphMorphism, compose, identity, invert_isomorphism,
-                       levelwise_morphism, merge_paths, morphism_equal,
-                       morphism_first_difference, path_cell_at,
-                       reduce_collapse, reduce_embed, refine_collapse,
-                       refine_embed, shift_compose, smooth_morphism,
-                       transport, trim_path, validate_morphism)
+from .morphism import (RGraphMorphism, compose, identity, image_at, image_path,
+                       invert_isomorphism, morphism_equal,
+                       morphism_first_difference, reduce_collapse,
+                       reduce_embed, refine_collapse, shift_compose,
+                       smooth_morphism, transport, validate_morphism)
 from .rationals import as_radius, as_rational, format_rational, scaled
 from .smoothing import SmoothingResult, smooth
 
@@ -286,18 +286,20 @@ def verify_refutation(f: RGraph, g: RGraph, ref: Refutation) -> tuple[bool, str]
 #
 # pins the other side's composite cell by cell, so inside a bundle it
 # filters each edge's candidates independently, and only the few surviving
-# combinations are ever materialised.
+# combinations are ever built, directly in the original graphs. The filter
+# and the expansion both use `compose`'s own two rules, `image_at` and
+# `image_path`.
 
 @dataclass(frozen=True)
 class _Bundle:
     va: dict                          # refined source vertex -> refined target vertex
-    choices: tuple                    # (slot, refined piece, candidate list)
+    choices: tuple                    # (refined piece, candidate list), slot by slot
 
 
 class _SearchSide:
-    """One direction of the search: all morphisms src -> tgt, refined over
-    the union of their critical sets, with the collapse data needed to read
-    images back in the original graphs."""
+    """One direction of the search: all morphisms src -> tgt, enumerated
+    over the union of their critical sets and read back in the original
+    graphs through the collapse of the target's refinement."""
 
     def __init__(self, src: RGraph, tgt: RGraph):
         self.src = src
@@ -307,8 +309,18 @@ class _SearchSide:
         self.S = rs.graph
         self.T = rt.graph
         self.pieces = {e: tuple(rs.edge_map[e]) for e in src.edge_ids}
-        self.embed = refine_embed(src, rs)
         self.collapse = refine_collapse(tgt, rt)
+
+    def vertex_images(self, va: dict) -> dict:
+        """Each source vertex's image in tgt under a bundle's vertex map."""
+        cell = self.collapse.vertex_map
+        return {u: cell[va[u]] for u in self.src.vertex_ids}
+
+    def edge_image(self, e: str, combo, vimg: dict) -> tuple[str, ...]:
+        """Edge e's image path in tgt when its pieces, in order, go to the
+        refined target edges combo and its ends to their images in vimg."""
+        lo_v, hi_v = self.src.endpoints(e)
+        return image_path(self.collapse, combo, vimg[lo_v], vimg[hi_v])
 
 
 def _enumerate_bundles(side: _SearchSide, budget: NodeBudget):
@@ -348,27 +360,8 @@ def _enumerate_bundles(side: _SearchSide, budget: NodeBudget):
 
     # each edge's upper end was drawn adjacent to its lower end's image
     for va in levelwise_assignments(S, candidates, budget):
-        yield _Bundle(dict(va), tuple((j, e, T.edge_groups[j][va[lo], va[hi]])
+        yield _Bundle(dict(va), tuple((e, T.edge_groups[j][va[lo], va[hi]])
                                       for j, e, lo, hi in edges))
-
-
-def _bundle_count(bundle: _Bundle) -> int:
-    total = 1
-    for _, _, cands in bundle.choices:
-        total *= len(cands)
-    return total
-
-
-def _materialise(side: _SearchSide, bundle: _Bundle, chosen: dict):
-    """Build the original-graph morphism for one full choice of edge
-    candidates (a dict refined piece -> refined target edge)."""
-    S, T = side.S, side.T
-    vmaps = [{v: bundle.va[v] for v in S.levels[i]} for i in range(S.n_levels)]
-    emaps: list[dict[str, str]] = [dict() for _ in range(S.n_slots)]
-    for j, piece, _ in bundle.choices:
-        emaps[j][piece] = chosen[piece]
-    m_ref = levelwise_morphism(S, T, vmaps, emaps)
-    return compose(compose(side.embed, m_ref), side.collapse)
 
 
 def _filter_bundle(side: _SearchSide, bundle: _Bundle, shifted: RGraphMorphism,
@@ -377,33 +370,22 @@ def _filter_bundle(side: _SearchSide, bundle: _Bundle, shifted: RGraphMorphism,
     equation constrains each vertex image and each edge's image path
     separately, so the result is a per-edge table of surviving choices
     (None when some cell has no survivor at all)."""
-    va = bundle.va
-    tgt2 = shifted.target
-    vimg = {}
-    comp_v = {}
-    for u in side.src.vertex_ids:
-        img = side.collapse.vertex_map[va[u]]
-        vimg[u] = img
-        if img[0] == "vertex":
-            c = shifted.vertex_map[img[1]]
-        else:
-            c = path_cell_at(tgt2, shifted.edge_map[img[1]], side.src.value(u))
-        if c != pin.vertex_map[u]:
+    src, pinned = side.src, pin.vertex_map
+    vimg = side.vertex_images(bundle.va)
+    for u, img in vimg.items():
+        if image_at(shifted, img, src.value(u)) != pinned[u]:
             return None
-        comp_v[u] = c
-    cand_of = {piece: cands for _, piece, cands in bundle.choices}
+    # from here on the composite's vertex images are the pinned ones
+    cand_of = dict(bundle.choices)
     table: dict[str, list[dict]] = {}
-    for e in side.src.edge_ids:
+    for e in src.edge_ids:
         pieces = side.pieces[e]
-        lo_v, hi_v = side.src.endpoints(e)
-        want = pin.edge_map[e]
+        lo_v, hi_v = src.endpoints(e)
         valid: list[dict] = []
         for combo in product(*(cand_of[p] for p in pieces)):
             budget.spend()
-            owners = merge_paths(side.collapse.edge_map[c] for c in combo)
-            raw = trim_path(side.tgt, owners, vimg[lo_v], vimg[hi_v])
-            comp = merge_paths(shifted.edge_map[q] for q in raw)
-            if trim_path(tgt2, comp, comp_v[lo_v], comp_v[hi_v]) == want:
+            raw = side.edge_image(e, combo, vimg)
+            if image_path(shifted, raw, pinned[lo_v], pinned[hi_v]) == pin.edge_map[e]:
                 valid.append(dict(zip(pieces, combo)))
         if not valid:
             return None
@@ -414,33 +396,40 @@ def _filter_bundle(side: _SearchSide, bundle: _Bundle, shifted: RGraphMorphism,
 def _expand_table(side: _SearchSide, bundle: _Bundle, table: dict,
                   budget: NodeBudget):
     """Every map of the bundle that picks one part (a dict refined piece
-    -> refined target edge) per table entry, in product order."""
+    -> refined target edge) per table entry, in product order, as a
+    morphism of the original graphs."""
+    vimg = side.vertex_images(bundle.va)
     for parts in product(*table.values()):
         budget.spend()
         chosen: dict = {}
         for part in parts:
             chosen.update(part)
-        yield _materialise(side, bundle, chosen)
+        emap = {e: side.edge_image(e, [chosen[p] for p in pieces], vimg)
+                for e, pieces in side.pieces.items()}
+        yield RGraphMorphism(side.src, side.tgt, dict(vimg), emap)
 
 
-def _pair_search(exp_side, exp_bundles, exp_shift, bnd_side, bnd_bundles,
-                 bnd_shift, pin_exp, pin_bnd, budget):
+def _pair_search(exp, bnd, budget):
     """Expand one side morphism by morphism, filter the other side's
     bundles against its shifted composite, and check the other round trip
-    on the few survivors; a pin is called for its doubled smoothing once a
-    shift has built it. Returns (expanded, bundled) or None."""
+    on the few survivors. Each side is (side, bundles, shift, pin): shift
+    turns one of its maps into the shifted composite, and pin() is the
+    doubled smoothing that composite lands in, called once a shift has
+    built it.
+    Returns (expanded, bundled) or None."""
+    exp_side, exp_bundles, exp_shift, exp_pin = exp
+    bnd_side, bnd_bundles, bnd_shift, bnd_pin = bnd
     for bundle in exp_bundles:
-        every = {piece: [{piece: c} for c in cands]
-                 for _, piece, cands in bundle.choices}
+        every = {piece: [{piece: c} for c in cands] for piece, cands in bundle.choices}
         for x in _expand_table(exp_side, bundle, every, budget):
-            sx, pin = exp_shift(x), pin_exp().zeta
+            sx, pin = exp_shift(x), exp_pin().zeta
             for other in bnd_bundles:
                 budget.spend()
                 table = _filter_bundle(bnd_side, other, sx, pin, budget)
                 if table is None:
                     continue
                 for y in _expand_table(bnd_side, other, table, budget):
-                    if morphism_equal(compose(x, bnd_shift(y)), pin_bnd().zeta):
+                    if morphism_equal(compose(x, bnd_shift(y)), bnd_pin().zeta):
                         return x, y
     return None
 
@@ -505,18 +494,16 @@ def _certificate_pair(f, g, sm_f, sm_g, sm_f2, sm_g2, meter):
     if not (bundles_a and bundles_b):
         return None
 
-    def shift_alpha(a):
-        return shift_compose(a, sm_f, sm_g, sm_g2())
+    a = (side_a, bundles_a, lambda x: shift_compose(x, sm_f, sm_g, sm_g2()), sm_g2)
+    b = (side_b, bundles_b, lambda y: shift_compose(y, sm_g, sm_f, sm_f2()), sm_f2)
 
-    def shift_beta(b):
-        return shift_compose(b, sm_g, sm_f, sm_f2())
+    def maps(bundles):
+        return sum(prod(len(cands) for _, cands in bd.choices) for bd in bundles)
 
     # expand whichever side has fewer concrete maps
-    if sum(map(_bundle_count, bundles_a)) <= sum(map(_bundle_count, bundles_b)):
-        return _pair_search(side_a, bundles_a, shift_alpha, side_b, bundles_b,
-                            shift_beta, sm_g2, sm_f2, meter)
-    got = _pair_search(side_b, bundles_b, shift_beta, side_a, bundles_a,
-                       shift_alpha, sm_f2, sm_g2, meter)
+    if maps(bundles_a) <= maps(bundles_b):
+        return _pair_search(a, b, meter)
+    got = _pair_search(b, a, meter)
     return None if got is None else (got[1], got[0])
 
 

@@ -230,21 +230,28 @@ def path_cell_at(graph: RGraph, path, value: Fraction) -> tuple[str, str]:
     raise InternalError(f"value {format_rational(value)} beyond the path")
 
 
-def merge_paths(segments) -> list[str]:
-    """Concatenate edge paths, joining consecutive segments that share
-    their boundary edge."""
+def image_at(psi: RGraphMorphism, cell: tuple[str, str], value: Fraction) -> tuple[str, str]:
+    """Where psi takes the point at the given value on cell, a ("vertex",
+    id) or ("edge", id) of psi's source."""
+    kind, tid = cell
+    if kind == "vertex":
+        return psi.vertex_map[tid]
+    return path_cell_at(psi.target, psi.edge_map[tid], value)
+
+
+def image_path(psi: RGraphMorphism, path, lo_img, hi_img) -> tuple[str, ...]:
+    """psi's image of a chained path of its source's edges, cut down to the
+    stretch between lo_img and hi_img, the images of the path's two ends,
+    each a vertex or an edge of psi's target. Consecutive edge images that
+    share their boundary edge are joined there."""
     merged: list[str] = []
-    for seg in segments:
+    for q in path:
+        seg = psi.edge_map[q]
         if merged and merged[-1] == seg[0]:
             merged.extend(seg[1:])
         else:
             merged.extend(seg)
-    return merged
-
-
-def trim_path(tgt: RGraph, merged, lo_img, hi_img) -> tuple[str, ...]:
-    """Cut a chained path down to the stretch between the images of the
-    two endpoints, each either a vertex or an edge of the target."""
+    tgt = psi.target
     kind, tid = lo_img
     if kind == "edge":
         start = merged.index(tid)
@@ -265,23 +272,13 @@ def compose(phi: RGraphMorphism, psi: RGraphMorphism) -> RGraphMorphism:
     """The composite source(phi) -> target(psi)."""
     if phi.target != psi.source:
         raise ValidationError("composition endpoint mismatch")
-    src, tgt = phi.source, psi.target
-
-    vmap: dict[str, tuple[str, str]] = {}
-    for v in src.vertex_ids:
-        kind, tid = phi.vertex_map[v]
-        if kind == "vertex":
-            vmap[v] = psi.vertex_map[tid]
-        else:
-            vmap[v] = path_cell_at(tgt, psi.edge_map[tid], src.value(v))
-
+    src = phi.source
+    vmap = {v: image_at(psi, phi.vertex_map[v], src.value(v)) for v in src.vertex_ids}
     emap: dict[str, tuple[str, ...]] = {}
     for e in src.edge_ids:
-        merged = merge_paths(psi.edge_map[q] for q in phi.edge_map[e])
         lo_v, hi_v = src.endpoints(e)
-        emap[e] = trim_path(tgt, merged, vmap[lo_v], vmap[hi_v])
-
-    return RGraphMorphism(src, tgt, vmap, emap)
+        emap[e] = image_path(psi, phi.edge_map[e], vmap[lo_v], vmap[hi_v])
+    return RGraphMorphism(src, psi.target, vmap, emap)
 
 
 # ---------------------------------------------------------------------------

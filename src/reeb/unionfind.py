@@ -18,9 +18,6 @@ class UnionFind:
             self._rank[key] = 0
             self._order.append(key)
 
-    def __contains__(self, key) -> bool:
-        return key in self._parent
-
     def find(self, key):
         parent = self._parent
         root = key
@@ -41,9 +38,6 @@ class UnionFind:
         if self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
         return True
-
-    def same(self, a, b) -> bool:
-        return self.find(a) == self.find(b)
 
     def groups(self) -> list[list]:
         """All classes, each sorted, ordered by first insertion of any member."""

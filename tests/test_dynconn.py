@@ -171,7 +171,7 @@ def test_rollback_restores_every_component_exactly():
         else:
             a, b = rng.randrange(n), rng.randrange(n)
             merges = uf.union(a, b)
-            assert merges == (not fresh.same(a, b)), step
+            assert merges == (fresh.find(a) != fresh.find(b)), step
             if merges:
                 merged.append((a, b))
                 snapshots.append(state())
@@ -180,7 +180,8 @@ def test_rollback_restores_every_component_exactly():
             fresh.union(x, y)
         assert partition(range(n), uf.find) == partition(range(n), fresh.find), step
         for x in range(n):
-            assert uf.least[uf.find(x)] == min(y for y in range(n) if fresh.same(x, y))
+            root = fresh.find(x)
+            assert uf.least[uf.find(x)] == min(y for y in range(n) if fresh.find(y) == root)
     assert len(uf.undo) == len(merged)
 
 
@@ -230,7 +231,8 @@ def test_walk_positions_with_many_links_per_lifetime(seed):
                 fresh.union(a, b)
         assert partition(range(n), uf.find) == partition(range(n), fresh.find), p
         for x in range(n):
-            assert uf.least[uf.find(x)] == min(y for y in range(n) if fresh.same(x, y))
+            root = fresh.find(x)
+            assert uf.least[uf.find(x)] == min(y for y in range(n) if fresh.find(y) == root)
     assert seen == list(range(n_positions))
     assert uf.undo == [] and uf.parent == list(range(n))
     assert uf.size == [1] * n and uf.least == list(range(n))

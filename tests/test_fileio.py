@@ -169,6 +169,7 @@ class TestGraphFiles:
         ("vertex a 0\nvertex a 1", 2, "duplicate vertex"),
         ("vertex a 0\nedge e a b", 2, "unknown vertex"),
         ("vertex a 0\nvertex b 1\nedge e b a", 3, "strictly lower"),
+        ("vertex a 0\nvertex b 0\nedge e a b", 3, "strictly lower"),
         ("vertex a 0.5.1", 1, "bad rational token"),
         ("foo bar", 1, "unknown directive"),
         ("vertex a", 1, "takes an id and a value"),
@@ -344,13 +345,13 @@ def preimage_components(field, iv):
         if meets(ends):
             uf.add(("e", e))
             for v in ends:
-                if ("v", v) in uf:
+                if meets((v,)):
                     uf.union(("e", e), ("v", v))
     for t, sides in field.triangles.items():
         if meets({v for e in sides for v in field.edges[e]}):
             uf.add(("t", t))
             for e in sides:
-                if ("e", e) in uf:
+                if meets(field.edges[e]):
                     uf.union(("t", t), ("e", e))
     return len(uf.groups())
 

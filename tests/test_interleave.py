@@ -6,7 +6,8 @@ import random
 import re
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import islice, product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 import reeb
 from reeb import BudgetExceeded, ValidationError, interleave
 from reeb.interleave import (Certificate, Refutation, _Bundle, _certificate_pair,
-                             _enumerate_bundles, _expand_table, _rank_counts,
-                             _refute, _SearchSide)
+                             _enumerate_bundles, _expand_table, _filter_bundle,
+                             _rank_counts, _refute, _SearchSide)
 from reeb.iso import NodeBudget, levelwise_assignments
 
 import search_outcomes
@@ -425,6 +426,12 @@ def normal_form_equal(a, b):
     return na.vertex_maps == nb.vertex_maps and na.edge_maps == nb.edge_maps
 
 
+def every_choice(bundle):
+    """The unfiltered table of a bundle: each piece's candidates, one
+    part per candidate."""
+    return {piece: [{piece: c} for c in cands] for piece, cands in bundle.choices}
+
+
 def search_candidates(f, g, eps, limit=8):
     """Up to limit candidate maps f -> smooth(g, eps) per bundle, from
     the first few bundles of the search's enumeration."""
@@ -432,9 +439,7 @@ def search_candidates(f, g, eps, limit=8):
     budget = NodeBudget(10**6, "unused")
     out = []
     for bundle in islice(_enumerate_bundles(side, budget), 4):
-        every = {piece: [{piece: c} for c in cands]
-                 for _, piece, cands in bundle.choices}
-        out.extend(islice(_expand_table(side, bundle, every, budget), limit))
+        out.extend(islice(_expand_table(side, bundle, every_choice(bundle), budget), limit))
     return out
 
 
@@ -895,9 +900,9 @@ def name_keyed_bundles(side, budget):
 
     for va in levelwise_assignments(S, candidates, budget):
         choices = tuple(
-            (j, e, T.edge_groups[j].get((va[S.down[j][e]], va[S.up[j][e]])))
+            (e, T.edge_groups[j].get((va[S.down[j][e]], va[S.up[j][e]])))
             for j in range(S.n_slots) for e in S.slots[j])
-        if all(cs for _, _, cs in choices):
+        if all(cs for _, cs in choices):
             yield _Bundle(dict(va), choices)
 
 
@@ -924,6 +929,81 @@ def test_bitmask_candidates_enumerate_like_name_pairs(seed, k, limit):
         side = _SearchSide(src, reeb.smooth(tgt, eps).smoothed)
         assert bundle_trace(_enumerate_bundles, side, limit) == \
             bundle_trace(name_keyed_bundles, side, limit)
+
+
+# ---------------------------------------------------------------------------
+# Candidate maps against the refined route and against brute force.
+
+def materialise_through_refinement(side, bundle, chosen):
+    """Test oracle for `_expand_table`: the map of one full choice (a dict
+    refined piece -> refined target edge), built as a levelwise morphism
+    between the refined graphs and carried back to the original ones."""
+    S, T = side.S, side.T
+    vmaps = [{v: bundle.va[v] for v in lev} for lev in S.levels]
+    emaps = [{e: chosen[e] for e in slot} for slot in S.slots]
+    embed = reeb.refine_embed(side.src, reeb.refine(side.src, side.tgt.criticals))
+    return reeb.compose(reeb.compose(embed, reeb.levelwise_morphism(S, T, vmaps, emaps)),
+                        side.collapse)
+
+
+def bundle_maps(side, bundle):
+    """Every map of the bundle in product order, built by the oracle."""
+    pieces = [piece for piece, _ in bundle.choices]
+    for combo in product(*(cands for _, cands in bundle.choices)):
+        yield materialise_through_refinement(side, bundle, dict(zip(pieces, combo)))
+
+
+stability_probes = st.tuples(st.integers(0, 2**32 - 1),
+                             st.sampled_from([Fraction(1, 2), Fraction(1)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stability_probes)
+def test_expanded_maps_match_the_refined_route(probe):
+    seed, k = probe
+    f, g, delta = search_outcomes.stability_graphs(seed)
+    eps = delta * k
+    budget = NodeBudget(10**6, "unused")
+    for src, tgt in ((f, g), (g, f)):
+        side = _SearchSide(src, reeb.smooth(tgt, eps).smoothed)
+        for bundle in islice(_enumerate_bundles(side, budget), 4):
+            got = _expand_table(side, bundle, every_choice(bundle), budget)
+            for x, want in islice(zip(got, bundle_maps(side, bundle)), 8):
+                assert x == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(stability_probes)
+@example((13, Fraction(1)))
+@example((16, Fraction(1)))
+@example((96, Fraction(1, 2)))
+def test_filtered_bundles_keep_exactly_the_round_trips(probe):
+    # the maps a filtered table expands to are the bundle's maps y with
+    # compose(y, shift(x)) equal to the canonical map, found by brute force;
+    # x runs over side a's first maps and a found certificate's alpha,
+    # which some bundle's map completes
+    seed, k = probe
+    f, g, delta = search_outcomes.stability_graphs(seed)
+    eps = delta * k
+    sm_f, sm_g, sm_g2 = reeb.smooth(f, eps), reeb.smooth(g, eps), reeb.smooth(g, 2 * eps)
+    budget = NodeBudget(10**6, "unused")
+    side_b = _SearchSide(g, sm_f.smoothed)
+    xs = search_candidates(f, g, eps)[:3]
+    out = reeb.search_certificate(f, g, eps, budget=200)
+    if out.status == "found":
+        xs.append(out.certificate.alpha)
+    small = [bundle for bundle in islice(_enumerate_bundles(side_b, budget), 200)
+             if prod(len(cands) for _, cands in bundle.choices) <= 500]
+    ys = [list(bundle_maps(side_b, bundle)) for bundle in small]
+    for x in xs:
+        shifted = reeb.shift_compose(x, sm_f, sm_g, sm_g2)
+        for bundle, maps in zip(small, ys):
+            want = {reeb.emit_morphism(y) for y in maps
+                    if reeb.morphism_equal(reeb.compose(y, shifted), sm_g2.zeta)}
+            table = _filter_bundle(side_b, bundle, shifted, sm_g2.zeta, budget)
+            got = set() if table is None else {
+                reeb.emit_morphism(y) for y in _expand_table(side_b, bundle, table, budget)}
+            assert got == want
 
 
 def provenance_drops(cert):
