@@ -21,17 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import RGraph, _assemble, _ranked, build_rgraph
-from .dynconn import RollbackUnionFind
 from .errors import InternalError, ParseError, ValidationError
 from .morphism import RGraphMorphism
 from .rationals import as_rational, format_rational, parse_rational
-
-
-def _records(text: str):
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield n, line.split()
 
 
 def _rational(token: str, n: int) -> Fraction:
@@ -58,21 +50,24 @@ def parse_rgraph(text: str) -> RGraph:
     vertices: dict[str, Fraction] = {}
     edges: dict[str, tuple[str, str]] = {}
     criticals: list[Fraction] = []
-    for n, toks in _records(text):
-        kind, args = toks[0], toks[1:]
+    for n, line in enumerate(text.splitlines(), start=1):
+        toks = line.split("#", 1)[0].split()
+        if not toks:
+            continue
+        kind = toks[0]
         if kind == "criticals":
-            criticals.extend(_rational(t, n) for t in args)
+            criticals.extend(_rational(t, n) for t in toks[1:])
         elif kind == "vertex":
-            if len(args) != 2:
+            if len(toks) != 3:
                 raise ParseError("vertex takes an id and a value", line=n)
-            vid, val = args
+            _, vid, val = toks
             if vid in vertices:
                 raise ParseError(f"duplicate vertex id {vid!r}", line=n)
             vertices[vid] = _rational(val, n)
         elif kind == "edge":
-            if len(args) != 3:
+            if len(toks) != 4:
                 raise ParseError("edge takes an id and two vertex ids", line=n)
-            eid, lo, hi = args
+            _, eid, lo, hi = toks
             if eid in edges:
                 raise ParseError(f"duplicate edge id {eid!r}", line=n)
             for v in (lo, hi):
@@ -113,19 +108,22 @@ def parse_field(text: str) -> SimplicialField:
     values: dict[str, Fraction] = {}
     edges: dict[str, tuple[str, str]] = {}
     triangles: dict[str, tuple[str, str, str]] = {}
-    for n, toks in _records(text):
-        kind, args = toks[0], toks[1:]
+    for n, line in enumerate(text.splitlines(), start=1):
+        toks = line.split("#", 1)[0].split()
+        if not toks:
+            continue
+        kind = toks[0]
         if kind == "v":
-            if len(args) != 2:
+            if len(toks) != 3:
                 raise ParseError("v takes an id and a value", line=n)
-            vid, val = args
+            _, vid, val = toks
             if vid in values:
                 raise ParseError(f"duplicate vertex id {vid!r}", line=n)
             values[vid] = _rational(val, n)
         elif kind == "e":
-            if len(args) != 3:
+            if len(toks) != 4:
                 raise ParseError("e takes an id and two vertex ids", line=n)
-            eid, a, b = args
+            _, eid, a, b = toks
             if eid in edges:
                 raise ParseError(f"duplicate edge id {eid!r}", line=n)
             for v in (a, b):
@@ -135,22 +133,22 @@ def parse_field(text: str) -> SimplicialField:
                 raise ParseError(f"edge {eid!r} repeats a vertex", line=n)
             edges[eid] = (a, b)
         elif kind == "t":
-            if len(args) != 4:
+            if len(toks) != 5:
                 raise ParseError("t takes an id and three edge ids", line=n)
-            tid, *sides = args
+            _, tid, x, y, z = toks
             if tid in triangles:
                 raise ParseError(f"duplicate triangle id {tid!r}", line=n)
-            for e in sides:
+            for e in (x, y, z):
                 if e not in edges:
                     raise ParseError(f"unknown edge {e!r}", line=n)
-            if len(set(sides)) != 3:
+            if x == y or y == z or x == z:
                 raise ParseError(f"triangle {tid!r} repeats an edge", line=n)
-            # three vertices, joined by three distinct pairs
-            pairs = {(a, b) if a < b else (b, a) for a, b in map(edges.get, sides)}
-            if len(pairs) != 3 or len({v for pair in pairs for v in pair}) != 3:
+            # no edge is a loop, so the sides close up exactly when two
+            # share one vertex and the third joins their other ends
+            if set(edges[x]).symmetric_difference(edges[y]) != set(edges[z]):
                 raise ParseError(f"the edges of triangle {tid!r} do not close "
                                  "up", line=n)
-            triangles[tid] = (sides[0], sides[1], sides[2])
+            triangles[tid] = (x, y, z)
         else:
             raise ParseError(f"unknown directive {kind!r}", line=n)
     return SimplicialField(values, edges, triangles)
@@ -215,8 +213,16 @@ def reeb_of_complex(field: SimplicialField) -> ComplexReeb:
         else:
             ref += [f"e:{e}"] * (hi - lo - 1)
             code += range(lo + 1, hi)
-    uf = RollbackUnionFind(len(ref))
-    union = uf.union
+    parent = list(range(len(ref)))
+
+    def find(x):
+        while (p := parent[x]) != x:    # path halving
+            parent[x] = x = parent[p]
+        return x
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
     for a, b in horizontal:
         union(a, b)
 
@@ -249,7 +255,7 @@ def reeb_of_complex(field: SimplicialField) -> ComplexReeb:
         tref = f"t:{t}"
         over += ((long + w, tref) for w in range(lo + 1, hi, 2))
 
-    root = list(map(uf.find, range(len(ref))))
+    root = list(map(find, range(len(ref))))
     refs: dict[int, list[str]] = {}
     for r, s in zip(root, ref):
         refs.setdefault(r, []).append(s)
@@ -287,13 +293,16 @@ def parse_morphism(text: str, source: RGraph, target: RGraph) -> RGraphMorphism:
     edge_map: dict[str, tuple[str, ...]] = {}
     src_vs, src_es = set(source.vertex_ids), set(source.edge_ids)
     tgt_vs, tgt_es = set(target.vertex_ids), set(target.edge_ids)
-    for n, toks in _records(text):
-        kind, args = toks[0], toks[1:]
+    for n, line in enumerate(text.splitlines(), start=1):
+        toks = line.split("#", 1)[0].split()
+        if not toks:
+            continue
+        kind = toks[0]
         if kind == "vmap":
-            if len(args) != 3 or args[1] not in ("vertex", "edge"):
+            if len(toks) != 4 or toks[2] not in ("vertex", "edge"):
                 raise ParseError("vmap takes a vertex id, the word vertex or "
                                  "edge, and a target id", line=n)
-            vid, cell_kind, wid = args
+            _, vid, cell_kind, wid = toks
             if vid not in src_vs:
                 raise ParseError(f"unknown source vertex {vid!r}", line=n)
             if vid in vertex_map:
@@ -303,10 +312,10 @@ def parse_morphism(text: str, source: RGraph, target: RGraph) -> RGraphMorphism:
                 raise ParseError(f"unknown target {cell_kind} {wid!r}", line=n)
             vertex_map[vid] = (cell_kind, wid)
         elif kind == "emap":
-            if len(args) < 2:
+            if len(toks) < 3:
                 raise ParseError("emap takes an edge id and a target edge "
                                  "path", line=n)
-            eid, *path = args
+            _, eid, *path = toks
             if eid not in src_es:
                 raise ParseError(f"unknown source edge {eid!r}", line=n)
             if eid in edge_map:

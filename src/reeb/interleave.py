@@ -456,8 +456,10 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
         if not ok:
             raise InternalError("rank refutation failed verification: " + msg)
         return SearchOutcome("exhausted", None, eps, 0, ref)
-    sm_f, sm_g = smooth(f, eps), smooth(g, eps)
-    # built on first use: only a shifted composite or the certificate reads them
+    sm_g = smooth(g, eps)
+    # built on first use: side a's enumeration, where most budget probes
+    # end, reads only sm_g; a shifted composite or the certificate the rest
+    sm_f = cache(lambda: smooth(f, eps))
     sm_f2 = cache(lambda: smooth(f, 2 * eps))
     sm_g2 = cache(lambda: smooth(g, 2 * eps))
     meter = NodeBudget(budget, f"search exceeded {budget} nodes")
@@ -470,7 +472,7 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
         wit = None
     if wit is not None:
         pair = (compose(wit, sm_g.zeta),
-                compose(invert_isomorphism(wit), sm_f.zeta))
+                compose(invert_isomorphism(wit), sm_f().zeta))
         meter.nodes += 1        # the isomorphism test counts as one node
     else:
         try:
@@ -479,23 +481,23 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
             return SearchOutcome("budget", None, eps, meter.nodes)
         if pair is None:
             return SearchOutcome("exhausted", None, eps, meter.nodes)
-    cert = _verified("found", Certificate(eps, *pair, sm_f, sm_g, sm_f2(), sm_g2()))
+    cert = _verified("found", Certificate(eps, *pair, sm_f(), sm_g, sm_f2(), sm_g2()))
     return SearchOutcome("found", cert, eps, meter.nodes)
 
 
 def _certificate_pair(f, g, sm_f, sm_g, sm_f2, sm_g2, meter):
     """The first (alpha, beta) whose round trips both equal the canonical
-    maps, or None when there is none; sm_f2() and sm_g2() give S_2eps."""
+    maps, or None if none; sm_f(), sm_f2(), sm_g2() build S_eps f and S_2eps."""
     side_a = _SearchSide(f, sm_g.smoothed)
     bundles_a = list(_enumerate_bundles(side_a, meter))
     # refined only once side a's enumeration has stayed within the budget
-    side_b = _SearchSide(g, sm_f.smoothed)
+    side_b = _SearchSide(g, sm_f().smoothed)
     bundles_b = list(_enumerate_bundles(side_b, meter))
     if not (bundles_a and bundles_b):
         return None
 
-    a = (side_a, bundles_a, lambda x: shift_compose(x, sm_f, sm_g, sm_g2()), sm_g2)
-    b = (side_b, bundles_b, lambda y: shift_compose(y, sm_g, sm_f, sm_f2()), sm_f2)
+    a = (side_a, bundles_a, lambda x: shift_compose(x, sm_f(), sm_g, sm_g2()), sm_g2)
+    b = (side_b, bundles_b, lambda y: shift_compose(y, sm_g, sm_f(), sm_f2()), sm_f2)
 
     def maps(bundles):
         return sum(prod(len(cands) for _, cands in bd.choices) for bd in bundles)

@@ -3,10 +3,13 @@
 Function values, critical values and radii are ``fractions.Fraction``
 instances at the API and file boundary. These helpers normalize
 user-facing inputs (ints, strings like ``"3/4"`` or ``"-1.25"``) into
-``Fraction`` and format them back out in ``p/q`` text form. Inside,
-`scaled` puts the values one computation compares on a common integer
-scale, and graph building, `reeb_of_complex`, the smoothing sweep, the
-rank refutation and `transport` work on those integers.
+``Fraction`` and format them back out in ``p/q`` text form. A token of
+an optional ``-``, ASCII digits, and optionally ``/`` and ASCII digits
+not all zero is read with ``int``; any other (``+3``, ``2.5``, ``1_0``,
+``1/0``, non-ASCII digits) goes to ``Fraction(str)``, as do its errors.
+Inside, `scaled` puts the values one computation compares on a common
+integer scale, and graph building, `reeb_of_complex`, the smoothing
+sweep, the rank refutation and `transport` work on those integers.
 """
 
 from __future__ import annotations
@@ -49,7 +52,14 @@ def parse_rational(token: str) -> Fraction:
     token = token.strip()
     if not token:
         raise ParseError("empty rational token")
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
     try:
+        if digits.isascii() and digits.isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isascii() and den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational token {token!r}: {exc}") from None

@@ -174,6 +174,15 @@ class TestGraphFiles:
         ("foo bar", 1, "unknown directive"),
         ("vertex a", 1, "takes an id and a value"),
         ("vertex a 1\nedge e a", 2, "two vertex ids"),
+        # the record loop: a glued comment, a blank line, other line breaks,
+        # a token too many, a bad critical value
+        ("vertex a 0#c\nvertex a 1", 2, "duplicate vertex"),
+        ("vertex a#c 0", 1, "takes an id and a value"),
+        ("vertex a 0\n \t \nvertex a 1", 3, "duplicate vertex"),
+        ("vertex a 0\x1cvertex a 1", 2, "duplicate vertex"),
+        ("vertex a 0\u2028vertex b 1\u2028edge e a b c", 3, "two vertex ids"),
+        ("vertex a 0 1", 1, "takes an id and a value"),
+        ("vertex a 0\ncriticals 1/2 x", 2, "bad rational token 'x'"),
     ])
     def test_parse_errors_name_the_line(self, text, lineno, hint):
         with pytest.raises(ParseError) as info:
@@ -196,6 +205,13 @@ class TestFieldFiles:
          "t T ab bc ad", "do not close"),
         ("v a 0\ne ab a b", "unknown vertex"),
         ("v a 0\nt T x y z", "unknown edge"),
+        ("v a 0#c\nv a 1", "line 2: duplicate vertex id 'a'"),
+        ("v a 0\n\t \nv b 1/0", "line 3: bad rational token '1/0'"),
+        ("v a 0\x1cv b 1\x1ce ab a b c", "line 3: e takes an id and two vertex ids"),
+        ("v a 0\u2028v b 1\u2028v c 2\u2028e ab a b\u2028e bc b c\u2028e ca c a\u2028"
+         "t T ab bc ca ab", "line 7: t takes an id and three edge ids"),
+        ("v a 0\nv b 1\nv c 2\ne ab a b\ne bc b c\ne ba b a\nt T ab bc ba",
+         "line 7: the edges of triangle 'T' do not close up"),
     ])
     def test_field_errors(self, text, hint):
         with pytest.raises(ParseError) as info:
@@ -411,6 +427,10 @@ class TestMorphismFiles:
         ("", "source vertex 'u' is left unmapped"),
         ("vmap u vertex p\nvmap w vertex q\nvmap x vertex r\nvmap y vertex r\n"
          "emap uw pq\nemap wy qr", "source edge 'wx' is left unmapped"),
+        ("vmap u vertex p#c\nvmap u vertex p", "line 2: repeated vmap"),
+        ("vmap u vertex p\n \t\nvmap u vertex p", "line 3: repeated vmap"),
+        ("vmap u vertex p\u2028emap zz pq", "line 2: unknown source edge"),
+        ("vmap u vertex p\x1cvmap w vertex q r", "line 2: vmap takes a vertex id"),
     ])
     def test_errors(self, text, hint):
         src, tgt, _ = self.fold()

@@ -496,8 +496,8 @@ def search_past_refutation(f, g, eps, budget):
     sms = (reeb.smooth(f, eps), reeb.smooth(g, eps),
            reeb.smooth(f, 2 * eps), reeb.smooth(g, 2 * eps))
     try:
-        pair = _certificate_pair(f, g, *sms[:2], lambda: sms[2], lambda: sms[3],
-                                 NodeBudget(budget, "budget"))
+        pair = _certificate_pair(f, g, lambda: sms[0], sms[1], lambda: sms[2],
+                                 lambda: sms[3], NodeBudget(budget, "budget"))
     except BudgetExceeded:
         return "budget"
     if pair is None:

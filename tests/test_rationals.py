@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reeb
 from reeb import (ParseError, ValidationError, as_rational, format_rational,
@@ -38,6 +40,52 @@ def test_parse_rational_errors():
         parse_rational("7/0")
     with pytest.raises(ParseError):
         parse_rational("x/2")
+
+
+def fraction_reading(token):
+    """What parse_rational returned before its integer fast path:
+    Fraction(str) on the stripped token, its errors as ParseError."""
+    token = token.strip()
+    if not token:
+        raise ParseError("empty rational token")
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational token {token!r}: {exc}") from None
+
+
+HAND_ON = ["+3", "1_0", "\u0663", "\u00b2", "1/\u0663", "1/\u00b2", " 5 ", "1e3",
+           "2.5", "1/0", "-0/0", "3/-4", "-", "--3", "1/2/3", "/2", "1/", "-0",
+           "007/010", "-12/000", "", " ", "7" * 5000, "-" + "7" * 5000,
+           "1/" + "3" * 5000]
+digit_runs = st.text("0123456789", min_size=1, max_size=30)
+
+
+def reads_as_fraction_does(token):
+    try:
+        expected = fraction_reading(token)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_rational(token)
+        assert str(info.value) == str(exc)
+    else:
+        got = parse_rational(token)
+        assert type(got) is Fraction and got == expected
+
+
+@pytest.mark.parametrize("token", HAND_ON, ids=lambda t: repr(t[:12]))
+def test_parse_rational_hands_on_what_int_must_not_read(token):
+    reads_as_fraction_does(token)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(
+    st.builds(lambda sign, n: sign + n, st.sampled_from(["", "-"]), digit_runs),
+    st.builds(lambda sign, n, d: f"{sign}{n}/{d}", st.sampled_from(["", "-"]),
+              digit_runs, digit_runs),
+    st.text("0123456789-+/._e \u0663", max_size=12)))
+def test_parse_rational_reads_as_fraction_does(token):
+    reads_as_fraction_does(token)
 
 
 def test_format_rational():
