@@ -19,7 +19,7 @@ from fractions import Fraction
 from .core import ValidationReport, _assemble, component_sets, refine, RGraph
 from .errors import InternalError, ValidationError
 from .iso import levelwise_bijections
-from .rationals import as_radius, as_rational
+from .rationals import as_radius, as_rational, format_rational
 from .unionfind import UnionFind
 
 
@@ -31,6 +31,12 @@ class Interval:
     lo: Fraction | None        # None: unbounded below
     hi: Fraction | None        # None: unbounded above
     empty: bool = False
+
+    def __str__(self) -> str:
+        if self.empty:
+            return "the empty interval"
+        return (f"({'-inf' if self.lo is None else format_rational(self.lo)}, "
+                f"{'inf' if self.hi is None else format_rational(self.hi)})")
 
 
 EMPTY_INTERVAL = Interval(None, None, True)
@@ -193,7 +199,8 @@ def extend_map(F: Cosheaf, small: Interval, big: Interval) -> dict[frozenset, fr
     for elt in evaluate(F, small):
         images = {locate[ref] for ref in elt}
         if len(images) != 1:
-            raise InternalError("element split across components under extension")
+            raise InternalError(f"element {sorted(elt)} of {small} splits across "
+                                f"{len(images)} components of {big} under extension")
         out[elt] = images.pop()
     return out
 

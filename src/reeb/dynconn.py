@@ -1,36 +1,48 @@
-"""Connectivity of a graph whose links each live over a known range of
-positions.
+"""Connectivity of a graph whose links come in groups, each group live
+over a window of a fixed list.
 
-The smoothing sweep knows every link's lifetime before it starts, so it
-needs no fully dynamic structure: `walk_positions` puts each link on the
-nodes of a segment tree over the positions that cover its range, then
-visits the tree once, left to right, on a `RollbackUnionFind`, applying
-a node's unions on entry and undoing them on exit. `NaiveDynForest`, a
-fully dynamic forest, is the oracle the tests replay the same lifetimes
-through.
+Both readers of window components list their edge-endpoint links the
+same way: slot by slot, each slot's lower links, then its upper links.
+Along that list the links live at one place form a window whose two ends
+only move forward, so a `RollbackUnionFind` slides over it: the
+smoothing sweep from one position to the next, the rank pass from one
+range to the next. `NaiveDynForest`, a fully dynamic forest, is the
+oracle the tests replay the sweep's link lifetimes through.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import ForestError, InternalError
 
 
 class RollbackUnionFind:
-    """Union-find on the cells 0..n-1 whose unions are undone newest first.
+    """Union-find on the cells 0..n-1 that holds the unions of a sliding
+    window of `groups`, a fixed list of link groups, each a list of cell
+    pairs: `slide(lo, hi)` makes it hold exactly those of groups[lo:hi].
     Union by size without path compression, so undoing a union resets one
-    parent; each root also holds the least cell of its class, so a union
-    and its undo each set one `least` entry."""
-    __slots__ = ("parent", "size", "least", "undo")
+    parent; each root also holds the least cell of its class.
 
-    def __init__(self, n: int):
+    The held groups sit on a stack, each entry (group, is A, the length
+    of the undo list before it), so undoing the entries from one up is
+    undoing the merges from its mark. The oldest group leaves by the
+    queue-undo trick: a group entering at the back is a B entry; the A
+    entries are the oldest groups, the oldest on top, so each group is
+    applied O(log n) times amortised over the slides."""
+    __slots__ = ("parent", "size", "least", "groups", "undo", "stack",
+                 "n_a", "lo", "hi")
+
+    def __init__(self, n: int, groups: list[list[tuple[int, int]]]):
         self.parent = list(range(n))
         self.size = [1] * n
         self.least = list(range(n))     # at a root, the least cell of its class
-        # per union, oldest first: (absorbed root, survivor's least before it)
+        self.groups = groups
+        # per merge, oldest first: (absorbed root, survivor's least before it)
         self.undo: list[tuple[int, int]] = []
+        self.stack: list[tuple[int, bool, int]] = []
+        self.n_a = 0                    # A entries on the stack
+        self.lo = self.hi = 0           # the held window, groups[lo:hi]
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -38,112 +50,87 @@ class RollbackUnionFind:
             x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> bool:
-        """Merge the classes of a and b; True when they were distinct."""
-        parent, size, least = self.parent, self.size, self.least
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a == b:
-            return False
-        ra, rb = (a, b) if size[a] >= size[b] else (b, a)
-        parent[rb] = ra
-        size[ra] += size[rb]
-        self.undo.append((rb, least[ra]))
-        if least[rb] < least[ra]:
-            least[ra] = least[rb]
-        return True
+    def _push(self, gs, is_a: bool) -> None:
+        """Unite the links of each group in gs, in order, as one entry each."""
+        parent, size, least, undo, stack = (self.parent, self.size, self.least,
+                                            self.undo, self.stack)
+        for g in gs:
+            stack.append((g, is_a, len(undo)))
+            for a, b in self.groups[g]:
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a != b:
+                    if size[a] < size[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    size[a] += size[b]
+                    undo.append((b, least[a]))
+                    if least[b] < least[a]:
+                        least[a] = least[b]
 
-    def rollback(self, count: int) -> None:
-        """Undo the newest `count` unions that merged two classes."""
+    def _rollback(self, mark: int) -> None:
+        """Undo the merges after the first `mark`, newest first."""
         parent, size, least, undo = self.parent, self.size, self.least, self.undo
-        for _ in range(count):
+        while len(undo) > mark:
             rb, old = undo.pop()
             ra = parent[rb]
             parent[rb] = rb
             size[ra] -= size[rb]
             least[ra] = old
 
+    def slide(self, lo: int, hi: int) -> None:
+        """Hold exactly the unions of groups[lo:hi]. Neither end may move
+        back from the held window's."""
+        held, end, stack, n_a = self.lo, self.hi, self.stack, self.n_a
+        if not held <= lo <= hi or hi < end:
+            raise InternalError(f"window [{lo}, {hi}) moves back from the held "
+                                f"window [{held}, {end})")
+        if lo >= end:           # nothing held stays: start from an empty stack
+            self._rollback(0)
+            stack.clear()
+            n_a, held, end = 0, lo, lo
+        while held < lo:
+            if not n_a:
+                # redo every group that stays as A, newest first
+                self._rollback(0)
+                stack.clear()
+                self._push(range(end - 1, lo - 1, -1), True)
+                n_a = end - lo
+                break
+            if stack[-1][1]:    # the top A entry is the oldest group
+                self._rollback(stack.pop()[2])
+            else:
+                # take entries off, the top one a B, until as many A as B
+                # are off or every A is; redo the B entries, then the A
+                # entries but the oldest (the topmost), each in its
+                # original order
+                i, a, b = len(stack) - 1, 0, 1
+                while a < b and a < n_a:
+                    i -= 1
+                    if stack[i][1]:
+                        a += 1
+                    else:
+                        b += 1
+                off = stack[i:]
+                del stack[i:]
+                self._rollback(off[0][2])
+                self._push([g for g, is_a, _ in off if not is_a], False)
+                if a > 1:
+                    self._push([g for g, is_a, _ in off if is_a][:-1], True)
+            n_a -= 1
+            held += 1
+        if end < hi:
+            self._push(range(end, hi), False)
+        self.lo, self.hi, self.n_a = lo, hi, n_a
 
-def make_forest(n_cells: int) -> RollbackUnionFind:
-    """The connectivity structure behind the smoothing sweep. The sweep
-    looks this name up at each call, so a profiler can wrap what it
-    returns."""
-    return RollbackUnionFind(n_cells)
 
-
-def walk_positions(uf: RollbackUnionFind, n_positions: int,
-                   links: list[tuple[int, int, int, int]]) -> Iterator[int]:
-    """Yield 0..n_positions-1 in order. Each link is (first, last, a, b):
-    while position p is yielded, `uf` has united a and b for exactly the
-    links with first <= p <= last, and nothing else. Links sharing a
-    lifetime (first, last) go on the segment tree once, as one group, and
-    the walk unites and rolls back on `uf`'s own lists."""
-    size = 1
-    while size < n_positions:
-        size *= 2
-    lifetimes: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-    for link in links:
-        lifetimes.setdefault(link[:2], []).append(link)
-    # the nodes of a bottom-up segment tree covering each lifetime (node 1
-    # is the root and leaf p is node size + p). Each node's groups are
-    # chained through one flat list of (group, older entry) pairs from
-    # `head`, its newest entry or -1.
-    head = [-1] * (2 * size)
-    chain: list = []
-    for (first, last), group in lifetimes.items():
-        lo, hi = first + size, last + size + 1
-        while lo < hi:
-            if lo & 1:
-                chain += (group, head[lo])
-                head[lo] = len(chain) - 2
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                chain += (group, head[hi])
-                head[hi] = len(chain) - 2
-            lo >>= 1
-            hi >>= 1
-
-    # RollbackUnionFind.union and .rollback, inlined
-    parent, size_of, least, undo = uf.parent, uf.size, uf.least, uf.undo
-    # a nonnegative entry is a node to enter; ~count undoes count unions
-    stack = [1]
-    while stack:
-        node = stack.pop()
-        if node < 0:
-            for _ in range(~node):
-                rb, old = undo.pop()
-                ra = parent[rb]
-                parent[rb] = rb
-                size_of[ra] -= size_of[rb]
-                least[ra] = old
-            continue
-        done = 0
-        entry = head[node]
-        while entry >= 0:
-            for _, _, a, b in chain[entry]:
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[b] != b:
-                    b = parent[b]
-                if a != b:
-                    if size_of[a] < size_of[b]:
-                        a, b = b, a
-                    parent[b] = a
-                    size_of[a] += size_of[b]
-                    undo.append((b, least[a]))
-                    if least[b] < least[a]:
-                        least[a] = least[b]
-                    done += 1
-            entry = chain[entry + 1]
-        if done:
-            stack.append(~done)
-        if node < size:
-            stack += (2 * node + 1, 2 * node)
-        elif node - size < n_positions:
-            yield node - size
+def make_forest(n_cells: int, groups: list[list[tuple[int, int]]]) -> RollbackUnionFind:
+    """The connectivity structure behind the smoothing sweep, sliding over
+    `groups`. The sweep looks this name up at each call, so a profiler
+    can wrap what it returns."""
+    return RollbackUnionFind(n_cells, groups)
 
 
 class NaiveDynForest:

@@ -26,9 +26,9 @@ from .errors import BudgetExceeded, InternalError, ValidationError
 from .iso import NodeBudget, is_isomorphic, levelwise_assignments
 from .morphism import (RGraphMorphism, compose, identity, image_at, image_path,
                        invert_isomorphism, morphism_equal,
-                       morphism_first_difference, reduce_collapse,
-                       reduce_embed, refine_collapse, shift_compose,
-                       smooth_morphism, transport, validate_morphism)
+                       morphism_first_difference, reduce_embed,
+                       refine_collapse, shift_compose, transport,
+                       validate_morphism)
 from .rationals import as_radius, as_rational, format_rational, scaled
 from .smoothing import SmoothingResult, smooth
 
@@ -152,26 +152,28 @@ class _Ranks:
     """Components of a graph's preimages of open intervals, in integer
     coordinates (values times a common scale). An open interval meets a
     range of doubled positions, 2k on level k and 2k+1 on the slot above
-    it; prefix sums count the cells of a range, and a rollback union-find
-    over them gives its components. The union-find holds the unions of
-    the last range asked about; a query on another range rolls them all
-    back and applies the new range's, so a run of queries on one range
-    unions it once."""
+    it; prefix sums count the cells of a range. Listed slot by slot, each
+    slot's (edge, lower end) links, then its (edge, upper end) links, the
+    links inside the range (p, q) are exactly groups[p:q], so a union-find
+    sliding over that list gives its components as long as neither end
+    of the ranges asked about moves back."""
 
     def __init__(self, g: RGraph, crit: list[int]):
         self.crit = crit
         num = {c: n for n, c in enumerate((*g.vertex_ids, *g.edge_ids))}
         self.at: list[list[int]] = []        # the cells at each position
+        groups: list[list[tuple[int, int]]] = []
         for k, lev in enumerate(g.levels):
             self.at.append([num[v] for v in lev])
             if k < g.n_slots:
-                self.at.append([num[e] for e in g.slots[k]])
-        self.attach = [[(num[g.down[j][e]], num[g.up[j][e]]) for e in slot]
-                       for j, slot in enumerate(g.slots)]
+                slot, down, up = g.slots[k], g.down[k], g.up[k]
+                self.at.append([num[e] for e in slot])
+                groups += ([(num[e], num[down[e]]) for e in slot],
+                           [(num[e], num[up[e]]) for e in slot])
         self.last = len(self.at) - 1
         self.before = [0, *accumulate(map(len, self.at))]   # cells before each position
-        self._uf = RollbackUnionFind(len(num))
-        self._held = (0, -1)                 # the range whose unions _uf holds
+        self._uf = RollbackUnionFind(len(num), groups)
+        self._held = (0, 0)                  # the range whose links _uf holds
 
     def span(self, lo, hi, r: int) -> tuple[int, int]:
         """The first and last doubled positions that (lo - r, hi + r) meets;
@@ -191,14 +193,8 @@ class _Ranks:
         Over `big`, an edge joins those of its endpoints in the range."""
         uf = self._uf
         if big != self._held:
-            uf.rollback(len(uf.undo))
-            p, q = self._held = big
-            for pos in range(p | 1, q + 1, 2):
-                for e, (lower, upper) in zip(self.at[pos], self.attach[pos >> 1]):
-                    if p < pos:
-                        uf.union(e, lower)
-                    if pos < q:
-                        uf.union(e, upper)
+            self._held = big
+            uf.slide(*big)
         if small == big:    # each union that merged two classes removes one
             return self.cells(big) - len(uf.undo)
         return len({uf.find(c) for cells in self.at[small[0]:small[1] + 1] for c in cells})
@@ -210,11 +206,11 @@ def _refute(f: RGraph, g: RGraph, eps: Fraction) -> Refutation | None:
     s critical in either graph), or unbounded beyond the outermost, scanned
     by low end, then high end, then side f before side g. Each side has
     one `_Ranks` for its images at 2 eps and one for its bounds at eps;
-    along this order both ends of each one's ranges never decrease, so a
-    held range serves every later check on it. An image has at most as
-    many elements as I has cells, and a bound is at least 1 once I^eps
-    holds a cell, so only a check with two cells over I, or one against
-    an empty I^eps, counts components."""
+    along this order both ends of each one's ranges never decrease, so
+    each one's window only slides forward. An image has at most as many
+    elements as I has cells, and a bound is at least 1 once I^eps holds a
+    cell, so only a check with two cells over I, or one against an empty
+    I^eps, counts components."""
     scale, (e, *crit) = scaled((eps, *f.criticals, *g.criticals))
     cf, cg = crit[:f.n_levels], crit[f.n_levels:]
     ends = [None, *sorted({s + k * e for s in crit for k in range(-2, 3)}), None]
@@ -259,9 +255,7 @@ def verify_refutation(f: RGraph, g: RGraph, ref: Refutation) -> tuple[bool, str]
     both counts must be the recorded ones and the image must exceed the
     bound. Returns (ok, detail); the detail names the interval, side and counts."""
     iv, eps = ref.interval, ref.epsilon
-    ends = ("-inf" if iv.lo is None else format_rational(iv.lo),
-            "inf" if iv.hi is None else format_rational(iv.hi))
-    where = f"on ({ends[0]}, {ends[1]}), side {ref.side!r}"
+    where = f"on {iv}, side {ref.side!r}"
     if ref.side not in ("f", "g") or eps < 0 or iv.empty:
         return False, (where + ": needs side 'f' or 'g', a nonempty interval "
                        "and a nonnegative radius")
@@ -544,8 +538,8 @@ def distance_bracket(f: RGraph, g: RGraph, tol, budget: int = 200_000) -> Distan
     if out.status == "budget":
         return DistanceBracket(False, Fraction(0), None, None, None, True)
     if out.status == "exhausted":
-        raise InternalError("no interleaving above the value diameter despite "
-                            "matching component counts")
+        raise InternalError(f"no interleaving at radius {format_rational(hi)}, above "
+                            "the value diameter, despite matching component counts")
     lower = Fraction(0)
     upper = hi
     witness = out.certificate
@@ -650,40 +644,31 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
     verts_g = [(v, gv[v]) for v in sorted(gv)]
     gf, segf, split_f = _build(verts_f, oriented_f, ())
     gg, segg, split_g = _build(verts_g, oriented_g, ())
-    sm_fu = smooth(gf, eps)
-    sm_gu = smooth(gg, eps)
+    red_f, red_g = reduce(gf), reduce(gg)
+    sm_f_red, sm_g_red = smooth(red_f.graph, eps), smooth(red_g.graph, eps)
 
-    def whole_edge_images(src, src_seg, src_splits, dst_seg, dst_splits):
+    def whole_edge_images(src, src_seg, src_splits, dst_seg, dst_splits, red):
         """Each cell of input edge e has all of e in the other graph, its
         segments and split vertices, as its images; any other cell of src
-        is its own. Both value functions are linear along e, so the cells
+        is its own. Images are named by their cells in the other graph's
+        reduced form. Both value functions are linear along e, so the cells
         `transport` keeps in a window form one connected run, and that
         run holds the point's image."""
-        whole = {e: set(segs) for e, segs in dst_seg.items()}
+        whole = {e: {red.edge_map[s] for s in segs} for e, segs in dst_seg.items()}
         for v, e in dst_splits.items():
-            whole[e].add(v)
+            whole[e].add(red.dropped_vertices.get(v, v))
         pull = {s: whole[e] for e, segs in src_seg.items() for s in segs}
         pull.update((v, whole[e]) for v, e in src_splits.items())
-        return {x: pull.get(x, (x,)) for x in (*src.vertex_ids, *src.edge_ids)}, None, None
+        return {x: pull.get(x, (red.dropped_vertices.get(x, x),))
+                for x in (*src.vertex_ids, *src.edge_ids)}, None, None
 
-    alpha_u = transport(gf, whole_edge_images(gf, segf, split_f, segg, split_g), sm_gu)
-    beta_u = transport(gg, whole_edge_images(gg, segg, split_g, segf, split_f), sm_fu)
-
-    red_f = reduce(gf)
-    red_g = reduce(gg)
-    f_red, g_red = red_f.graph, red_g.graph
-    sm_f_red = smooth(f_red, eps)
-    sm_g_red = smooth(g_red, eps)
-    u_coll_g = smooth_morphism(reduce_collapse(gg, red_g), eps,
-                               sm_source=sm_gu, sm_target=sm_g_red)
-    u_coll_f = smooth_morphism(reduce_collapse(gf, red_f), eps,
-                               sm_source=sm_fu, sm_target=sm_f_red)
-    alpha = compose(compose(reduce_embed(gf, red_f), alpha_u), u_coll_g)
-    beta = compose(compose(reduce_embed(gg, red_g), beta_u), u_coll_f)
-
+    alpha = compose(reduce_embed(gf, red_f), transport(
+        gf, whole_edge_images(gf, segf, split_f, segg, split_g, red_g), sm_g_red))
+    beta = compose(reduce_embed(gg, red_g), transport(
+        gg, whole_edge_images(gg, segg, split_g, segf, split_f, red_f), sm_f_red))
     return _verified("stability", Certificate(
         eps, alpha, beta, sm_f_red, sm_g_red,
-        smooth(f_red, 2 * eps), smooth(g_red, 2 * eps)))
+        smooth(red_f.graph, 2 * eps), smooth(red_g.graph, 2 * eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +691,6 @@ def quantified_iso_check(f: RGraph, g: RGraph,
         return None
     witness = is_isomorphic(f, g, budget)
     if witness is None:
-        raise InternalError("interleaved below the gap threshold yet no "
-                            "isomorphism was found")
+        raise InternalError(f"interleaved at radius {format_rational(probe)}, below "
+                            "the gap threshold, yet no isomorphism was found")
     return witness

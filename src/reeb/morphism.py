@@ -445,22 +445,15 @@ def smoothed_pull(alpha: RGraphMorphism, sm_source, sm_mid=None):
     return images, sm_mid, sm_source.epsilon
 
 
-def smooth_morphism(alpha: RGraphMorphism, eps, sm_source=None,
-                    sm_target=None) -> RGraphMorphism:
+def smooth_morphism(alpha: RGraphMorphism, eps) -> RGraphMorphism:
     """Apply the smoothing to a morphism: the smoothed source's window
     components map to the smoothed target's window components carrying
     their images."""
     from .smoothing import smooth
     eps = as_rational(eps)
-    if sm_source is None:
-        sm_source = smooth(alpha.source, eps)
-    if sm_target is None:
-        sm_target = smooth(alpha.target, eps)
-    if sm_source.source != alpha.source or sm_target.source != alpha.target:
-        raise ValidationError("smoothing results do not match the morphism's endpoints")
-    if sm_source.epsilon != eps or sm_target.epsilon != eps:
-        raise ValidationError("smoothing results taken at a different epsilon")
-    return transport(sm_source.smoothed, smoothed_pull(alpha, sm_source), sm_target)
+    sm_source = smooth(alpha.source, eps)
+    return transport(sm_source.smoothed, smoothed_pull(alpha, sm_source),
+                     smooth(alpha.target, eps))
 
 
 def shift_compose(alpha: RGraphMorphism, sm_source, sm_target,

@@ -12,11 +12,10 @@ image meets t, i.e. x < t + eps and y > t - eps.
 
 Cells are named after their component's least member, its members being
 kept in the provenance, so the two implementations below (direct
-per-window recomputation, and a single sweep that replays every link's
-known window lifetime through a rolling-back union-find) emit
-bit-identical presentations. The sweep reads each name off the least
-cell a union-find root holds and walks a component's members only when
-its provenance is first read.
+per-window recomputation, and a single sweep that slides a union-find
+over the links live at each position) emit bit-identical presentations.
+The sweep reads each name off the least cell a union-find root holds and
+walks a component's members only when its provenance is first read.
 
 At eps = 0 windows degenerate to points and the attach rule through
 window overlaps breaks down, so that case is a plain renaming of the
@@ -33,7 +32,7 @@ from functools import cached_property
 
 from .core import (RGraph, _assemble, canonical_edge_name,
                    canonical_vertex_name, component_sets, keyed_name)
-from .dynconn import make_forest, walk_positions
+from .dynconn import make_forest
 from .errors import InternalError
 from .morphism import (RGraphMorphism, compose, identity, is_isomorphism,
                        morphism_equal, smoothed_pull, transport)
@@ -184,12 +183,14 @@ def _walk(adjacent: list[list[tuple[int, int, int]]], start: int, pos: int) -> s
 
 class _Provenance(Mapping):
     """Smoothed cell -> the source cells of its window component, walked
-    over the sweep's links on first read. Each name holds its doubled
-    position and its least cell; the cells of one record hold the same
-    pair, so they share one walk and one frozenset."""
+    over the sweep's link groups on first read. Each name holds its
+    doubled position and its least cell; the cells of one record hold the
+    same pair, so they share one walk and one frozenset."""
 
-    def __init__(self, where: dict[str, tuple[int, int]], cells: list[str], links: list):
-        self._where, self._cells, self._links = where, cells, links
+    def __init__(self, where: dict[str, tuple[int, int]], cells: list[str],
+                 groups: list, lifetimes: list):
+        self._where, self._cells = where, cells
+        self._groups, self._lifetimes = groups, lifetimes
         self._adjacent: list[list[tuple[int, int, int]]] | None = None
         self._memo: dict[tuple[int, int], frozenset] = {}
 
@@ -198,9 +199,10 @@ class _Provenance(Mapping):
         if at not in self._memo:
             if self._adjacent is None:
                 self._adjacent = [[] for _ in self._cells]
-                for first, last, a, b in self._links:
-                    self._adjacent[a].append((first, last, b))
-                    self._adjacent[b].append((first, last, a))
+                for (first, last), group in zip(self._lifetimes, self._groups):
+                    for a, b in group:
+                        self._adjacent[a].append((first, last, b))
+                        self._adjacent[b].append((first, last, a))
             members = _walk(self._adjacent, key, pos)
             if min(members) != key:
                 raise InternalError(f"provenance of {name!r}, walked at "
@@ -236,10 +238,11 @@ class _Record:
 def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     """Single pass over the output criticals, on integers: eps and S times
     their least common denominator. Every edge-endpoint link's window
-    lifetime is known up front, so `walk_positions` replays them through
-    a rolling-back union-find that holds the window at each level and
-    each gap in turn; a level names the components an event touches and
-    seals their records, the gap above it opens their successors. Cells
+    lifetime is known up front; listed slot by slot, lower links then
+    upper, the lifetimes increase at both ends, so a union-find sliding
+    over that list holds the window at each level and each gap in turn.
+    A level names the components an event touches and seals their
+    records, the gap above it opens their successors. Cells
     are numbered in name order, so the least cell a union-find root holds
     names its component, and no component is walked."""
     eps = as_radius(eps, "smoothing")
@@ -279,12 +282,14 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     # each edge-endpoint link lives over the doubled positions where both
     # ends are in the window: a vertex at S[i] is there over [2 enter[i],
     # 2 leave[i]], an edge over slot j over [2 enter[j] + 1, 2 leave[j + 1] - 1].
-    # `meeting` lists per output slot the input edges whose open span meets it
-    links: list[tuple[int, int, int, int]] = []
+    # groups[2j] holds slot j's (edge, lower end) links and groups[2j + 1]
+    # its (edge, upper end) links, with their shared lifetimes; both ends of
+    # these strictly increase along the list. `meeting` lists per output
+    # slot the input edges whose open span meets it
+    groups: list[list[tuple[int, int]]] = []
+    lifetimes: list[tuple[int, int]] = []
     meeting: list[tuple[int, ...]] = [()] * max(0, K - 1)
     for j, slot in enumerate(g.slots):
-        lower = (2 * enter[j] + 1, 2 * leave[j])
-        upper = (2 * enter[j + 1], 2 * leave[j + 1] - 1)
         # by lower end: a level lists its vertices in number order
         ends = sorted((num[g.down[j][x]], num[x], num[g.up[j][x]]) for x in slot)
         xs = tuple([x for _, x, _ in ends])
@@ -292,10 +297,15 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
         seals[enter[j + 1]] += xs
         for i in range(pos[j] // 2, (pos[j + 1] + 1) // 2):
             meeting[i] += xs
+        lower, upper = [], []
         for d, x, u in ends:
-            links += ((*lower, x, d), (*upper, x, u))
-    H = make_forest(len(cells))
-    find, least = H.find, H.least
+            lower.append((x, d))
+            upper.append((x, u))
+        groups += (lower, upper)
+        lifetimes += ((2 * enter[j] + 1, 2 * leave[j]),
+                      (2 * enter[j + 1], 2 * leave[j + 1] - 1))
+    H = make_forest(len(cells), groups)
+    find, least, slide = H.find, H.least, H.slide
     records: list[_Record] = []
     # least member -> the latest record it keys (live components are disjoint)
     rec_of: list[_Record | None] = [None] * len(cells)
@@ -306,7 +316,16 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     # (cell, its least member at the gap before) for the next level's handles
     pre: list[tuple[int, int]] = []
 
-    for p in walk_positions(H, 2 * K - 1, links):
+    # at position p, H holds the groups whose lifetime has not ended
+    # before p and has begun by p
+    lo = hi = 0
+    n_groups = len(groups)
+    for p in range(2 * K - 1):
+        while hi < n_groups and lifetimes[hi][0] <= p:
+            hi += 1
+        while lo < hi and lifetimes[lo][1] < p:
+            lo += 1
+        slide(lo, hi)
         k = p >> 1
         if not p & 1:
             # H holds the window at B[k]: vertices at B[k] + eps have just
@@ -381,7 +400,7 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     smoothed = _assemble(B, level_names, slots_out, down, up)
 
     zeta = RGraphMorphism(g, smoothed, zeta_v, {e: tuple(im) for e, im in zeta_e.items()})
-    return SmoothingResult(g, eps, smoothed, zeta, _Provenance(where, cells, links))
+    return SmoothingResult(g, eps, smoothed, zeta, _Provenance(where, cells, groups, lifetimes))
 
 
 @dataclass(frozen=True)

@@ -295,9 +295,18 @@ def test_bench_patch_points_exist():
     assert missing == []
 
 
-def test_bench_tracer_counts_the_sweeps_connectivity_calls():
+def test_bench_tracer_counts_the_sweeps_connectivity_calls(monkeypatch):
     # a sweep that stopped obtaining its structure from make_forest would
-    # trace zero connectivity calls, and zeros repeat from run to run
+    # trace zero connectivity calls, and zeros repeat from run to run; the
+    # calls counted are the sweep's slides and finds
+    calls = {"slide": 0, "find": 0}
+    for name in calls:
+        method = getattr(reeb.dynconn.RollbackUnionFind, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(reeb.dynconn.RollbackUnionFind, name, counted)
     tracing = load_bench_tracing()
     names = {mod for mod, _, _ in tracing.PATCHES} | {"reeb.smoothing"}
     tracer = tracing.Tracer()
@@ -307,6 +316,6 @@ def test_bench_tracer_counts_the_sweeps_connectivity_calls():
     finally:
         tracer.uninstall()
     counts = tracer.metrics()
-    assert counts["dynconn.ops"] > 0
+    assert calls["slide"] > 0 and counts["dynconn.ops"] == calls["slide"] + calls["find"]
     # names come from the least cell at each root: no component is walked
     assert counts["dynconn.component_cells"] == 0

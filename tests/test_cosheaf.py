@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reeb.cosheaf
 from reeb import (EMPTY_INTERVAL, Cosheaf, ValidationError, build_rgraph,
                   check_gluing, display, evaluate, expand, extend_map, fork,
                   intersect, interval, interval_subset, is_cosheaf_iso,
@@ -226,3 +228,21 @@ def test_validate_cosheaf_catches_damage():
     rep = validate_cosheaf(broken)
     assert not rep.ok
     assert any("left image" in v for v in rep.violations)
+
+
+def test_extension_that_splits_an_element_names_it(monkeypatch):
+    # an evaluation that broke the larger interval's components into single
+    # references would split the smaller one's element under extension
+    F = reeb_cosheaf(line(0, 1))
+    evaluate = reeb.cosheaf.evaluate
+    big = interval(-2, 3)
+
+    def split(G, iv):
+        elts = evaluate(G, iv)
+        return [frozenset([r]) for e in elts for r in e] if iv == big else elts
+    monkeypatch.setattr(reeb.cosheaf, "evaluate", split)
+    [elt] = evaluate(F, interval(-1, 2))
+    with pytest.raises(reeb.InternalError, match="^" + re.escape(
+            f"element {sorted(elt)} of (-1, 2) splits across {len(elt)} "
+            "components of (-2, 3) under extension") + "$"):
+        extend_map(F, interval(-1, 2), big)

@@ -1,12 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reeb import ForestError, NaiveDynForest, RollbackUnionFind, make_forest
-from reeb.dynconn import walk_positions
+from reeb import (ForestError, InternalError, NaiveDynForest,
+                  RollbackUnionFind, make_forest)
 from reeb.unionfind import UnionFind
 
 
@@ -146,96 +147,103 @@ def test_error_paths(forest_class):
     assert not forest.has_node("a")
 
 
-def test_rollback_restores_every_component_exactly():
-    # a random stream of unions and rollbacks, checked at every step
-    # against a UnionFind built afresh from the unions still in force
-    rng = random.Random(7)
-    n = 40
-    uf = make_forest(n)
-    assert isinstance(uf, RollbackUnionFind)
-    merged = []                   # the pairs whose union merged two classes
-
-    def state():
-        return list(uf.parent), list(uf.size), list(uf.least)
-
-    snapshots = [state()]
-    fresh = UnionFind(range(n))
-    for step in range(3000):
-        if merged and rng.random() < 0.3:
-            count = rng.randint(1, min(len(merged), 6))
-            uf.rollback(count)
-            del merged[len(merged) - count:]
-            del snapshots[len(snapshots) - count:]
-            # parents, sizes and least cells read exactly as before those unions
-            assert state() == snapshots[-1], step
+def forward_windows(rng, n_groups, steps):
+    """Random windows [lo, hi) of n_groups groups whose two ends only move
+    forward; now and then a window starts at or past the last one's end."""
+    lo = hi = 0
+    for _ in range(steps):
+        if rng.random() < 0.1:
+            lo = min(n_groups, hi + rng.randint(0, 3))
+            hi = min(n_groups, lo + rng.randint(0, 4))
         else:
-            a, b = rng.randrange(n), rng.randrange(n)
-            merges = uf.union(a, b)
-            assert merges == (fresh.find(a) != fresh.find(b)), step
-            if merges:
-                merged.append((a, b))
-                snapshots.append(state())
-        fresh = UnionFind(range(n))
-        for x, y in merged:
-            fresh.union(x, y)
-        assert partition(range(n), uf.find) == partition(range(n), fresh.find), step
-        for x in range(n):
-            root = fresh.find(x)
-            assert uf.least[uf.find(x)] == min(y for y in range(n) if fresh.find(y) == root)
-    assert len(uf.undo) == len(merged)
+            hi = min(n_groups, hi + rng.choice((0, 0, 1, 1, 2, 5)))
+            lo = min(hi, lo + rng.choice((0, 0, 1, 1, 2, 5)))
+        yield lo, hi
 
 
-@pytest.mark.parametrize("n_positions", [0, 1, 2, 5, 8, 13])
-def test_walk_positions_holds_exactly_the_live_links(n_positions):
-    rng = random.Random(n_positions)
+def assert_holds(uf, n, groups, lo, hi):
+    """uf's classes and least cells are those of the links of groups[lo:hi]."""
+    fresh = UnionFind(range(n))
+    for group in groups[lo:hi]:
+        for a, b in group:
+            fresh.union(a, b)
+    assert partition(range(n), uf.find) == partition(range(n), fresh.find), (lo, hi)
+    for x in range(n):
+        root = fresh.find(x)
+        assert uf.least[uf.find(x)] == min(y for y in range(n) if fresh.find(y) == root)
+
+
+def assert_empty(uf, n):
+    assert uf.stack == [] and uf.undo == []
+    assert uf.parent == list(range(n)) and uf.size == [1] * n and uf.least == list(range(n))
+
+
+@pytest.mark.parametrize("n_groups", [0, 1, 2, 5, 8, 13])
+def test_slide_holds_exactly_the_window_groups(n_groups):
+    rng = random.Random(n_groups)
     n = 12
-    links = []
-    for _ in range(3 * n_positions):
-        first = rng.randrange(n_positions)
-        last = rng.randrange(first, n_positions)
-        links.append((first, last, rng.randrange(n), rng.randrange(n)))
-    uf = RollbackUnionFind(n)
-    seen = []
-    for p in walk_positions(uf, n_positions, links):
-        seen.append(p)
-        fresh = UnionFind(range(n))
-        for first, last, a, b in links:
-            if first <= p <= last:
-                fresh.union(a, b)
-        assert partition(range(n), uf.find) == partition(range(n), fresh.find), p
-    assert seen == list(range(n_positions))
-    assert uf.undo == [] and uf.parent == list(range(n))
+    groups = [[(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+              for _ in range(n_groups)]
+    uf = make_forest(n, groups)
+    assert isinstance(uf, RollbackUnionFind)
+    for lo, hi in forward_windows(rng, n_groups, 4 * n_groups + 2):
+        uf.slide(lo, hi)
+        assert_holds(uf, n, groups, lo, hi)
+    uf.slide(n_groups, n_groups)
+    assert_empty(uf, n)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_walk_positions_with_many_links_per_lifetime(seed):
-    # a few lifetimes, each shared by many links (as the sweep's links of
-    # one slot share theirs), some links repeated or joining a cell to itself
+def test_slide_with_many_links_per_group(seed):
+    # a few cells and groups of many links (as a slot's links share one
+    # group in the sweep), some links repeated or joining a cell to itself
     rng = random.Random(seed)
-    n, n_positions = rng.randint(1, 15), rng.randint(1, 40)
-    links = []
-    for _ in range(rng.randint(1, 5)):
-        first = rng.randrange(n_positions)
-        last = rng.randrange(first, n_positions)
-        links += [(first, last, rng.randrange(n), rng.randrange(n))
-                  for _ in range(rng.randint(1, 12))]
-    rng.shuffle(links)
-    uf = RollbackUnionFind(n)
-    seen = []
-    for p in walk_positions(uf, n_positions, links):
-        seen.append(p)
-        fresh = UnionFind(range(n))
-        for first, last, a, b in links:
-            if first <= p <= last:
-                fresh.union(a, b)
-        assert partition(range(n), uf.find) == partition(range(n), fresh.find), p
-        for x in range(n):
-            root = fresh.find(x)
-            assert uf.least[uf.find(x)] == min(y for y in range(n) if fresh.find(y) == root)
-    assert seen == list(range(n_positions))
-    assert uf.undo == [] and uf.parent == list(range(n))
-    assert uf.size == [1] * n and uf.least == list(range(n))
+    n, n_groups = rng.randint(1, 15), rng.randint(1, 40)
+    groups = [[(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+              for _ in range(n_groups)]
+    uf = RollbackUnionFind(n, groups)
+    for lo, hi in forward_windows(rng, n_groups, rng.randint(1, 3 * n_groups)):
+        uf.slide(lo, hi)
+        assert_holds(uf, n, groups, lo, hi)
+    uf.slide(n_groups, n_groups)
+    assert_empty(uf, n)
+
+
+def test_rollback_restores_every_component_exactly():
+    # after every slide the groups that left hold nothing: a cell in no
+    # held link is a singleton with its own size and least cell, each
+    # held group sits on the stack once, and each merge is one undo entry
+    rng = random.Random(7)
+    n, n_groups = 40, 300
+    groups = [[(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 2))]
+              for _ in range(n_groups)]
+    uf = RollbackUnionFind(n, groups)
+    for lo, hi in forward_windows(rng, n_groups, 1000):
+        uf.slide(lo, hi)
+        held = {c for group in groups[lo:hi] for link in group for c in link}
+        for x in set(range(n)) - held:
+            assert (uf.parent[x], uf.size[x], uf.least[x]) == (x, 1, x), (lo, hi)
+        classes = partition(range(n), uf.find)
+        for members in classes:
+            root = uf.find(next(iter(members)))
+            assert uf.size[root] == len(members) and uf.least[root] == min(members)
+        assert sorted(g for g, _, _ in uf.stack) == list(range(lo, hi))
+        marks = [mark for _, _, mark in uf.stack]
+        assert marks == sorted(marks) and all(m <= len(uf.undo) for m in marks)
+        assert len(uf.undo) == n - len(classes)
+        assert uf.n_a == sum(is_a for _, is_a, _ in uf.stack)
+
+
+def test_slide_refuses_a_window_that_moves_back():
+    uf = RollbackUnionFind(3, [[(0, 1)], [(1, 2)], [], [(0, 2)], []])
+    uf.slide(2, 4)
+    for lo, hi in ((1, 4), (2, 3), (3, 2)):
+        with pytest.raises(InternalError, match=re.escape(
+                f"window [{lo}, {hi}) moves back from the held window [2, 4)")):
+            uf.slide(lo, hi)
+    uf.slide(5, 5)
+    assert_empty(uf, 3)
 
 
 def test_min_weight_names_the_edge():

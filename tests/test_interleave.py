@@ -394,6 +394,14 @@ class TestDistance:
         assert br.upper - br.lower <= Fraction(1, 8)
         assert reeb.verify_certificate(br.witness)[0]
 
+    def test_no_interleaving_above_the_diameter_names_the_radius(self, monkeypatch):
+        monkeypatch.setattr(interleave, "search_certificate",
+                            lambda f, g, eps, budget: interleave.SearchOutcome(
+                                "exhausted", None, eps, 0))
+        with pytest.raises(reeb.InternalError, match=re.escape(
+                "no interleaving at radius 2, above the value diameter,")):
+            reeb.distance_bracket(reeb.line(0, 1), reeb.line(0, 1), Fraction(1, 4))
+
 
 class TestQuantifiedIso:
     def test_witness_on_relabelled_loop(self):
@@ -409,6 +417,14 @@ class TestQuantifiedIso:
     def test_refutes_line_versus_loop(self):
         assert reeb.quantified_iso_check(reeb.line(0, 1), reeb.loop(0, 1)) is None
         assert reeb.quantified_iso_check(reeb.fork(), reeb.line(-1, 1)) is None
+
+    def test_interleaved_without_an_isomorphism_names_the_probe(self, monkeypatch):
+        monkeypatch.setattr(interleave, "search_certificate",
+                            lambda f, g, eps, budget: interleave.SearchOutcome(
+                                "found", None, eps, 0))
+        with pytest.raises(reeb.InternalError, match=re.escape(
+                "interleaved at radius 1/8, below the gap threshold,")):
+            reeb.quantified_iso_check(reeb.line(0, 1), reeb.loop(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -856,27 +872,69 @@ def test_refute_by_cell_counts_matches_the_unfiltered_scan(seed):
     assert _refute(f, g, eps) == unfiltered_refute(f, g, eps)
 
 
-def test_refute_above_the_diameter_unions_each_range_once(monkeypatch):
-    # the chorded path v0..v499 against its 1/3 shift, at a radius above
-    # the diameter: every image range is the whole graph, so a held range
-    # must serve every check instead of being redone per check
-    def chorded(shift):
-        values = {f"v{i}": i + shift for i in range(500)}
-        edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(499)]
-        edges += [(f"c{i}", f"v{i}", f"v{i + 2}") for i in range(0, 498, 3)]
-        return reeb.build_rgraph(values, edges)
-    f, g = chorded(0), chorded(Fraction(1, 3))
-    assert len(f.vertex_ids) + len(f.edge_ids) == 1497
-    calls = 0
-    union = reeb.dynconn.RollbackUnionFind.union
+def stability_pair(rng, max_vertices, max_edges):
+    """The two graphs of a random stability pair of the given size."""
+    edges, *values = reeb.random_stability_pair(rng, max_vertices, max_edges)
+    return [reeb.build_rgraph(vals, [(e, a, b) if vals[a] < vals[b] else (e, b, a)
+                                     for e, (a, b) in edges.items()]) for vals in values]
 
-    def counted(self, a, b):
-        nonlocal calls
-        calls += 1
-        return union(self, a, b)
-    monkeypatch.setattr(reeb.dynconn.RollbackUnionFind, "union", counted)
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_refute_on_sliding_windows_matches_the_unfiltered_scan(seed, close):
+    # about 30 vertices, so that the windows slide far: independent draws,
+    # which mostly refute early, or a stability pair, which mostly scans
+    # every interval
+    rng = random.Random(seed)
+    if close:
+        f, g = stability_pair(rng, 30, 45)
+    else:
+        f, g = (reeb.random_rgraph(rng, max_vertices=30, max_edges=45) for _ in "fg")
+    for eps in (Fraction(rng.randint(1, 12), 4), Fraction(rng.randint(1, 20), 7)):
+        assert _refute(f, g, eps) == unfiltered_refute(f, g, eps)
+
+
+def chorded_pair(n):
+    """The chorded path v0..v{n-1} at 0..n-1, edges v_i-v_{i+1} and chords
+    v_i-v_{i+2} for i divisible by 3, and the same path shifted by 1/3."""
+    def chorded(shift):
+        values = {f"v{i}": i + shift for i in range(n)}
+        edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+        edges += [(f"c{i}", f"v{i}", f"v{i + 2}") for i in range(0, n - 2, 3)]
+        return reeb.build_rgraph(values, edges)
+    return chorded(0), chorded(Fraction(1, 3))
+
+
+def count_link_applications(monkeypatch):
+    """A one-element list that counts the links the sliding union-find
+    applies from here on, redone ones included."""
+    count = [0]
+    push = reeb.dynconn.RollbackUnionFind._push
+
+    def counted(self, gs, is_a):
+        count[0] += sum(len(self.groups[g]) for g in gs)
+        return push(self, gs, is_a)
+    monkeypatch.setattr(reeb.dynconn.RollbackUnionFind, "_push", counted)
+    return count
+
+
+def test_refute_above_the_diameter_unions_each_range_once(monkeypatch):
+    # above the diameter every image range is the whole graph, so a held
+    # range must serve every check instead of being redone per check
+    f, g = chorded_pair(500)
+    assert len(f.vertex_ids) + len(f.edge_ids) == 1497
+    links = count_link_applications(monkeypatch)
     assert _refute(f, g, Fraction(501)) is None
-    assert calls <= 8 * 1497
+    assert links[0] <= 8 * 1497
+
+
+def test_refute_at_an_intermediate_radius_slides_its_windows(monkeypatch):
+    # at eps = 63 consecutive ranges overlap almost entirely: the windows
+    # slide instead of redoing each range, which took 1,616,926 unions
+    f, g = chorded_pair(500)
+    links = count_link_applications(monkeypatch)
+    assert _refute(f, g, Fraction(63)) is None
+    assert links[0] <= 60_000
 
 
 def name_keyed_bundles(side, budget):
@@ -977,11 +1035,14 @@ def test_expanded_maps_match_the_refined_route(probe):
 @example((13, Fraction(1)))
 @example((16, Fraction(1)))
 @example((96, Fraction(1, 2)))
+@example((189, Fraction(1, 2)))
 def test_filtered_bundles_keep_exactly_the_round_trips(probe):
     # the maps a filtered table expands to are the bundle's maps y with
     # compose(y, shift(x)) equal to the canonical map, found by brute force;
     # x runs over side a's first maps and a found certificate's alpha,
-    # which some bundle's map completes
+    # which some bundle's map completes. Side b's bundles are enumerated
+    # under their own budget, and the bundles reached before it runs out
+    # are checked: on (189, 1/2) a million nodes reach 21 of them
     seed, k = probe
     f, g, delta = search_outcomes.stability_graphs(seed)
     eps = delta * k
@@ -992,8 +1053,13 @@ def test_filtered_bundles_keep_exactly_the_round_trips(probe):
     out = reeb.search_certificate(f, g, eps, budget=200)
     if out.status == "found":
         xs.append(out.certificate.alpha)
-    small = [bundle for bundle in islice(_enumerate_bundles(side_b, budget), 200)
-             if prod(len(cands) for _, cands in bundle.choices) <= 500]
+    small = []
+    try:
+        for bundle in islice(_enumerate_bundles(side_b, NodeBudget(10**6, "side b")), 200):
+            if prod(len(cands) for _, cands in bundle.choices) <= 500:
+                small.append(bundle)
+    except BudgetExceeded:
+        pass
     ys = [list(bundle_maps(side_b, bundle)) for bundle in small]
     for x in xs:
         shifted = reeb.shift_compose(x, sm_f, sm_g, sm_g2)

@@ -16,6 +16,7 @@ from reeb import (InternalError, RGraphMorphism, ValidationError,
                   reduce_embed, refine, refine_collapse, refine_embed,
                   shift_compose, smooth, smooth_morphism,
                   stability_certificate, transport, validate_morphism)
+from reeb.morphism import smoothed_pull
 from test_smoothing import mixed_graph
 
 
@@ -159,13 +160,6 @@ def test_smooth_morphism_of_fold():
     assert phi_s.target == smooth(tgt, eps).smoothed
 
 
-def test_smooth_morphism_rejects_mismatched_smoothings():
-    _, _, phi = collapse_line_onto_point_family()
-    wrong = smooth(line(0, 1), Fraction(1, 4))
-    with pytest.raises(ValidationError):
-        smooth_morphism(phi, Fraction(1, 4), sm_source=wrong)
-
-
 # ---------------------------------------------------------------------------
 # transport's internal errors name the cell and where it sits.
 
@@ -184,7 +178,7 @@ def test_transport_names_a_witness_the_smoothing_does_not_track():
         sm, provenance={**sm.provenance, "v(1;e0)": frozenset({"e0"})})
     with pytest.raises(InternalError, match="^" + re.escape(
             "vertex 'v(1;e0)': witness cell 'v0' not tracked at level 1") + "$"):
-        smooth_morphism(identity(g), eps, sm_source=sm, sm_target=broken)
+        transport(sm.smoothed, smoothed_pull(identity(g), sm), broken)
 
 
 def test_transport_names_witnesses_in_two_components():
@@ -293,7 +287,7 @@ def shifted_zeta_law(g, r, s, cert):
     m, sm_a = cert.alpha, smooth(cert.alpha.source, r)
     cb = compose_smoothings(cert.sm_g.source, cert.epsilon, r)
     assert morphism_equal(valid(shift_compose(m, sm_a, cert.sm_g, cb.total)),
-                          compose(valid(smooth_morphism(m, r, sm_a, cb.second)),
+                          compose(valid(smooth_morphism(m, r)),
                                   cb.witness))
 
 

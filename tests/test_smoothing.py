@@ -16,7 +16,7 @@ from reeb import (NaiveDynForest, SimplicialField, ValidationError,
                   smooth_sweep, validate, validate_morphism)
 from reeb import cli, smoothing
 from reeb.core import keyed_name
-from reeb.dynconn import walk_positions
+from reeb.dynconn import RollbackUnionFind
 
 EPS = Fraction(1, 4)
 
@@ -411,29 +411,35 @@ def test_provenance_is_walked_once_per_record_and_only_when_read(tmp_path, monke
     assert len(walks) == 2
 
 
+def sweep_lifetimes(g, eps):
+    """Per input slot j, the doubled output positions over which its
+    (edge, lower end) and its (edge, upper end) links are live, computed
+    from the window rule: a vertex at S[i] is in the window over
+    [S[i] - eps, S[i] + eps], an edge over slot j from just above
+    S[j] - eps to just below S[j + 1] + eps."""
+    S = g.criticals
+    B = sorted({s - eps for s in S} | {s + eps for s in S})
+    enter = [B.index(s - eps) for s in S]
+    leave = [B.index(s + eps) for s in S]
+    return [life for j in range(g.n_slots)
+            for life in ((2 * enter[j] + 1, 2 * leave[j]),
+                         (2 * enter[j + 1], 2 * leave[j + 1] - 1))]
+
+
 def test_sweep_links_replay_through_the_naive_forest(monkeypatch):
-    # the link lifetimes each sweep hands to walk_positions, pushed through
-    # the weighted forest oracle (weight = last position, deletions in
-    # position order), give the union-find's partition at every position
+    # the link groups each sweep slides over, pushed through the weighted
+    # forest oracle over their lifetimes (weight = last position, deletions
+    # in position order), give the union-find's partition at every position
     visited = []
 
-    def replay(uf, n_positions, links):
-        cells = range(len(uf.parent))
-        naive = NaiveDynForest()
-        for x in cells:
-            naive.add_node(x)
-        for p in walk_positions(uf, n_positions, links):
-            for first, last, a, b in links:
-                if last == p - 1:
-                    naive.delete(a, b)
-            for first, last, a, b in links:
-                if first == p:
-                    naive.insert(a, b, last)
-            assert partition(cells, uf.find) == partition(cells, naive.find), p
-            visited.append(p)
-            yield p
+    class Recording(RollbackUnionFind):
+        __slots__ = ()
 
-    monkeypatch.setattr(smoothing, "walk_positions", replay)
+        def slide(self, lo, hi):
+            super().slide(lo, hi)
+            visited.append((lo, hi, self.groups, partition(range(len(self.parent)), self.find)))
+
+    monkeypatch.setattr(smoothing, "make_forest", Recording)
     rng = random.Random(11)
     for trial in range(60):
         g = random_rgraph(rng)
@@ -444,7 +450,27 @@ def test_sweep_links_replay_through_the_naive_forest(monkeypatch):
         for eps in radii:
             del visited[:]
             K = len(smooth_sweep(g, eps).smoothed.criticals)
-            assert visited == list(range(2 * K - 1)), (trial, eps)
+            assert len(visited) == max(0, 2 * K - 1), (trial, eps)
+            lifetimes = sweep_lifetimes(g, eps)
+            for a, b in zip(lifetimes, lifetimes[1:]):
+                assert a[0] < b[0] and a[1] < b[1], (trial, eps)
+            naive = NaiveDynForest()
+            cells = range(len(g.vertex_ids) + len(g.edge_ids))
+            for x in cells:
+                naive.add_node(x)
+            for p, (lo, hi, groups, parts) in enumerate(visited):
+                assert len(groups) == len(lifetimes)
+                assert [i for i, (first, last) in enumerate(lifetimes)
+                        if first <= p <= last] == list(range(lo, hi)), (trial, eps, p)
+                for (first, last), group in zip(lifetimes, groups):
+                    for a, b in group:
+                        if last == p - 1:
+                            naive.delete(a, b)
+                for (first, last), group in zip(lifetimes, groups):
+                    for a, b in group:
+                        if first == p:
+                            naive.insert(a, b, last)
+                assert parts == partition(cells, naive.find), (trial, eps, p)
 
 
 def test_compose_smoothings_is_additive():
