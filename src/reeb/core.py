@@ -219,8 +219,9 @@ def _ranked(xs) -> tuple[list, list[int]]:
 
 
 def _build(vertices, edges, extra_criticals):
-    """Shared constructor: place vertices, split long edges at intervening
-    criticals. Returns (graph, edge id -> segment tuple, split vertex -> owner edge)."""
+    """Shared constructor: check the ids and the ends of each edge, then
+    place the graph by `_place`. Returns (graph, edge id -> segment
+    tuple, split vertex -> owner edge)."""
     if isinstance(vertices, dict):
         vertices = vertices.items()
     values: dict[str, Fraction] = {}
@@ -229,31 +230,39 @@ def _build(vertices, edges, extra_criticals):
         if vid in values:
             raise ValidationError(f"duplicate vertex id {vid!r}")
         values[vid] = as_rational(val)
-    edge_list: list[tuple[str, str, str]] = []
-    eids: set[str] = set()
+    ends: dict[str, tuple[str, str]] = {}
     for eid, lo, hi in _edge_triples(edges):
-        if eid in eids:
+        if eid in ends:
             raise ValidationError(f"duplicate edge id {eid!r}")
-        eids.add(eid)
-        edge_list.append((eid, lo, hi))
-    clash = eids & set(values)
-    if clash:
-        raise ValidationError(f"ids used for both a vertex and an edge: {sorted(clash)}")
-
-    crit, ranks = _ranked([*values.values(), *map(as_rational, extra_criticals)])
-    level = dict(zip(values, ranks))
-    placed: list[tuple[str, str, str, int, int]] = []
-    for eid, lo, hi in edge_list:
+        ends[eid] = (lo, hi)
+    for eid, (lo, hi) in ends.items():
         for end in (lo, hi):
             if end not in values:
                 raise ValidationError(f"edge {eid!r}: unknown vertex {end!r}")
+    return _place(values, ends, map(as_rational, extra_criticals))
+
+
+def _place(values: dict[str, Fraction], ends: dict[str, tuple[str, str]], extra):
+    """Place vertices (id -> value) and edges (id -> (lower, upper)),
+    whose ends are known, with the extra critical values: reject an id
+    used for both a vertex and an edge, rank the values once, check on
+    the ranks that each edge rises, and split each edge over the
+    criticals it passes. Shared by `build_rgraph` and the graph-file
+    parser; returns what `_split` does."""
+    clash = ends.keys() & values.keys()
+    if clash:
+        raise ValidationError(f"ids used for both a vertex and an edge: {sorted(clash)}")
+    crit, ranks = _ranked([*values.values(), *extra])
+    level = dict(zip(values, ranks))
+    placed: list[tuple[str, str, str, int, int]] = []
+    for eid, (lo, hi) in ends.items():
         i, j = level[lo], level[hi]
         if i >= j:
             raise ValidationError(
                 f"edge {eid!r} must rise: need f({lo!r}) < f({hi!r}), "
                 f"got {format_rational(values[lo])} and {format_rational(values[hi])}")
         placed.append((eid, lo, hi, i, j))
-    return _split(crit, level.items(), placed, set(values) | eids)
+    return _split(crit, level.items(), placed, values.keys() | ends.keys())
 
 
 def _split(crit, vertices, edges, used):

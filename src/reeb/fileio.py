@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import RGraph, _assemble, _ranked, build_rgraph
+from .core import RGraph, _assemble, _place, _ranked
 from .errors import InternalError, ParseError, ValidationError
 from .morphism import RGraphMorphism
 from .rationals import as_rational, format_rational, parse_rational
@@ -79,7 +79,8 @@ def parse_rgraph(text: str) -> RGraph:
             edges[eid] = (lo, hi)
         else:
             raise ParseError(f"unknown directive {kind!r}", line=n)
-    return build_rgraph(vertices, edges, criticals)
+    g, _, _ = _place(vertices, edges, criticals)
+    return g
 
 
 def emit_rgraph(g: RGraph) -> str:

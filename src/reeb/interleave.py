@@ -23,7 +23,7 @@ from .core import (RGraph, _build, _edge_triples, component_sets,
 from .cosheaf import Interval, expand, interval
 from .dynconn import RollbackUnionFind
 from .errors import BudgetExceeded, InternalError, ValidationError
-from .iso import NodeBudget, is_isomorphic, levelwise_assignments
+from .iso import NodeBudget, check_budget, is_isomorphic, levelwise_assignments
 from .morphism import (RGraphMorphism, compose, identity, image_at, image_path,
                        invert_isomorphism, morphism_equal,
                        morphism_first_difference, reduce_embed,
@@ -443,6 +443,7 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
     by a verified rank `Refutation` (spending no nodes) or because no
     candidate pair of maps satisfies the round-trip equations; "budget"
     draws no conclusion."""
+    check_budget(budget)
     eps = as_radius(eps, "interleaving")
     ref = _refute(f, g, eps)
     if ref is not None:
@@ -527,6 +528,7 @@ def distance_bracket(f: RGraph, g: RGraph, tol, budget: int = 200_000) -> Distan
     """Bisect the interleaving distance to within tol, certifying the
     upper end with a found certificate and the lower end with an
     exhausted search."""
+    check_budget(budget)
     tol = as_rational(tol)
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
@@ -679,6 +681,7 @@ def quantified_iso_check(f: RGraph, g: RGraph,
     """Probe the interleaving at an eighth of the smallest gap between
     critical values. A found certificate forces the graphs isomorphic, and
     the isomorphism is returned; an exhausted search returns None."""
+    check_budget(budget)
     su = sorted(set(f.criticals) | set(g.criticals))
     if len(su) >= 2:
         probe = min(b - a for a, b in zip(su, su[1:])) / 8

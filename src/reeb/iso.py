@@ -14,7 +14,7 @@ interleaving search's enumeration of candidate maps.
 from __future__ import annotations
 
 from .core import RGraph, reduce
-from .errors import BudgetExceeded, InternalError
+from .errors import BudgetExceeded, InternalError, ValidationError
 from .morphism import (RGraphMorphism, compose, levelwise_morphism,
                        reduce_collapse, reduce_embed)
 
@@ -32,6 +32,13 @@ class NodeBudget:
         self.nodes += 1
         if self.nodes > self.limit:
             raise BudgetExceeded(self.message)
+
+
+def check_budget(budget) -> None:
+    """Reject, at a search's entry, a node budget that is not a
+    nonnegative int. Zero is a budget: a rank refutation spends no nodes."""
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValidationError(f"node budget must be a nonnegative integer, got {budget!r}")
 
 
 _EXHAUSTED = object()
@@ -147,6 +154,7 @@ def is_isomorphic(g: RGraph, h: RGraph, budget: int = 200_000) -> RGraphMorphism
     """An isomorphism g -> h, or None when there is none. Works on the
     reduced forms, so presentations differing only by removable levels
     still compare equal."""
+    check_budget(budget)
     rg = reduce(g)
     rh = reduce(h)
     found = levelwise_bijections(rg.graph, rh.graph, budget)

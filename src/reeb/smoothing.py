@@ -14,8 +14,12 @@ Cells are named after their component's least member, its members being
 kept in the provenance, so the two implementations below (direct
 per-window recomputation, and a single sweep that slides a union-find
 over the links live at each position) emit bit-identical presentations.
-The sweep reads each name off the least cell a union-find root holds and
-walks a component's members only when its provenance is first read.
+The sweep builds only the smoothed graph up front. It reads each name off
+the least cell a union-find root holds; it keeps, as integers, the least
+cell under each input vertex and under each input edge at each slot it
+meets, and names the canonical map from them on the first read of
+`zeta`; and it walks a component's members only when its provenance is
+first read.
 
 At eps = 0 windows degenerate to points and the attach rule through
 window overlaps breaks down, so that case is a plain renaming of the
@@ -41,11 +45,31 @@ from .rationals import as_radius, scaled
 
 @dataclass(frozen=True)
 class SmoothingResult:
+    """The eps-smoothing of `source` with its canonical map.
+
+    `zeta` may be given unbuilt, as a function of no arguments that
+    returns it: the sweep does so, and the map is then built on the first
+    read of `zeta` and kept. The sweep's `provenance` walks each component
+    on its first read, and `position_index` is built on its first read."""
     source: RGraph
     epsilon: Fraction
     smoothed: RGraph
     zeta: RGraphMorphism                 # the canonical map source -> smoothed
     provenance: Mapping[str, frozenset]  # smoothed cell -> source cells it came from
+
+    def __post_init__(self):
+        if callable(self.zeta):
+            # set aside, so that the first read of `zeta` reaches __getattr__
+            self.__dict__["_build_zeta"] = self.__dict__.pop("zeta")
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance does not hold
+        build = self.__dict__.get("_build_zeta") if name == "zeta" else None
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__["zeta"] = zeta = build()
+        del self.__dict__["_build_zeta"]
+        return zeta
 
     @cached_property
     def position_index(self) -> dict[tuple[int, str], str]:
@@ -244,7 +268,8 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     A level names the components an event touches and seals their
     records, the gap above it opens their successors. Cells
     are numbered in name order, so the least cell a union-find root holds
-    names its component, and no component is walked."""
+    names its component, and no component is walked. The canonical map
+    keeps only those least cells until it is first read."""
     eps = as_radius(eps, "smoothing")
     if eps == 0:
         return _relabel_zero(g)
@@ -286,7 +311,7 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     # its (edge, upper end) links, with their shared lifetimes; both ends of
     # these strictly increase along the list. `meeting` lists per output
     # slot the input edges whose open span meets it
-    groups: list[list[tuple[int, int]]] = []
+    groups: list[tuple[tuple[int, int], ...]] = []
     lifetimes: list[tuple[int, int]] = []
     meeting: list[tuple[int, ...]] = [()] * max(0, K - 1)
     for j, slot in enumerate(g.slots):
@@ -297,11 +322,9 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
         seals[enter[j + 1]] += xs
         for i in range(pos[j] // 2, (pos[j + 1] + 1) // 2):
             meeting[i] += xs
-        lower, upper = [], []
-        for d, x, u in ends:
-            lower.append((x, d))
-            upper.append((x, u))
-        groups += (lower, upper)
+        # as tuples of int pairs, which the cyclic collector stops tracking,
+        # so its full passes during a long sweep do not walk them again
+        groups += (tuple([(x, d) for d, x, _ in ends]), tuple([(x, u) for _, x, u in ends]))
         lifetimes += ((2 * enter[j] + 1, 2 * leave[j]),
                       (2 * enter[j + 1], 2 * leave[j + 1] - 1))
     H = make_forest(len(cells), groups)
@@ -309,10 +332,13 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     records: list[_Record] = []
     # least member -> the latest record it keys (live components are disjoint)
     rec_of: list[_Record | None] = [None] * len(cells)
-    zeta_e: dict[str, list[str]] = {e: [] for e in g.edge_ids}
     level_names: list[list[str]] = [[] for _ in range(K)]
     where: dict[str, tuple[int, int]] = {}    # name -> (doubled position, least cell)
-    zeta_v: dict[str, tuple[str, str]] = {}
+    # for the canonical map: per input vertex, the least cell of its
+    # component at the position where it lies; per output slot k in turn,
+    # those of the edges in meeting[k]
+    lying_least = [0] * len(cells)
+    meeting_least: list[int] = []
     # (cell, its least member at the gap before) for the next level's handles
     pre: list[tuple[int, int]] = []
 
@@ -327,6 +353,8 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
             lo += 1
         slide(lo, hi)
         k = p >> 1
+        for v in lying_at[p]:               # input vertices lying here
+            lying_least[v] = least[find(v)]
         if not p & 1:
             # H holds the window at B[k]: vertices at B[k] + eps have just
             # arrived, edges over vertices at B[k] - eps have just gone.
@@ -355,10 +383,6 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
                                         f"{cells[x]!r} opens a component in slot {k} "
                                         f"but lies in no component named at level {k}")
                 post.append((x, bottom))
-
-            # vertices sitting exactly on this output level
-            for v in lying_at[p]:
-                zeta_v[cells[v]] = ("vertex", keyed_name("v", k, cells[least[find(v)]]))
             continue
 
         # H holds the window over the gap above B[k]: leaving vertices have
@@ -370,14 +394,9 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
                 rec_of[m] = _Record(k, bottom, m)
                 records.append(rec_of[m])
         pre = [(x, least[find(x)]) for x in seals[k + 1]]
+        for x in meeting[k]:                # input edges meeting this gap
+            meeting_least.append(least[find(x)])
 
-        # vertices sitting strictly inside this gap, and edges meeting it
-        for v in lying_at[p]:
-            zeta_v[cells[v]] = ("edge", keyed_name("e", k, cells[least[find(v)]]))
-        for x in meeting[k]:
-            zeta_e[cells[x]].append(keyed_name("e", k, cells[least[find(x)]]))
-
-    slots_out: list[list[str]] = [[] for _ in range(max(0, K - 1))]
     down: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]
     up: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]
     for rec in records:
@@ -393,13 +412,27 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
         ends = [rec.bottom, *inner, rec.top]      # its vertices, bottom to top
         for j in range(rec.birth, rec.death):
             en = keyed_name("e", j, key)
-            slots_out[j].append(en)
             where[en] = at
             down[j][en] = ends[j - rec.birth]
             up[j][en] = ends[j - rec.birth + 1]
-    smoothed = _assemble(B, level_names, slots_out, down, up)
+    # an output slot's edges are the keys of its down map
+    smoothed = _assemble(B, level_names, down, down, up)
 
-    zeta = RGraphMorphism(g, smoothed, zeta_v, {e: tuple(im) for e, im in zeta_e.items()})
+    def zeta() -> RGraphMorphism:
+        # a vertex lying on level k maps to v(k;m), one inside slot k to
+        # e(k;m); an edge to the e(k;m) of each slot k it meets, in order
+        zeta_v: dict[str, tuple[str, str]] = {}
+        for lev, p in zip(levels, pos):
+            kind, prefix = ("edge", "e") if p & 1 else ("vertex", "v")
+            for v in lev:
+                zeta_v[cells[v]] = (kind, keyed_name(prefix, p >> 1, cells[lying_least[v]]))
+        zeta_e: dict[str, list[str]] = {e: [] for e in g.edge_ids}
+        ms = iter(meeting_least)
+        for k, xs in enumerate(meeting):
+            for x, m in zip(xs, ms):
+                zeta_e[cells[x]].append(keyed_name("e", k, cells[m]))
+        return RGraphMorphism(g, smoothed, zeta_v, {e: tuple(im) for e, im in zeta_e.items()})
+
     return SmoothingResult(g, eps, smoothed, zeta, _Provenance(where, cells, groups, lifetimes))
 
 

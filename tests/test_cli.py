@@ -198,6 +198,22 @@ class TestCheckInterleave:
         assert code == 2
         assert "budget" in out
 
+    @pytest.mark.parametrize("budget", ["-5", "-1"])
+    def test_negative_budget_is_bad_input(self, files, budget):
+        code, out, err = run("check-interleave", files["line"], files["line"],
+                             "1/4", "--budget", budget)
+        assert (code, out) == (1, "")
+        assert err == f"error: node budget must be a nonnegative integer, got {budget}\n"
+        code, out, err = run("distance", files["line"], files["loop"],
+                             "--budget", budget)
+        assert (code, out) == (1, "")
+        assert err == f"error: node budget must be a nonnegative integer, got {budget}\n"
+
+    def test_zero_budget(self, files):
+        code, out, _ = run("check-interleave", files["line"], files["loop"],
+                           "1/5", "--budget", "0")
+        assert (code, out) == (1, "no interleaving at epsilon = 1/5\n")
+
 
 class TestDistance:
     def test_bracket(self, files):

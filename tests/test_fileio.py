@@ -1,5 +1,6 @@
 """Text formats: graph and field files, morphism files, DOT export."""
 
+import io
 import random
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reeb
-from reeb import ParseError, SimplicialField
+from reeb import ParseError, SimplicialField, cli
 from reeb.fileio import _file_safe
 from reeb.unionfind import UnionFind
 
@@ -170,6 +171,11 @@ class TestGraphFiles:
         ("vertex a 0\nedge e a b", 2, "unknown vertex"),
         ("vertex a 0\nvertex b 1\nedge e b a", 3, "strictly lower"),
         ("vertex a 0\nvertex b 0\nedge e a b", 3, "strictly lower"),
+        # equal values written apart, and a later fault on another line
+        ("vertex a 1/2\nvertex b 2/4\nedge e a b", 3,
+         "edge 'e' must go from a strictly lower vertex to a strictly higher one"),
+        ("vertex a 1\nvertex b 0\nedge e a b\nvertex c 2\nfrobnicate", 3,
+         "strictly lower"),
         ("vertex a 0.5.1", 1, "bad rational token"),
         ("foo bar", 1, "unknown directive"),
         ("vertex a", 1, "takes an id and a value"),
@@ -190,6 +196,56 @@ class TestGraphFiles:
         assert info.value.line == lineno
         assert hint in str(info.value)
         assert f"line {lineno}:" in str(info.value)
+
+
+class TestGraphFileRise:
+    """The parser checks each edge's rise on the values' numerators and
+    denominators and places what it read with no second check."""
+
+    @pytest.mark.parametrize("lo,hi", [
+        ("-3/4", "-2/3"),
+        ("-1", "1/3"),
+        ("-7/2", "-3"),
+        ("5/6", "7/8"),
+        ("2.4", "5/2"),
+        ("1/" + "9" * 300, "1/" + "9" * 299),
+        ("-" + "3" * 400 + "/7", "-" + "3" * 400 + "/11"),
+        ("1" + "0" * 300 + "/3", "1" + "0" * 299 + "1/3"),
+    ])
+    def test_rise_is_compared_exactly(self, lo, hi):
+        assert Fraction(lo) < Fraction(hi)
+        g = reeb.parse_rgraph(f"vertex a {lo}\nvertex b {hi}\nedge e a b\n")
+        assert g.criticals == (Fraction(lo), Fraction(hi))
+        with pytest.raises(ParseError, match="strictly lower") as info:
+            reeb.parse_rgraph(f"vertex a {lo}\nvertex b {hi}\nedge e b a\n")
+        assert info.value.line == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10**300, 10**300), st.integers(1, 10**300),
+           st.integers(-10**300, 10**300), st.integers(1, 10**300))
+    def test_rise_agrees_with_fraction_order(self, p, q, r, t):
+        x, y = Fraction(p, q), Fraction(r, t)
+        text = (f"vertex a {reeb.format_rational(x)}\n"
+                f"vertex b {reeb.format_rational(y)}\nedge e a b\n")
+        if x < y:
+            assert reeb.parse_rgraph(text).criticals == (x, y)
+        else:
+            with pytest.raises(ParseError, match="line 3: edge 'e' must go"):
+                reeb.parse_rgraph(text)
+
+    def test_id_of_both_kinds_is_the_same_error(self, tmp_path):
+        text = "vertex x 0\nvertex y 1\nedge x x y\n"
+        message = "ids used for both a vertex and an edge: ['x']"
+        with pytest.raises(reeb.ValidationError) as built:
+            reeb.build_rgraph({"x": 0, "y": 1}, [("x", "x", "y")])
+        with pytest.raises(reeb.ValidationError) as parsed:
+            reeb.parse_rgraph(text)
+        assert str(built.value) == str(parsed.value) == message
+        path = tmp_path / "clash.rg"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(["smooth", str(path), "1"], stdout=out, stderr=err) == 1
+        assert (out.getvalue(), err.getvalue()) == ("", f"error: {message}\n")
 
 
 class TestFieldFiles:

@@ -186,6 +186,30 @@ class TestSearch:
         with pytest.raises(BudgetExceeded):
             reeb.quantified_iso_check(fork, renamed, budget=2)
 
+    @pytest.mark.parametrize("budget", [-1, -5, "5", None, 2.5, True])
+    def test_invalid_budget_is_rejected_before_any_search(self, budget):
+        line, loop = reeb.line(0, 1), reeb.loop(0, 1)
+        calls = [
+            lambda: reeb.search_certificate(line, line, Fraction(1, 4), budget=budget),
+            lambda: reeb.search_certificate(line, loop, Fraction(1, 5), budget=budget),
+            lambda: reeb.distance_bracket(line, loop, Fraction(1, 4), budget=budget),
+            lambda: reeb.quantified_iso_check(line, line, budget=budget),
+            lambda: reeb.is_isomorphic(line, line, budget=budget),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == ("node budget must be a nonnegative "
+                                       f"integer, got {budget!r}")
+
+    def test_zero_budget_still_refutes(self):
+        # a rank refutation spends no nodes, so it needs none
+        line, loop = reeb.line(0, 1), reeb.loop(0, 1)
+        out = reeb.search_certificate(line, loop, Fraction(1, 5), budget=0)
+        assert (out.status, out.nodes) == ("exhausted", 0)
+        assert out.refutation is not None
+        assert reeb.search_certificate(line, loop, Fraction(1, 4), budget=0).status == "budget"
+
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
             reeb.search_certificate(reeb.line(0, 1), reeb.line(0, 1), Fraction(-1, 4))
@@ -450,12 +474,17 @@ def every_choice(bundle):
 
 def search_candidates(f, g, eps, limit=8):
     """Up to limit candidate maps f -> smooth(g, eps) per bundle, from
-    the first few bundles of the search's enumeration."""
+    the first few bundles of the search's enumeration that a million
+    nodes reach; they must reach one."""
     side = _SearchSide(f, reeb.smooth(g, eps).smoothed)
     budget = NodeBudget(10**6, "unused")
-    out = []
-    for bundle in islice(_enumerate_bundles(side, budget), 4):
-        out.extend(islice(_expand_table(side, bundle, every_choice(bundle), budget), limit))
+    out, reached = [], 0
+    try:
+        for bundle in islice(_enumerate_bundles(side, budget), 4):
+            reached += 1
+            out.extend(islice(_expand_table(side, bundle, every_choice(bundle), budget), limit))
+    except BudgetExceeded:
+        assert reached, "a million nodes reached no bundle"
     return out
 
 
@@ -1017,17 +1046,25 @@ stability_probes = st.tuples(st.integers(0, 2**32 - 1),
 
 @settings(max_examples=60, deadline=None)
 @given(stability_probes)
+@example((36174, Fraction(1, 2)))
 def test_expanded_maps_match_the_refined_route(probe):
+    # each direction checks the bundles its own million nodes reach, and
+    # must reach one: on (36174, 1/2) the first direction reaches one of four
     seed, k = probe
     f, g, delta = search_outcomes.stability_graphs(seed)
     eps = delta * k
-    budget = NodeBudget(10**6, "unused")
     for src, tgt in ((f, g), (g, f)):
         side = _SearchSide(src, reeb.smooth(tgt, eps).smoothed)
-        for bundle in islice(_enumerate_bundles(side, budget), 4):
-            got = _expand_table(side, bundle, every_choice(bundle), budget)
-            for x, want in islice(zip(got, bundle_maps(side, bundle)), 8):
-                assert x == want
+        budget = NodeBudget(10**6, "unused")
+        reached = 0
+        try:
+            for bundle in islice(_enumerate_bundles(side, budget), 4):
+                reached += 1
+                got = _expand_table(side, bundle, every_choice(bundle), budget)
+                for x, want in islice(zip(got, bundle_maps(side, bundle)), 8):
+                    assert x == want
+        except BudgetExceeded:
+            assert reached, "a million nodes reached no bundle"
 
 
 @settings(max_examples=60, deadline=None)
@@ -1036,13 +1073,15 @@ def test_expanded_maps_match_the_refined_route(probe):
 @example((16, Fraction(1)))
 @example((96, Fraction(1, 2)))
 @example((189, Fraction(1, 2)))
+@example((36174, Fraction(1, 2)))
 def test_filtered_bundles_keep_exactly_the_round_trips(probe):
     # the maps a filtered table expands to are the bundle's maps y with
     # compose(y, shift(x)) equal to the canonical map, found by brute force;
     # x runs over side a's first maps and a found certificate's alpha,
-    # which some bundle's map completes. Side b's bundles are enumerated
+    # which some bundle's map completes. Each side's bundles are enumerated
     # under their own budget, and the bundles reached before it runs out
-    # are checked: on (189, 1/2) a million nodes reach 21 of them
+    # are checked: on (189, 1/2) a million nodes reach 21 of side b's, on
+    # (36174, 1/2) one of the four side a's maps are taken from
     seed, k = probe
     f, g, delta = search_outcomes.stability_graphs(seed)
     eps = delta * k

@@ -411,6 +411,45 @@ def test_provenance_is_walked_once_per_record_and_only_when_read(tmp_path, monke
     assert len(walks) == 2
 
 
+def test_zeta_is_named_only_when_read(tmp_path, monkeypatch):
+    names = []
+    real_name = smoothing.keyed_name
+
+    def counted(kind, index, member):
+        names.append((kind, index, member))
+        return real_name(kind, index, member)
+
+    monkeypatch.setattr(smoothing, "keyed_name", counted)
+    g = chorded_path(30)
+    text = tmp_path / "chorded.txt"
+    text.write_text(emit_rgraph(g))
+    for eps in (Fraction(3, 2), Fraction(1, 2), Fraction(3)):
+        # the graph alone names each output cell once and no image of zeta;
+        # the text is the reference implementation's, byte for byte
+        naive = smooth_naive(g, eps)
+        h = naive.smoothed
+        del names[:]
+        out = io.StringIO()
+        assert cli.main(["smooth", str(text), str(eps)], stdout=out) == 0
+        assert out.getvalue() == emit_rgraph(h)
+        assert len(names) == len(h.vertex_ids) + len(h.edge_ids)
+
+        out = io.StringIO()
+        assert cli.main(["smooth", str(text), str(eps), "--zeta"], stdout=out) == 0
+        assert out.getvalue() == emit_morphism(naive.zeta)
+
+        # the first read names each vertex's image and each edge's pieces,
+        # and the map is kept
+        sm = smooth(g, eps)
+        del names[:]
+        zeta = sm.zeta
+        named = len(names)
+        assert named == len(g.vertex_ids) + sum(map(len, zeta.edge_map.values()))
+        assert sm.zeta is zeta and len(names) == named
+        assert type(zeta.vertex_map) is dict and type(zeta.edge_map) is dict
+        assert morphism_equal(zeta, naive.zeta)
+
+
 def sweep_lifetimes(g, eps):
     """Per input slot j, the doubled output positions over which its
     (edge, lower end) and its (edge, upper end) links are live, computed
