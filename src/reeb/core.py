@@ -222,10 +222,12 @@ def _build(vertices, edges, extra_criticals):
     """Shared constructor: check the ids and the ends of each edge, then
     place the graph by `_place`. Returns (graph, edge id -> segment
     tuple, split vertex -> owner edge)."""
-    if isinstance(vertices, dict):
-        vertices = vertices.items()
     values: dict[str, Fraction] = {}
-    for vid, val in vertices:
+    for item in vertices.items() if isinstance(vertices, dict) else vertices:
+        try:
+            vid, val = item
+        except (TypeError, ValueError):
+            raise ValidationError(f"vertex item {item!r} is not an (id, value) pair") from None
         vid = str(vid)
         if vid in values:
             raise ValidationError(f"duplicate vertex id {vid!r}")

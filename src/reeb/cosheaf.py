@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .core import ValidationReport, _assemble, component_sets, refine, RGraph
 from .errors import InternalError, ValidationError
-from .iso import levelwise_bijections
+from .iso import _meter, levelwise_bijections
 from .rationals import as_radius, as_rational, format_rational
 from .unionfind import UnionFind
 
@@ -416,10 +416,11 @@ def sigma_map(F: Cosheaf, eps) -> CosheafMorphism:
 def is_cosheaf_iso(F: Cosheaf, G: Cosheaf, budget: int = 200_000) -> CosheafMorphism | None:
     """Search for an isomorphism of cosheaves after refining both to the
     union of their criticals. Returns the levelwise witness, or None."""
+    meter = _meter(budget)
     su = sorted(set(F.criticals) | set(G.criticals))
     rf = refine_cosheaf(F, su)
     rg = refine_cosheaf(G, su)
-    found = levelwise_bijections(display(rf.cosheaf), display(rg.cosheaf), budget)
+    found = levelwise_bijections(display(rf.cosheaf), display(rg.cosheaf), meter)
     if found is None:
         return None
     vmaps, emaps = found

@@ -14,7 +14,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate, product
 from math import prod
 
@@ -403,28 +402,27 @@ def _expand_table(side: _SearchSide, bundle: _Bundle, table: dict,
         yield RGraphMorphism(side.src, side.tgt, dict(vimg), emap)
 
 
-def _pair_search(exp, bnd, budget):
-    """Expand one side morphism by morphism, filter the other side's
-    bundles against its shifted composite, and check the other round trip
-    on the few survivors. Each side is (side, bundles, shift, pin): shift
-    turns one of its maps into the shifted composite, and pin() is the
-    doubled smoothing that composite lands in, called once a shift has
-    built it.
-    Returns (expanded, bundled) or None."""
-    exp_side, exp_bundles, exp_shift, exp_pin = exp
-    bnd_side, bnd_bundles, bnd_shift, bnd_pin = bnd
-    for bundle in exp_bundles:
+def _pair_search(sides, bundles, d, sm, meter):
+    """Expand direction d map by map, filter direction 1 - d's bundles
+    against each map's shifted composite, and check the other round trip
+    on the few survivors. Direction d maps graph d into sm(1 - d, 1).
+    Returns (alpha, beta) or None."""
+    def shifted(x, d):
+        return shift_compose(x, sm(d, 1), sm(1 - d, 1), sm(1 - d, 2))
+
+    e = 1 - d
+    for bundle in bundles[d]:
         every = {piece: [{piece: c} for c in cands] for piece, cands in bundle.choices}
-        for x in _expand_table(exp_side, bundle, every, budget):
-            sx, pin = exp_shift(x), exp_pin().zeta
-            for other in bnd_bundles:
-                budget.spend()
-                table = _filter_bundle(bnd_side, other, sx, pin, budget)
+        for x in _expand_table(sides[d], bundle, every, meter):
+            sx, pin = shifted(x, d), sm(e, 2).zeta
+            for other in bundles[e]:
+                meter.spend()
+                table = _filter_bundle(sides[e], other, sx, pin, meter)
                 if table is None:
                     continue
-                for y in _expand_table(bnd_side, other, table, budget):
-                    if morphism_equal(compose(x, bnd_shift(y)), bnd_pin().zeta):
-                        return x, y
+                for y in _expand_table(sides[e], other, table, meter):
+                    if morphism_equal(compose(x, shifted(y, e)), sm(d, 2).zeta):
+                        return (x, y) if d == 0 else (y, x)
     return None
 
 
@@ -442,8 +440,10 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
     carries a verified certificate; "exhausted" refutes the radius, either
     by a verified rank `Refutation` (spending no nodes) or because no
     candidate pair of maps satisfies the round-trip equations; "budget"
-    draws no conclusion."""
-    check_budget(budget)
+    draws no conclusion. One meter of `budget` nodes covers the whole
+    probe, the isomorphism test included: `nodes` counts every node spent,
+    and an overrun anywhere ends the probe as "budget"."""
+    meter = NodeBudget(budget, f"search exceeded {budget} nodes")
     eps = as_radius(eps, "interleaving")
     ref = _refute(f, g, eps)
     if ref is not None:
@@ -451,57 +451,46 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
         if not ok:
             raise InternalError("rank refutation failed verification: " + msg)
         return SearchOutcome("exhausted", None, eps, 0, ref)
-    sm_g = smooth(g, eps)
-    # built on first use: side a's enumeration, where most budget probes
-    # end, reads only sm_g; a shifted composite or the certificate the rest
-    sm_f = cache(lambda: smooth(f, eps))
-    sm_f2 = cache(lambda: smooth(f, 2 * eps))
-    sm_g2 = cache(lambda: smooth(g, 2 * eps))
-    meter = NodeBudget(budget, f"search exceeded {budget} nodes")
+    built: dict = {}
 
-    # an isomorphism interleaves at every radius; take that exit before
-    # enumerating maps, since the witness assembles into a certificate
+    def sm(d, k):
+        # S_{k eps} of graph d (0 for f, 1 for g), built on first use: the
+        # first enumeration, where most budget probes end, reads only sm(1, 1)
+        if (d, k) not in built:
+            built[d, k] = smooth((f, g)[d], k * eps)
+        return built[d, k]
+
     try:
-        wit = is_isomorphic(f, g, budget)
+        # an isomorphism interleaves at every radius; take that exit before
+        # enumerating maps, since the witness assembles into a certificate
+        wit = is_isomorphic(f, g, meter)
+        if wit is None:
+            pair = _certificate_pair(f, g, sm, meter)
+        else:
+            pair = compose(wit, sm(1, 1).zeta), compose(invert_isomorphism(wit), sm(0, 1).zeta)
     except BudgetExceeded:
-        wit = None
-    if wit is not None:
-        pair = (compose(wit, sm_g.zeta),
-                compose(invert_isomorphism(wit), sm_f().zeta))
-        meter.nodes += 1        # the isomorphism test counts as one node
-    else:
-        try:
-            pair = _certificate_pair(f, g, sm_f, sm_g, sm_f2, sm_g2, meter)
-        except BudgetExceeded:
-            return SearchOutcome("budget", None, eps, meter.nodes)
-        if pair is None:
-            return SearchOutcome("exhausted", None, eps, meter.nodes)
-    cert = _verified("found", Certificate(eps, *pair, sm_f(), sm_g, sm_f2(), sm_g2()))
+        return SearchOutcome("budget", None, eps, meter.nodes)
+    if pair is None:
+        return SearchOutcome("exhausted", None, eps, meter.nodes)
+    cert = _verified("found", Certificate(eps, *pair, sm(0, 1), sm(1, 1), sm(0, 2), sm(1, 2)))
     return SearchOutcome("found", cert, eps, meter.nodes)
 
 
-def _certificate_pair(f, g, sm_f, sm_g, sm_f2, sm_g2, meter):
+def _certificate_pair(f, g, sm, meter):
     """The first (alpha, beta) whose round trips both equal the canonical
-    maps, or None if none; sm_f(), sm_f2(), sm_g2() build S_eps f and S_2eps."""
-    side_a = _SearchSide(f, sm_g.smoothed)
-    bundles_a = list(_enumerate_bundles(side_a, meter))
-    # refined only once side a's enumeration has stayed within the budget
-    side_b = _SearchSide(g, sm_f().smoothed)
-    bundles_b = list(_enumerate_bundles(side_b, meter))
-    if not (bundles_a and bundles_b):
+    maps, or None if none. Direction d searches the maps from graph d (f,
+    then g) into sm(1 - d, 1), where sm(d, k) is S_{k eps} of graph d."""
+    sides, bundles = [], []
+    for d, src in enumerate((f, g)):
+        # direction 1 is refined only once direction 0's enumeration has
+        # stayed within the budget
+        sides.append(_SearchSide(src, sm(1 - d, 1).smoothed))
+        bundles.append(list(_enumerate_bundles(sides[d], meter)))
+    if not all(bundles):
         return None
-
-    a = (side_a, bundles_a, lambda x: shift_compose(x, sm_f(), sm_g, sm_g2()), sm_g2)
-    b = (side_b, bundles_b, lambda y: shift_compose(y, sm_g, sm_f(), sm_f2()), sm_f2)
-
-    def maps(bundles):
-        return sum(prod(len(cands) for _, cands in bd.choices) for bd in bundles)
-
-    # expand whichever side has fewer concrete maps
-    if maps(bundles_a) <= maps(bundles_b):
-        return _pair_search(a, b, meter)
-    got = _pair_search(b, a, meter)
-    return None if got is None else (got[1], got[0])
+    maps = [sum(prod(len(cands) for _, cands in bd.choices) for bd in bs) for bs in bundles]
+    # expand whichever direction has fewer concrete maps
+    return _pair_search(sides, bundles, int(maps[0] > maps[1]), sm, meter)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +670,6 @@ def quantified_iso_check(f: RGraph, g: RGraph,
     """Probe the interleaving at an eighth of the smallest gap between
     critical values. A found certificate forces the graphs isomorphic, and
     the isomorphism is returned; an exhausted search returns None."""
-    check_budget(budget)
     su = sorted(set(f.criticals) | set(g.criticals))
     if len(su) >= 2:
         probe = min(b - a for a, b in zip(su, su[1:])) / 8

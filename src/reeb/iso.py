@@ -8,7 +8,9 @@ once both endpoint levels are matched, parallel edges between a matched
 endpoint pair can be paired off arbitrarily.
 
 The backtracking engine, `levelwise_assignments`, also drives the
-interleaving search's enumeration of candidate maps.
+interleaving search's enumeration of candidate maps. Every search spends
+one `NodeBudget`: a budget given as a count gets a fresh meter, and a
+meter already being spent, as by an interleaving probe, is spent on.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .morphism import (RGraphMorphism, compose, levelwise_morphism,
 
 class NodeBudget:
     """Counts search nodes; raises BudgetExceeded with the given message
-    once more than `limit` have been spent."""
+    once more than `limit`, a nonnegative int, have been spent."""
 
     def __init__(self, limit: int, message: str):
+        check_budget(limit)
         self.limit = limit
         self.message = message
         self.nodes = 0
@@ -35,10 +38,17 @@ class NodeBudget:
 
 
 def check_budget(budget) -> None:
-    """Reject, at a search's entry, a node budget that is not a
-    nonnegative int. Zero is a budget: a rank refutation spends no nodes."""
+    """Reject a node budget that is not a nonnegative int. Zero is a
+    budget: a rank refutation spends no nodes."""
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise ValidationError(f"node budget must be a nonnegative integer, got {budget!r}")
+
+
+def _meter(budget) -> NodeBudget:
+    """budget itself if it is a meter already being spent, else a fresh one."""
+    if isinstance(budget, NodeBudget):
+        return budget
+    return NodeBudget(budget, f"isomorphism search exceeded {budget} nodes")
 
 
 _EXHAUSTED = object()
@@ -83,17 +93,15 @@ def levelwise_assignments(g: RGraph, candidates, budget: NodeBudget):
             stack.append(iter(candidates(level[u], u, assignment)))
 
 
-def levelwise_bijections(ga: RGraph, gb: RGraph, budget: int = 200_000):
+def levelwise_bijections(ga: RGraph, gb: RGraph, budget: int | NodeBudget = 200_000):
     """Search for per-level vertex bijections and per-slot edge bijections
     commuting with the attach maps. Returns (vertex_maps, edge_maps) or
     None; raises BudgetExceeded when the node budget runs out."""
-    if ga.criticals != gb.criticals:
+    meter = _meter(budget)
+    if (ga.criticals != gb.criticals or list(map(len, ga.levels)) != list(map(len, gb.levels))
+            or list(map(len, ga.slots)) != list(map(len, gb.slots))):
         return None
     n = ga.n_levels
-    if any(len(ga.levels[i]) != len(gb.levels[i]) for i in range(n)):
-        return None
-    if any(len(ga.slots[j]) != len(gb.slots[j]) for j in range(ga.n_slots)):
-        return None
 
     def sig(g, v):
         return (g.down_degree(v), g.up_degree(v))
@@ -128,8 +136,7 @@ def levelwise_bijections(ga: RGraph, gb: RGraph, budget: int = 200_000):
             yield w
             used.discard(w)
 
-    search = NodeBudget(budget, f"isomorphism search exceeded {budget} nodes")
-    vmap = next(levelwise_assignments(ga, candidates, search), None)
+    vmap = next(levelwise_assignments(ga, candidates, meter), None)
     if vmap is None:
         return None
 
@@ -150,14 +157,15 @@ def levelwise_bijections(ga: RGraph, gb: RGraph, budget: int = 200_000):
     return vmaps, emaps
 
 
-def is_isomorphic(g: RGraph, h: RGraph, budget: int = 200_000) -> RGraphMorphism | None:
+def is_isomorphic(g: RGraph, h: RGraph,
+                  budget: int | NodeBudget = 200_000) -> RGraphMorphism | None:
     """An isomorphism g -> h, or None when there is none. Works on the
     reduced forms, so presentations differing only by removable levels
     still compare equal."""
-    check_budget(budget)
+    meter = _meter(budget)
     rg = reduce(g)
     rh = reduce(h)
-    found = levelwise_bijections(rg.graph, rh.graph, budget)
+    found = levelwise_bijections(rg.graph, rh.graph, meter)
     if found is None:
         return None
     vmaps, emaps = found

@@ -6,6 +6,7 @@ import gc
 import random
 from collections import Counter
 from fractions import Fraction
+from statistics import median
 from time import perf_counter, process_time
 
 import reeb
@@ -368,20 +369,26 @@ def test_criterion_11_near_linear_scaling():
 
     sizes = (10_000, 20_000, 40_000)
     graphs = [path_graph(m) for m in sizes]
-    times = [float("inf")] * len(sizes)
-    # round-robin over the sizes, keeping each one's best time, so a drift
-    # in machine speed during the run slows every size alike; each sweep is
-    # timed in CPU seconds of this process, from a collected heap
-    for _ in range(3):
-        for i, (m, g) in enumerate(zip(sizes, graphs)):
+    rounds = []
+    # five rounds; in each, every size does equal work (4 x 10k, 2 x 20k,
+    # 1 x 40k sweeps) timed as one sample in CPU seconds of this process,
+    # from a collected heap. A drift in machine speed slows a round's sizes
+    # alike, and the median over rounds of each ratio is not moved by one
+    # spoilt sample
+    for _ in range(5):
+        per_sweep = []
+        for m, g in zip(sizes, graphs):
+            reps = sizes[-1] // m
             sm = None
             gc.collect()
             t0 = process_time()
-            sm = reeb.smooth_sweep(g, Fraction(3, 2))
-            times[i] = min(times[i], process_time() - t0)
+            for _ in range(reps):
+                sm = reeb.smooth_sweep(g, Fraction(3, 2))
+            per_sweep.append((process_time() - t0) / reps)
             assert len(sm.smoothed.vertex_ids) == m + 3
-    for small, big in zip(times, times[1:]):
-        assert big / small <= 2.5, times
+        rounds.append(per_sweep)
+    for i in range(len(sizes) - 1):
+        assert median(r[i + 1] / r[i] for r in rounds) <= 2.5, rounds
 
 
 @criterion(12, 30.0)

@@ -109,6 +109,16 @@ def test_build_rejects_malformed_edge_items(edges):
         build_rgraph({"a": 0, "b": 1}, edges)
 
 
+@pytest.mark.parametrize("item", [("a",), ("a", 0, 1), None],
+                         ids=["short", "long", "not-a-tuple"])
+def test_build_rejects_malformed_vertex_items(item):
+    with pytest.raises(ValidationError) as info:
+        build_rgraph([item])
+    assert str(info.value) == f"vertex item {item!r} is not an (id, value) pair"
+    # a dict's items are always pairs
+    assert build_rgraph({"a": 0}).vertex_ids == ("a",)
+
+
 def test_empty_graph_is_legal():
     g = empty_rgraph()
     assert g.is_empty

@@ -202,6 +202,32 @@ class TestSearch:
             assert str(info.value) == ("node budget must be a nonnegative "
                                        f"integer, got {budget!r}")
 
+    @pytest.mark.parametrize("entry", [
+        "search_certificate", "distance_bracket", "quantified_iso_check",
+        "is_isomorphic", "levelwise_bijections", "is_cosheaf_iso"])
+    def test_every_budget_entry_checks_its_budget_first(self, entry):
+        # each call below needs no search, so only the budget check can
+        # raise: an infinite distance, a rank refutation, mismatched levels
+        # or criticals
+        line, loop, longer = reeb.line(0, 1), reeb.loop(0, 1), reeb.line(0, 2)
+        call = {
+            "search_certificate": lambda b: reeb.search_certificate(
+                line, loop, Fraction(1, 5), budget=b),
+            "distance_bracket": lambda b: reeb.distance_bracket(
+                line, reeb.empty_rgraph(), Fraction(1, 4), budget=b),
+            "quantified_iso_check": lambda b: reeb.quantified_iso_check(line, loop, budget=b),
+            "is_isomorphic": lambda b: reeb.is_isomorphic(line, loop, budget=b),
+            "levelwise_bijections": lambda b: reeb.levelwise_bijections(line, longer, b),
+            "is_cosheaf_iso": lambda b: reeb.is_cosheaf_iso(
+                reeb.reeb_cosheaf(line), reeb.reeb_cosheaf(longer), b),
+        }[entry]
+        for budget in ("x", None, -1, 1.5, True):
+            with pytest.raises(ValidationError) as info:
+                call(budget)
+            assert str(info.value) == ("node budget must be a nonnegative "
+                                       f"integer, got {budget!r}")
+        call(0)
+
     def test_zero_budget_still_refutes(self):
         # a rank refutation spends no nodes, so it needs none
         line, loop = reeb.line(0, 1), reeb.loop(0, 1)
@@ -213,6 +239,54 @@ class TestSearch:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
             reeb.search_certificate(reeb.line(0, 1), reeb.line(0, 1), Fraction(-1, 4))
+
+
+def tower_pair(k):
+    """Tower i is a path 0-1-2-3 with i + 1 parallel edges from its top to
+    a cap at 4; the second graph holds the same k towers renamed in
+    reverse, so the two are isomorphic."""
+    def build(order):
+        verts, edges = {}, []
+        for t, i in enumerate(order):
+            verts.update((f"t{t}v{h}", h) for h in range(5))
+            edges += [(f"t{t}e{h}", f"t{t}v{h}", f"t{t}v{h + 1}") for h in range(3)]
+            edges += [(f"t{t}c{c}", f"t{t}v3", f"t{t}v4") for c in range(i + 1)]
+        return reeb.build_rgraph(verts, edges)
+    return build(range(k)), build(reversed(range(k)))
+
+
+def count_spends(monkeypatch):
+    """A list that gains one entry per `NodeBudget.spend` call."""
+    spends, spend = [], NodeBudget.spend
+    monkeypatch.setattr(NodeBudget, "spend", lambda self: spends.append(1) or spend(self))
+    return spends
+
+
+class TestOneMeterPerProbe:
+    @pytest.mark.parametrize("budget", [200, 2_000])
+    def test_the_isomorphism_gate_spends_the_probes_budget(self, monkeypatch, budget):
+        f, g = tower_pair(9)
+        spends = count_spends(monkeypatch)
+        out = reeb.search_certificate(f, g, Fraction(1, 4), budget=budget)
+        assert out.status == "budget"
+        assert out.nodes == len(spends) <= budget + 1
+
+    def test_a_pair_the_gate_decides_reports_the_gates_nodes(self, monkeypatch):
+        g = reeb.loop(0, 1)
+        h = reeb.build_rgraph({"top": 1, "bot": 0},
+                              [("left", "bot", "top"), ("right", "bot", "top")])
+        spends = count_spends(monkeypatch)
+        gate, is_isomorphic = [], interleave.is_isomorphic
+
+        def counted(f, g, meter):
+            wit = is_isomorphic(f, g, meter)
+            gate.append(len(spends))
+            return wit
+        monkeypatch.setattr(interleave, "is_isomorphic", counted)
+        monkeypatch.setattr(interleave, "_certificate_pair", None)
+        out = reeb.search_certificate(g, h, Fraction(1, 4))
+        assert out.status == "found"
+        assert out.nodes == len(spends) == gate[0] == 2
 
 
 def loop_certificate():
@@ -538,16 +612,14 @@ small_pairs = st.integers(0, 2**32 - 1).map(
 def search_past_refutation(f, g, eps, budget):
     """The bundle search alone, without the rank pass in front: a verified
     certificate, None when exhausted, or "budget"."""
-    sms = (reeb.smooth(f, eps), reeb.smooth(g, eps),
-           reeb.smooth(f, 2 * eps), reeb.smooth(g, 2 * eps))
+    sms = {(d, k): reeb.smooth(h, k * eps) for k in (1, 2) for d, h in enumerate((f, g))}
     try:
-        pair = _certificate_pair(f, g, lambda: sms[0], sms[1], lambda: sms[2],
-                                 lambda: sms[3], NodeBudget(budget, "budget"))
+        pair = _certificate_pair(f, g, lambda d, k: sms[d, k], NodeBudget(budget, "budget"))
     except BudgetExceeded:
         return "budget"
     if pair is None:
         return None
-    cert = Certificate(eps, *pair, *sms)
+    cert = Certificate(eps, *pair, *sms.values())
     assert reeb.verify_certificate(cert)[0]
     return cert
 
