@@ -146,7 +146,12 @@ def parse_field(text: str) -> SimplicialField:
                 raise ParseError(f"triangle {tid!r} repeats an edge", line=n)
             # no edge is a loop, so the sides close up exactly when two
             # share one vertex and the third joins their other ends
-            if set(edges[x]).symmetric_difference(edges[y]) != set(edges[z]):
+            (a, b), (c, d), ends = edges[x], edges[y], edges[z]
+            if b == c or b == d:
+                a, b = b, a
+            if a == d:
+                c, d = d, c
+            if a != c or ends not in ((b, d), (d, b)):
                 raise ParseError(f"the edges of triangle {tid!r} do not close "
                                  "up", line=n)
             triangles[tid] = (x, y, z)
@@ -175,97 +180,91 @@ def reeb_of_complex(field: SimplicialField) -> ComplexReeb:
 
     The distinct values are ranked once into levels; a position is then an
     integer code, 2k for level k and 2k+1 for the gap (slot) above it. The
-    complex vertices are cells 0..n-1 in field order, and an edge rising
-    from code lo to code hi owns a block of hi-lo-1 cells, its pieces at
-    codes lo+1 .. hi-1: segments over the slots alternating with interior
-    points at the levels between. One union-find merges the ends of each
-    horizontal edge and, at each code strictly inside a triangle's span,
-    the piece of its long edge with the piece of a shorter edge, or with
-    the middle vertex at its level. Each class is a component of a level
-    set (a graph vertex) or of a gap's preimage (a graph edge), named by
-    the sorted `v:`/`e:` ids of its cells, plus `t:` for each triangle
-    over the gap, then `@value` or `@(lo,hi)`."""
+    complex vertices are cells 0..n-1 by value, and an edge rising from
+    cell a at code lo to cell b > a at code hi owns a block of hi-lo-1
+    cells, its pieces at codes lo+1 .. hi-1. A triangle u < v < w, whose
+    sides sort as u-v, u-w, v-w, glues its long edge u-w to u-v below v's
+    code and to v-w above it, two runs of cells at a fixed offset, and to
+    v at v's code; a horizontal edge is a run of one. One loop unites the
+    runs pair by pair, each root the least cell of its class, and one pass
+    points every cell at its root. Each class is a graph vertex or edge,
+    named by the sorted `v:`/`e:` ids of its cells, plus `t:` for each
+    triangle over a gap, then `@value` or `@(lo,hi)`."""
     ids = list(field.values)
     criticals, level = _ranked([as_rational(x) for x in field.values.values()])
     fmt = [format_rational(c) for c in criticals]
     at = [f"({fmt[w // 2]},{fmt[w // 2 + 1]})" if w & 1 else fmt[w // 2]
           for w in range(2 * len(fmt) - 1)]
 
-    number = {v: i for i, v in enumerate(ids)}
-    ref = [f"v:{v}" for v in ids]           # per cell: the id it names
-    code = [2 * k for k in level]           # per cell: its code
+    order = sorted(range(len(ids)), key=level.__getitem__)
+    number = {ids[i]: c for c, i in enumerate(order)}
+    ref = [f"v:{ids[i]}" for i in order]    # per cell: the id it names
+    code = [2 * level[i] for i in order]    # per cell: its code
     # per edge: (lower end, upper end, offset): its piece at code w is
     # cell offset + w
     chains: dict[str, tuple[int, int, int]] = {}
-    horizontal = []
+    runs = []       # (first cell, offset to its partner, length) to unite
     for e, (a, b) in field.edges.items():
-        for v in (a, b):
-            if v not in number:
-                raise ValidationError(f"edge {e!r}: unknown vertex {v!r}")
-        if a == b:
+        try:
+            c, d = number[a], number[b]
+        except KeyError as exc:
+            raise ValidationError(f"edge {e!r}: unknown vertex "
+                                  f"{exc.args[0]!r}") from None
+        if c == d:
             raise ValidationError(f"edge {e!r} repeats vertex {a!r}")
-        a, b = number[a], number[b]
+        a, b = (c, d) if c < d else (d, c)
         lo, hi = code[a], code[b]
-        if (lo, a) > (hi, b):
-            a, b, lo, hi = b, a, hi, lo
         chains[e] = (a, b, len(ref) - lo - 1)
         if lo == hi:
-            horizontal.append((a, b))
+            runs.append((a, b - a, 1))
         else:
             ref += [f"e:{e}"] * (hi - lo - 1)
             code += range(lo + 1, hi)
-    parent = list(range(len(ref)))
 
-    def find(x):
-        while (p := parent[x]) != x:    # path halving
-            parent[x] = x = parent[p]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for a, b in horizontal:
-        union(a, b)
-
-    over: list[tuple[int, str]] = []     # (long edge's segment, triangle ref)
+    over = []       # (first and stop cell of a long edge's segments, `t:` ref)
     for t, sides in field.triangles.items():
         try:
-            trio = [chains[e] for e in sides]
+            trio = sorted([chains[e] for e in sides])
         except KeyError as exc:
             raise ValidationError(f"triangle {t!r}: unknown edge "
                                   f"{exc.args[0]!r}") from None
-        if (len(trio) != 3 or len({(a, b) for a, b, _ in trio}) != 3
-                or len({c for a, b, _ in trio for c in (a, b)}) != 3):
+        # the sides of a triangle u < v < w sort as u-v, u-w, v-w
+        if len(trio) == 3:
+            (u, v, uv), (u2, w, uw), (v2, w2, vw) = trio
+        if len(trio) != 3 or (u2, v2, w2) != (u, v, w):
             raise ValidationError(f"the edges of triangle {t!r} do not close up")
-        # the long edge x-z spans every code from lo to hi, x-y those below
-        # mid and y-z those above; a horizontal side spans none
-        spans = [code[b] - code[a] for a, b, _ in trio]
-        i = spans.index(max(spans))
-        x, z, long = trio[i]
-        lo, hi = code[x], code[z]
-        p, q = trio[i - 1], trio[i - 2]
-        low, high = (p, q) if x in p[:2] else (q, p)
-        y = low[1] if low[0] == x else low[0]
-        mid = code[y]
-        for w in range(lo + 1, mid):
-            union(long + w, low[2] + w)
+        lo, mid, hi = code[u], code[v], code[w]
+        runs += ((uw + lo + 1, uv - uw, mid - lo - 1),
+                 (uw + mid + 1, vw - uw, hi - mid - 1))
         if lo < mid < hi:
-            union(long + mid, y)
-        for w in range(mid + 1, hi):
-            union(long + w, high[2] + w)
-        tref = f"t:{t}"
-        over += ((long + w, tref) for w in range(lo + 1, hi, 2))
+            runs.append((uw + mid, v - uw - mid, 1))
+        over.append((uw + lo + 1, uw + hi, f"t:{t}"))
 
-    root = list(map(find, range(len(ref))))
+    parent = list(range(len(ref)))
+    for first, offset, length in runs:
+        for a in range(first, first + length):
+            b = a + offset
+            while (r := parent[a]) != a:    # path halving
+                parent[a] = a = parent[r]
+            while (r := parent[b]) != b:
+                parent[b] = b = parent[r]
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+    for c, r in enumerate(parent):          # each parent is at most its cell
+        parent[c] = parent[r]
+
     refs: dict[int, list[str]] = {}
-    for r, s in zip(root, ref):
+    for r, s in zip(parent, ref):
         refs.setdefault(r, []).append(s)
-    for c, s in over:
-        refs[root[c]].append(s)
+    for first, stop, s in over:
+        for c in range(first, stop, 2):
+            refs[parent[c]].append(s)
     name = [""] * len(ref)
     level_names: list[list[str]] = [[] for _ in criticals]
     for r, rs in refs.items():
-        name[r] = "{" + ",".join(sorted(rs)) + "}@" + at[code[r]]
+        rs.sort()
+        name[r] = "{" + ",".join(rs) + "}@" + at[code[r]]
         if not code[r] & 1:
             level_names[code[r] // 2].append(name[r])
 
@@ -273,17 +272,18 @@ def reeb_of_complex(field: SimplicialField) -> ComplexReeb:
     up_maps: list[dict[str, str]] = [{} for _ in criticals[1:]]
     for a, b, offset in chains.values():
         lo, hi = code[a], code[b]
+        d = name[parent[a]]                 # the piece below the next segment
         for w in range(lo + 1, hi, 2):
-            n, j = name[root[offset + w]], w // 2
-            d = name[root[a if w == lo + 1 else offset + w - 1]]
-            u = name[root[b if w == hi - 1 else offset + w + 1]]
+            n, j = name[parent[offset + w]], w // 2
+            u = name[parent[b if w == hi - 1 else offset + w + 1]]
             if down_maps[j].setdefault(n, d) != d or up_maps[j].setdefault(n, u) != u:
                 raise InternalError(f"gap component {n} at slot {j} touches "
                                     "several level components")
+            d = u
 
     graph = _assemble(criticals, level_names, [list(m) for m in down_maps],
                       down_maps, up_maps)
-    return ComplexReeb(graph, {v: name[root[i]] for i, v in enumerate(ids)})
+    return ComplexReeb(graph, {v: name[parent[number[v]]] for v in ids})
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ user-facing inputs (ints, strings like ``"3/4"`` or ``"-1.25"``) into
 ``Fraction`` and format them back out in ``p/q`` text form. A token of
 an optional ``-``, ASCII digits, and optionally ``/`` and ASCII digits
 not all zero is read with ``int``; any other (``+3``, ``2.5``, ``1_0``,
-``1/0``, non-ASCII digits) goes to ``Fraction(str)``, as do its errors.
+``1/0``, non-ASCII digits) goes to ``Fraction(str)``, as do its errors,
+except that an exponent beyond ``EXPONENT_LIMIT`` in magnitude (``1e9999``)
+is rejected first, since ``Fraction`` would build the whole power of ten.
 Inside, `scaled` puts the values one computation compares on a common
 integer scale, and graph building, `reeb_of_complex`, the smoothing
 sweep, the rank refutation and `transport` work on those integers.
@@ -14,10 +16,16 @@ sweep, the rank refutation and `transport` work on those integers.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
 from .errors import ParseError, ValidationError
+
+# the largest exponent magnitude a token may carry, the size of Python's
+# default limit on the digits of an int read from text
+EXPONENT_LIMIT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
 def as_rational(value) -> Fraction:
@@ -60,6 +68,9 @@ def parse_rational(token: str) -> Fraction:
                 return Fraction(int(num))
             if den.isascii() and den.isdigit() and den.strip("0"):
                 return Fraction(int(num), int(den))
+        if (exp := _EXPONENT.search(token)) and abs(int(exp[1])) > EXPONENT_LIMIT:
+            raise ParseError(f"bad rational token {token!r}: exponent beyond "
+                             f"{EXPONENT_LIMIT} in magnitude")
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational token {token!r}: {exc}") from None

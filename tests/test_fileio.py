@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reeb
+from complex_oracle import reeb_of_complex_oracle
 from reeb import ParseError, SimplicialField, cli
 from reeb.fileio import _file_safe
 from reeb.unionfind import UnionFind
@@ -396,6 +397,88 @@ class TestReebOfComplex:
             want = len({find(v) for v in field.values})
             assert reeb.num_components(res.graph) == want
             assert set(res.vertex_image) == set(field.values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 7))
+    def test_matches_the_oracle_on_sound_and_malformed_fields(self, seed, flaw):
+        """The text, the vertex image and every error message are the
+        oracle's; flaws 1-6 put one malformed record at a random place."""
+        rng = random.Random(seed)
+        field = reeb.random_field(rng, denominator=rng.randint(1, 3))
+        values, edges, triangles = (dict(field.values), dict(field.edges),
+                                    dict(field.triangles))
+        vs, es = list(values), list(edges)
+        some_v = rng.choice(vs) if vs else "a"
+        picks = [rng.choice(es) for _ in range(4)] if es else ["zz"] * 4
+
+        def insert(d, key, item):
+            items = list(d.items())
+            items.insert(rng.randint(0, len(items)), (key, item))
+            return dict(items)
+
+        if flaw == 1:
+            edges = insert(edges, "bad", (some_v, "zz"))
+        elif flaw == 2:
+            edges = insert(edges, "bad", (some_v, some_v))
+        elif flaw == 3:
+            triangles = insert(triangles, "bad", (*picks[:2], "zz"))
+        elif flaw == 4:
+            triangles = insert(triangles, "bad", tuple(picks[:3]))
+        elif flaw == 5:
+            triangles = insert(triangles, "bad", tuple(picks[:rng.choice([2, 4])]))
+        elif flaw == 6:
+            values = insert(values, "bad", 0.5)
+        field = SimplicialField(values, edges, triangles)
+        try:
+            want = reeb_of_complex_oracle(field)
+        except reeb.ReebError as exc:
+            with pytest.raises(type(exc)) as info:
+                reeb.reeb_of_complex(field)
+            assert str(info.value) == str(exc)
+            return
+        got = reeb.reeb_of_complex(field)
+        assert reeb.emit_rgraph(got.graph) == reeb.emit_rgraph(want.graph)
+        assert got.vertex_image == want.vertex_image
+
+    def test_reeb_command_prints_the_oracle_text_on_a_strip(self, tmp_path):
+        text = strip_field_text(random.Random(26), 60)
+        path = tmp_path / "strip.txt"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(["reeb", str(path)], stdout=out, stderr=err) == 0
+        want = reeb_of_complex_oracle(reeb.parse_field(text))
+        assert out.getvalue() == reeb.emit_rgraph(want.graph)
+        assert err.getvalue() == ""
+
+
+def strip_field_text(rng, squares):
+    """A field file of two rows of squares (three rows of vertices), each
+    square cut into two triangles along a diagonal of seeded direction.
+    Values follow a seeded walk along the strip plus a row offset and a
+    little noise, on a 1/8 grid, so levels are shared and some edges lie
+    level."""
+    cols = squares // 2 + 1
+    lines, edges, height = [], {}, 0
+    for c in range(cols):
+        height += rng.choice((-2, -1, 1, 2, 3))
+        for r in range(3):
+            value = Fraction(height + 4 * r + rng.randint(-2, 2), 8)
+            lines.append(f"v x{r}_{c} {reeb.format_rational(value)}")
+
+    def edge(a, b):
+        if (a, b) not in edges and (b, a) not in edges:
+            edges[a, b] = f"s{len(edges)}"
+            lines.append(f"e {edges[a, b]} {a} {b}")
+        return edges.get((a, b)) or edges[b, a]
+
+    for r in range(2):
+        for c in range(cols - 1):
+            p, q = f"x{r}_{c}", f"x{r}_{c + 1}"
+            s, t = f"x{r + 1}_{c}", f"x{r + 1}_{c + 1}"
+            for i, (a, b, d) in enumerate(
+                    [(p, q, t), (p, t, s)] if rng.random() < 0.5 else [(p, q, s), (q, t, s)]):
+                lines.append(f"t T{r}_{c}_{i} {edge(a, b)} {edge(b, d)} {edge(a, d)}")
+    return "\n".join(lines) + "\n"
 
 
 def preimage_components(field, iv):

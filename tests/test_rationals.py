@@ -1,3 +1,6 @@
+import io
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 import reeb
 from reeb import (ParseError, ValidationError, as_rational, format_rational,
                   parse_rational)
-from reeb.rationals import as_radius, scaled
+from reeb.cli import main
+from reeb.rationals import EXPONENT_LIMIT, as_radius, scaled
 
 
 def test_as_rational_passthrough_and_ints():
@@ -44,11 +48,17 @@ def test_parse_rational_errors():
 
 def fraction_reading(token):
     """What parse_rational returned before its integer fast path:
-    Fraction(str) on the stripped token, its errors as ParseError."""
+    Fraction(str) on the stripped token, its errors as ParseError, once a
+    token ending in an exponent beyond EXPONENT_LIMIT in magnitude is
+    refused (Fraction would build the whole power of ten)."""
     token = token.strip()
     if not token:
         raise ParseError("empty rational token")
     try:
+        _, e, exp = token.replace("E", "e").rpartition("e")
+        if e and re.fullmatch(r"[-+]?\d+(_\d+)*", exp) and abs(int(exp)) > EXPONENT_LIMIT:
+            raise ParseError(f"bad rational token {token!r}: exponent beyond "
+                             f"{EXPONENT_LIMIT} in magnitude")
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational token {token!r}: {exc}") from None
@@ -57,7 +67,8 @@ def fraction_reading(token):
 HAND_ON = ["+3", "1_0", "\u0663", "\u00b2", "1/\u0663", "1/\u00b2", " 5 ", "1e3",
            "2.5", "1/0", "-0/0", "3/-4", "-", "--3", "1/2/3", "/2", "1/", "-0",
            "007/010", "-12/000", "", " ", "7" * 5000, "-" + "7" * 5000,
-           "1/" + "3" * 5000]
+           "1/" + "3" * 5000, "1e4300", "-2.5E-4300", "1e+4301", "1e4_301",
+           "1/2e9999", "1e 9999", "1e" + "9" * 5000]
 digit_runs = st.text("0123456789", min_size=1, max_size=30)
 
 
@@ -137,3 +148,45 @@ def test_as_radius_coerces_and_rejects_negatives():
 def test_negative_radii_are_rejected_by_name(call, message):
     with pytest.raises(ValidationError, match=f"^{message} radius must be nonnegative$"):
         call()
+
+
+HUGE = ["1e9999999999", "-1e-99999999"]
+
+
+def quickly(thunk):
+    """What thunk() returns, after checking that the least of three wall
+    times it took is under 10 ms: a huge exponent is refused before any
+    power of ten is built."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = thunk()
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01, times
+    return result
+
+
+def refusal(call, *args):
+    with pytest.raises(ParseError) as info:
+        call(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("token", HUGE)
+def test_huge_exponents_are_refused_quickly_at_every_entry(token, tmp_path):
+    why = f"bad rational token {token!r}: exponent beyond 4300 in magnitude"
+    graph = f"vertex a 0\nvertex b {token}\nedge e a b\n"
+    assert quickly(lambda: refusal(parse_rational, token)) == why
+    assert quickly(lambda: refusal(as_rational, token)) == why
+    assert quickly(lambda: refusal(reeb.parse_rgraph, graph)) == f"line 2: {why}"
+    assert quickly(lambda: refusal(reeb.parse_field, f"v a 0\n\nv b {token}\n")) \
+        == f"line 3: {why}"
+    path = tmp_path / "g.txt"
+    path.write_text(graph)
+
+    def validate():
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["validate", str(path)], stdout=out, stderr=err)
+        return code, out.getvalue(), err.getvalue()
+
+    assert quickly(validate) == (1, "", f"error: line 2: {why}\n")
