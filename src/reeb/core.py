@@ -108,13 +108,13 @@ class RGraph:
 
 
 def _assemble(criticals, levels, slots, down, up) -> RGraph:
-    """Normalize raw pieces into the canonical sorted representation."""
+    """Normalize raw pieces into the canonical sorted representation:
+    levels and slots are sorted, and the per-slot attach dicts are kept
+    as given, so each must be keyed by exactly its slot's edges."""
     crit = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in criticals)
     lev = tuple(tuple(sorted(l)) for l in levels)
     slo = tuple(tuple(sorted(s)) for s in slots)
-    dn = tuple({e: d[e] for e in s} for s, d in zip(slo, down))
-    u = tuple({e: m[e] for e in s} for s, m in zip(slo, up))
-    return RGraph(crit, lev, slo, dn, u)
+    return RGraph(crit, lev, slo, tuple(down), tuple(up))
 
 
 @dataclass(frozen=True)

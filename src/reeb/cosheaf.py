@@ -249,8 +249,8 @@ def display(F: Cosheaf) -> RGraph:
     return _assemble(F.criticals,
                      [list(ns) for ns in F.node_sets],
                      [list(es) for es in F.edge_sets],
-                     [dict(m) for m in F.left_maps],
-                     [dict(m) for m in F.right_maps])
+                     [{e: m[e] for e in sorted(es)} for es, m in zip(F.edge_sets, F.left_maps)],
+                     [{e: m[e] for e in sorted(es)} for es, m in zip(F.edge_sets, F.right_maps)])
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,10 @@ class RollbackUnionFind:
 
     def slide(self, lo: int, hi: int) -> None:
         """Hold exactly the unions of groups[lo:hi]. Neither end may move
-        back from the held window's."""
+        back from the held window's. Asking for the held window returns
+        at once, with nothing undone or redone."""
+        if lo == self.lo and hi == self.hi:
+            return
         held, end, stack, n_a = self.lo, self.hi, self.stack, self.n_a
         if not held <= lo <= hi or hi < end:
             raise InternalError(f"window [{lo}, {hi}) moves back from the held "

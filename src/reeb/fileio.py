@@ -37,6 +37,11 @@ def _file_safe(*ids: str) -> None:
     """Reject ids the record format cannot write back: they would tokenize
     differently (whitespace, where str.split and str.isspace agree) or be
     eaten as a comment (#)."""
+    # one test of them all: an id that is empty or holds whitespace makes
+    # the split of the joined ids differ from the ids; the loop names it
+    joined = " ".join(ids)
+    if "#" not in joined and joined.split() == [*ids]:
+        return
     for s in ids:
         if not s or "#" in s or s.split() != [s]:
             raise ValidationError(
@@ -48,6 +53,7 @@ def _file_safe(*ids: str) -> None:
 
 def parse_rgraph(text: str) -> RGraph:
     vertices: dict[str, Fraction] = {}
+    ratio: dict[str, tuple[int, int]] = {}      # vertex -> (numerator, denominator)
     edges: dict[str, tuple[str, str]] = {}
     criticals: list[Fraction] = []
     for n, line in enumerate(text.splitlines(), start=1):
@@ -63,7 +69,8 @@ def parse_rgraph(text: str) -> RGraph:
             _, vid, val = toks
             if vid in vertices:
                 raise ParseError(f"duplicate vertex id {vid!r}", line=n)
-            vertices[vid] = _rational(val, n)
+            x = vertices[vid] = _rational(val, n)
+            ratio[vid] = x.numerator, x.denominator
         elif kind == "edge":
             if len(toks) != 4:
                 raise ParseError("edge takes an id and two vertex ids", line=n)
@@ -73,7 +80,8 @@ def parse_rgraph(text: str) -> RGraph:
             for v in (lo, hi):
                 if v not in vertices:
                     raise ParseError(f"unknown vertex {v!r}", line=n)
-            if not vertices[lo] < vertices[hi]:
+            (a, b), (c, d) = ratio[lo], ratio[hi]
+            if not a * d < c * b:
                 raise ParseError(f"edge {eid!r} must go from a strictly lower "
                                  "vertex to a strictly higher one", line=n)
             edges[eid] = (lo, hi)

@@ -443,6 +443,13 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
     draws no conclusion. One meter of `budget` nodes covers the whole
     probe, the isomorphism test included: `nodes` counts every node spent,
     and an overrun anywhere ends the probe as "budget"."""
+    return _probe(f, g, eps, budget)[0]
+
+
+def _probe(f: RGraph, g: RGraph, eps,
+           budget: int) -> tuple[SearchOutcome, RGraphMorphism | None]:
+    """`search_certificate`'s outcome, and the isomorphism its gate found,
+    if the probe reached the gate and it found one."""
     meter = NodeBudget(budget, f"search exceeded {budget} nodes")
     eps = as_radius(eps, "interleaving")
     ref = _refute(f, g, eps)
@@ -450,7 +457,7 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
         ok, msg = verify_refutation(f, g, ref)
         if not ok:
             raise InternalError("rank refutation failed verification: " + msg)
-        return SearchOutcome("exhausted", None, eps, 0, ref)
+        return SearchOutcome("exhausted", None, eps, 0, ref), None
     built: dict = {}
 
     def sm(d, k):
@@ -469,11 +476,11 @@ def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> Sear
         else:
             pair = compose(wit, sm(1, 1).zeta), compose(invert_isomorphism(wit), sm(0, 1).zeta)
     except BudgetExceeded:
-        return SearchOutcome("budget", None, eps, meter.nodes)
+        return SearchOutcome("budget", None, eps, meter.nodes), None
     if pair is None:
-        return SearchOutcome("exhausted", None, eps, meter.nodes)
+        return SearchOutcome("exhausted", None, eps, meter.nodes), None
     cert = _verified("found", Certificate(eps, *pair, sm(0, 1), sm(1, 1), sm(0, 2), sm(1, 2)))
-    return SearchOutcome("found", cert, eps, meter.nodes)
+    return SearchOutcome("found", cert, eps, meter.nodes), wit
 
 
 def _certificate_pair(f, g, sm, meter):
@@ -675,12 +682,11 @@ def quantified_iso_check(f: RGraph, g: RGraph,
         probe = min(b - a for a, b in zip(su, su[1:])) / 8
     else:
         probe = Fraction(1)
-    out = search_certificate(f, g, probe, budget)
+    out, witness = _probe(f, g, probe, budget)
     if out.status == "budget":
         raise BudgetExceeded("interleaving search budget exhausted")
     if out.status == "exhausted":
         return None
-    witness = is_isomorphic(f, g, budget)
     if witness is None:
         raise InternalError(f"interleaved at radius {format_rational(probe)}, below "
                             "the gap threshold, yet no isomorphism was found")

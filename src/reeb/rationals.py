@@ -8,7 +8,10 @@ an optional ``-``, ASCII digits, and optionally ``/`` and ASCII digits
 not all zero is read with ``int``; any other (``+3``, ``2.5``, ``1_0``,
 ``1/0``, non-ASCII digits) goes to ``Fraction(str)``, as do its errors,
 except that an exponent beyond ``EXPONENT_LIMIT`` in magnitude (``1e9999``)
-is rejected first, since ``Fraction`` would build the whole power of ten.
+is rejected first, since ``Fraction`` would build the whole power of ten,
+and a value it reads whose numerator or denominator has more than
+``EXPONENT_LIMIT`` digits (``1e4300``) is rejected after, since it could
+not be printed back.
 Inside, `scaled` puts the values one computation compares on a common
 integer scale, and graph building, `reeb_of_complex`, the smoothing
 sweep, the rank refutation and `transport` work on those integers.
@@ -22,9 +25,11 @@ from math import lcm
 
 from .errors import ParseError, ValidationError
 
-# the largest exponent magnitude a token may carry, the size of Python's
-# default limit on the digits of an int read from text
+# the largest exponent magnitude a token may carry and the most digits a
+# value read from text may have, the size of Python's default limit on
+# the digits of an int read from or written to text
 EXPONENT_LIMIT = 4300
+_TOO_LONG = 10 ** EXPONENT_LIMIT     # the least integer of more digits than that
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
@@ -71,7 +76,11 @@ def parse_rational(token: str) -> Fraction:
         if (exp := _EXPONENT.search(token)) and abs(int(exp[1])) > EXPONENT_LIMIT:
             raise ParseError(f"bad rational token {token!r}: exponent beyond "
                              f"{EXPONENT_LIMIT} in magnitude")
-        return Fraction(token)
+        value = Fraction(token)
+        if abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
+            raise ParseError(f"bad rational token {token!r}: more than "
+                             f"{EXPONENT_LIMIT} digits")
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational token {token!r}: {exc}") from None
 
@@ -82,8 +91,24 @@ def scaled(values) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
+def _digits(n: int) -> int:
+    """The number of decimal digits of n, without writing it out."""
+    n = abs(n)
+    d = max(1, int((n.bit_length() - 1) * 0.30102999566398120))   # log10(2)
+    while n >= 10 ** d:
+        d += 1
+    return d
+
+
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction (or an int) as ``p`` or ``p/q`` with no whitespace."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction (or an int) as ``p`` or ``p/q`` with no whitespace.
+    A numerator or denominator beyond Python's limit on the digits of an
+    int written as text is a ValidationError giving its digit count."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        n = max(_digits(value.numerator), _digits(value.denominator))
+        raise ValidationError(f"value of {n} digits is too long to write as "
+                              "text") from None

@@ -315,8 +315,9 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
     lifetimes: list[tuple[int, int]] = []
     meeting: list[tuple[int, ...]] = [()] * max(0, K - 1)
     for j, slot in enumerate(g.slots):
-        # by lower end: a level lists its vertices in number order
-        ends = sorted((num[g.down[j][x]], num[x], num[g.up[j][x]]) for x in slot)
+        # in slot order: the order within a group changes no partition and
+        # no least member
+        ends = [(num[g.down[j][x]], num[x], num[g.up[j][x]]) for x in slot]
         xs = tuple([x for _, x, _ in ends])
         opens[leave[j]] += xs
         seals[enter[j + 1]] += xs
@@ -328,7 +329,9 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
         lifetimes += ((2 * enter[j] + 1, 2 * leave[j]),
                       (2 * enter[j + 1], 2 * leave[j + 1] - 1))
     H = make_forest(len(cells), groups)
-    find, least, slide = H.find, H.least, H.slide
+    # read its lists and walk each root inline, as `RollbackUnionFind._push`
+    # does: a method call per query costs more than the walk
+    parent, least, slide = H.parent, H.least, H.slide
     records: list[_Record] = []
     # least member -> the latest record it keys (live components are disjoint)
     rec_of: list[_Record | None] = [None] * len(cells)
@@ -354,7 +357,10 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
         slide(lo, hi)
         k = p >> 1
         for v in lying_at[p]:               # input vertices lying here
-            lying_least[v] = least[find(v)]
+            r = v
+            while (q := parent[r]) != r:
+                r = q
+            lying_least[v] = least[r]
         if not p & 1:
             # H holds the window at B[k]: vertices at B[k] + eps have just
             # arrived, edges over vertices at B[k] - eps have just gone.
@@ -362,7 +368,9 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
             # records they grew from.
             named: dict[int, str] = {}
             for v in touch[k]:
-                m = least[find(v)]
+                while (q := parent[v]) != v:
+                    v = q
+                m = least[v]
                 if m not in named:
                     named[m] = nu = keyed_name("v", k, cells[m])
                     level_names[k].append(nu)
@@ -370,14 +378,19 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
             for x, m in pre:
                 rec = rec_of[m]
                 if rec.death is None:
+                    while (q := parent[x]) != x:
+                        x = q
                     rec.death = k
-                    rec.top = named[least[find(x)]]
+                    rec.top = named[least[x]]
 
             # an entering vertex, or an edge over a leaving one, opens a
             # record in the gap above from the component named for it here
             post: list[tuple[int, str]] = []
             for x in opens[k]:
-                bottom = named.get(least[find(x)])
+                r = x
+                while (q := parent[r]) != r:
+                    r = q
+                bottom = named.get(least[r])
                 if bottom is None:
                     raise InternalError(f"component with no anchor at its birth event: "
                                         f"{cells[x]!r} opens a component in slot {k} "
@@ -389,13 +402,22 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
         # gone, edges over entering vertices have arrived. Open records for
         # the components the event touched.
         for x, bottom in post:
-            m = least[find(x)]
+            while (q := parent[x]) != x:
+                x = q
+            m = least[x]
             if rec_of[m] is None or rec_of[m].birth != k:     # not yet opened here
                 rec_of[m] = _Record(k, bottom, m)
                 records.append(rec_of[m])
-        pre = [(x, least[find(x)]) for x in seals[k + 1]]
+        pre = []
+        for x in seals[k + 1]:
+            r = x
+            while (q := parent[r]) != r:
+                r = q
+            pre.append((x, least[r]))
         for x in meeting[k]:                # input edges meeting this gap
-            meeting_least.append(least[find(x)])
+            while (q := parent[x]) != x:
+                x = q
+            meeting_least.append(least[x])
 
     down: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]
     up: list[dict[str, str]] = [dict() for _ in range(max(0, K - 1))]

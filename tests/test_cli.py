@@ -99,6 +99,24 @@ class TestSmooth:
         assert code == 1
         assert "error:" in err
 
+    def test_a_value_of_4301_digits_is_refused_on_reading(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("vertex a 0\nvertex b 1e4300\nedge e a b\n")
+        for argv in (["validate", str(path)], ["smooth", str(path), "1"]):
+            assert run(*argv) == (1, "", "error: line 2: bad rational token "
+                                  "'1e4300': more than 4300 digits\n")
+
+    def test_a_smoothed_value_of_4301_digits_is_refused_on_writing(self, tmp_path):
+        # 10^4300 - 1 has 4,300 digits and reads; one radius more is 10^4300
+        path = tmp_path / "long.txt"
+        path.write_text(f"vertex a 0\nvertex b {'9' * 4300}\nedge e a b\n")
+        assert run("validate", str(path)) == (0, "ok\n", "")
+        assert run("smooth", str(path), "1") == (
+            1, "", "error: value of 4301 digits is too long to write as text\n")
+        # the canonical map's text names cells, not values
+        code, out, err = run("smooth", str(path), "1", "--zeta")
+        assert code == 0 and out and err == ""
+
 
 class TestCosheafEval:
     def test_whole_line(self, files):

@@ -206,6 +206,33 @@ def test_refine_matches_the_build_route(seed):
     assert got.split_vertices == want.split_vertices
 
 
+def built_graphs(rng):
+    """One graph from each route the library builds graphs by."""
+    g = reeb.random_rgraph(rng)
+    text = reeb.emit_rgraph(g)
+    extra = [Fraction(rng.randint(-12, 12), rng.choice((3, 4, 5))) for _ in range(2)]
+    eps = rng.choice((Fraction(1, 3), Fraction(3, 2), reeb.collision_free_epsilon(g, rng)))
+    return {"build_rgraph": g,
+            "parse_rgraph": reeb.parse_rgraph(text),
+            "refine": refine(g, extra).graph,
+            "reduce": reduce(g).graph,
+            "smooth_sweep": reeb.smooth_sweep(g, eps).smoothed,
+            "smooth_naive": reeb.smooth_naive(g, eps).smoothed,
+            "reeb_of_complex": reeb.reeb_of_complex(reeb.random_field(rng)).graph,
+            "display": reeb.display(reeb.random_cosheaf(rng))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_built_graph_keys_its_attach_maps_by_its_slots(seed):
+    # the graph keeps the attach dicts its builder hands over, so each
+    # builder must key them by exactly the slot's edges
+    for route, g in built_graphs(random.Random(seed)).items():
+        for j, slot in enumerate(g.slots):
+            assert set(g.down[j]) == set(g.up[j]) == set(slot), (route, j)
+        assert validate(g).ok, route
+
+
 def test_refine_primes_fresh_names_like_the_build_route():
     g = build_rgraph({"a": 0, "b": 1, "e@1/2": 2},
                      [("e", "a", "b"), ("e:0", "b", "e@1/2")])
@@ -308,7 +335,7 @@ def test_bench_patch_points_exist():
 def test_bench_tracer_counts_the_sweeps_connectivity_calls(monkeypatch):
     # a sweep that stopped obtaining its structure from make_forest would
     # trace zero connectivity calls, and zeros repeat from run to run; the
-    # calls counted are the sweep's slides and finds
+    # calls counted are the sweep's slides, as it walks its roots inline
     calls = {"slide": 0, "find": 0}
     for name in calls:
         method = getattr(reeb.dynconn.RollbackUnionFind, name)

@@ -512,14 +512,37 @@ class TestQuantifiedIso:
         assert wit.source is g and wit.target is h
         assert reeb.is_isomorphism(wit)
 
+    def test_the_gate_witness_is_returned_without_a_second_search(self, monkeypatch):
+        calls = []
+        real = interleave.is_isomorphic
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(interleave, "is_isomorphic", counted)
+        g = reeb.loop(0, 1)
+        h = reeb.build_rgraph({"top": 1, "bot": 0},
+                              [("left", "bot", "top"), ("right", "bot", "top")])
+        wit = reeb.quantified_iso_check(g, h)
+        assert len(calls) == 1
+        assert wit.source is g and wit.target is h and reeb.is_isomorphism(wit)
+        # the probe's outcome is the public search's, nodes included
+        del calls[:]
+        out = reeb.search_certificate(g, h, Fraction(1, 8))
+        assert len(calls) == 1
+        probe, gate = interleave._probe(g, h, Fraction(1, 8), 200_000)
+        assert probe.status == out.status == "found" and probe.nodes == out.nodes
+        assert reeb.morphism_equal(gate, wit)
+
     def test_refutes_line_versus_loop(self):
         assert reeb.quantified_iso_check(reeb.line(0, 1), reeb.loop(0, 1)) is None
         assert reeb.quantified_iso_check(reeb.fork(), reeb.line(-1, 1)) is None
 
     def test_interleaved_without_an_isomorphism_names_the_probe(self, monkeypatch):
-        monkeypatch.setattr(interleave, "search_certificate",
-                            lambda f, g, eps, budget: interleave.SearchOutcome(
-                                "found", None, eps, 0))
+        monkeypatch.setattr(interleave, "_probe",
+                            lambda f, g, eps, budget: (interleave.SearchOutcome(
+                                "found", None, eps, 0), None))
         with pytest.raises(reeb.InternalError, match=re.escape(
                 "interleaved at radius 1/8, below the gap threshold,")):
             reeb.quantified_iso_check(reeb.line(0, 1), reeb.loop(0, 1))

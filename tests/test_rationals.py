@@ -50,7 +50,9 @@ def fraction_reading(token):
     """What parse_rational returned before its integer fast path:
     Fraction(str) on the stripped token, its errors as ParseError, once a
     token ending in an exponent beyond EXPONENT_LIMIT in magnitude is
-    refused (Fraction would build the whole power of ten)."""
+    refused (Fraction would build the whole power of ten), and a value
+    whose numerator or denominator has more than EXPONENT_LIMIT digits
+    is refused (it could not be written back)."""
     token = token.strip()
     if not token:
         raise ParseError("empty rational token")
@@ -59,7 +61,11 @@ def fraction_reading(token):
         if e and re.fullmatch(r"[-+]?\d+(_\d+)*", exp) and abs(int(exp)) > EXPONENT_LIMIT:
             raise ParseError(f"bad rational token {token!r}: exponent beyond "
                              f"{EXPONENT_LIMIT} in magnitude")
-        return Fraction(token)
+        value = Fraction(token)
+        if max(abs(value.numerator), value.denominator) >= 10 ** EXPONENT_LIMIT:
+            raise ParseError(f"bad rational token {token!r}: more than "
+                             f"{EXPONENT_LIMIT} digits")
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational token {token!r}: {exc}") from None
 
@@ -108,6 +114,15 @@ def test_format_rational():
 
 def test_format_rational_takes_ints_as_they_are():
     assert format_rational(7) == "7" and format_rational(-2) == "-2"
+
+
+@pytest.mark.parametrize("value,digits", [
+    (Fraction(10 ** 4300), 4301), (Fraction(1, 7 * 10 ** 4300), 4301),
+    (-(10 ** 5000), 5001)], ids=["numerator", "denominator", "int"])
+def test_a_value_too_long_to_write_names_its_digit_count(value, digits):
+    with pytest.raises(ValidationError) as info:
+        format_rational(value)
+    assert str(info.value) == f"value of {digits} digits is too long to write as text"
 
 
 def test_scaled_puts_rationals_on_integers_over_their_common_denominator():

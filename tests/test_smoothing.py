@@ -314,6 +314,32 @@ def test_sweep_matches_naive_on_a_long_chorded_path(eps):
     assert morphism_equal(sweep.zeta, naive.zeta)
 
 
+def chorded_band(rng, n):
+    """A path of n vertices, vertex i at i plus a random quarter, with
+    about n/2 chords each rising 2 to 4 steps: split chords put several
+    segments in one slot."""
+    verts = {f"a{i}": i + Fraction(rng.randrange(4), 4) for i in range(n)}
+    edges = [(f"p{i}", f"a{i}", f"a{i + 1}") for i in range(n - 1)]
+    for k in range(n // 2):
+        i = rng.randrange(n - 2)
+        edges.append((f"c{k}", f"a{i}", f"a{min(n - 1, i + rng.randint(2, 4))}"))
+    return build_rgraph(verts, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["3/2", "span/5"]))
+def test_sweep_matches_naive_on_chorded_bands(seed, radius):
+    rng = random.Random(seed)
+    g = chorded_band(rng, rng.randint(4, 40))
+    span = g.criticals[-1] - g.criticals[0]
+    eps = Fraction(3, 2) if radius == "3/2" else span / 5
+    sweep = smooth_sweep(g, eps)
+    naive = smooth_naive(g, eps)
+    assert emit_rgraph(sweep.smoothed) == emit_rgraph(naive.smoothed)
+    assert sweep.provenance == naive.provenance
+    assert morphism_equal(sweep.zeta, naive.zeta)
+
+
 @pytest.mark.parametrize("eps,graph_sha,zeta_sha,provenance_sha", [
     (Fraction(3, 2),
      "6e4fb6165457bb7d3246217af403c9fb4fbc7c69240aff7f792dad3dd27ee17e",
