@@ -20,10 +20,10 @@ from .fileio import (ComplexReeb, SimplicialField, emit_field, emit_morphism,
                      emit_rgraph, export_dot, parse_field, parse_morphism,
                      parse_rgraph, reeb_of_complex)
 from .interleave import (Certificate, DistanceBracket, Refutation,
-                         SearchOutcome, build_certificate,
-                         compose_certificates, contract_certificate,
-                         distance_bracket, finite_distance,
-                         lift_certificate, quantified_iso_check,
+                         SearchOutcome, compose_certificates,
+                         contract_certificate, distance_bracket,
+                         finite_distance, lift_certificate,
+                         quantified_iso_check,
                          search_certificate, self_certificate,
                          smoothing_certificate, stability_certificate,
                          verify_certificate, verify_refutation)

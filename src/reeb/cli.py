@@ -13,7 +13,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .cosheaf import evaluate, interval, reeb_cosheaf
+from .cosheaf import EMPTY_INTERVAL, Interval, evaluate, interval, reeb_cosheaf
 from .core import validate
 from .errors import BudgetExceeded, InternalError, ParseError, ReebError
 from .fileio import (emit_morphism, emit_rgraph, export_dot, parse_field,
@@ -36,10 +36,14 @@ def _graph(path: str):
     return parse_rgraph(_read(path))
 
 
-def _bound(token: str):
-    if token in ("inf", "-inf", "*"):
-        return None
-    return parse_rational(token)
+def _interval(lo: str, hi: str) -> Interval:
+    """The open interval between two bounds. `*`, and the infinity on a
+    bound's own side, leave that end unbounded; `inf` as the lower bound
+    or `-inf` as the upper leaves nothing between them."""
+    lo_v, hi_v = (None if t in ("inf", "-inf", "*") else parse_rational(t) for t in (lo, hi))
+    if lo == "inf" or hi == "-inf":
+        return EMPTY_INTERVAL
+    return interval(lo_v, hi_v)
 
 
 class _UsageError(Exception):
@@ -130,7 +134,7 @@ def _run(args, out) -> int:
     if args.command == "cosheaf-eval":
         g = _graph(args.file)
         F = reeb_cosheaf(g)
-        for elt in evaluate(F, interval(_bound(args.lo), _bound(args.hi))):
+        for elt in evaluate(F, _interval(args.lo, args.hi)):
             cells: set[str] = set()
             for kind, i, x in elt:
                 if kind == "v":

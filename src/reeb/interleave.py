@@ -2,8 +2,9 @@
 
 A certificate at radius eps consists of maps alpha: f -> smooth(g, eps)
 and beta: g -> smooth(f, eps) whose shifted round trips equal the
-canonical maps into the doubled smoothings. Verification recomputes the
-shifted composites and compares; search enumerates candidate maps
+canonical maps into the doubled smoothings. A certificate holds f, g,
+eps and the two maps; verification recomputes the four smoothings and
+the shifted composites and compares; search enumerates candidate maps
 levelwise over a common refinement, so an exhausted search soundly
 refutes the radius. Before any of that, a rank count on the two Reeb
 cosheaves refutes most radii with a witness `verify_refutation` re-checks.
@@ -14,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, product
 from math import prod
 
@@ -29,37 +31,32 @@ from .morphism import (RGraphMorphism, compose, identity, image_at, image_path,
                        refine_collapse, shift_compose, transport,
                        validate_morphism)
 from .rationals import as_radius, as_rational, format_rational, scaled
-from .smoothing import SmoothingResult, smooth
+from .smoothing import smooth
 
 
 @dataclass(frozen=True)
 class Certificate:
+    """An eps-interleaving of f and g. The smoothings it runs between are
+    functions of a graph and a radius, so it holds none of them."""
+    f: RGraph
+    g: RGraph
     epsilon: Fraction
     alpha: RGraphMorphism         # f -> smooth(g, epsilon)
     beta: RGraphMorphism          # g -> smooth(f, epsilon)
-    sm_f: SmoothingResult         # smooth(f, epsilon)
-    sm_g: SmoothingResult         # smooth(g, epsilon)
-    sm_f2: SmoothingResult        # smooth(f, 2 * epsilon)
-    sm_g2: SmoothingResult        # smooth(g, 2 * epsilon)
 
 
-def build_certificate(f: RGraph, g: RGraph, eps, alpha: RGraphMorphism,
-                      beta: RGraphMorphism) -> Certificate:
-    """Assemble the certificate record around given maps, computing the
-    four smoothings. No verification happens here."""
-    eps = as_rational(eps)
-    return Certificate(eps, alpha, beta,
-                       smooth(f, eps), smooth(g, eps),
-                       smooth(f, 2 * eps), smooth(g, 2 * eps))
+def _smoothings(f: RGraph, g: RGraph, eps: Fraction):
+    """The memo sm(d, k): S_{k eps} of graph d (0 for f, 1 for g), built
+    on first use and kept as long as the memo is."""
+    return cache(lambda d, k: smooth((f, g)[d], k * eps))
 
 
 def self_certificate(f: RGraph, eps) -> Certificate:
     """The certificate a graph always carries against itself: both maps
     are the canonical one into its smoothing."""
     eps = as_rational(eps)
-    sm = smooth(f, eps)
-    sm2 = smooth(f, 2 * eps)
-    return Certificate(eps, sm.zeta, sm.zeta, sm, sm, sm2, sm2)
+    zeta = smooth(f, eps).zeta
+    return Certificate(f, f, eps, zeta, zeta)
 
 
 def smoothing_certificate(f: RGraph, eps) -> Certificate:
@@ -69,63 +66,74 @@ def smoothing_certificate(f: RGraph, eps) -> Certificate:
     eps = as_rational(eps)
     sm = smooth(f, eps)
     g = sm.smoothed
-    sm_g = smooth(g, eps)
     return _verified("smoothing", Certificate(
-        eps, compose(sm.zeta, sm_g.zeta), identity(g), sm, sm_g,
-        smooth(f, 2 * eps), smooth(g, 2 * eps)))
+        f, g, eps, compose(sm.zeta, smooth(g, eps).zeta), identity(g)))
 
 
-def _verified(what: str, cert: Certificate) -> Certificate:
-    """The certificate, once `verify_certificate` accepts it; a rejection
-    is an internal error naming what kind of certificate failed."""
-    ok, msg = verify_certificate(cert)
+def _verified(what: str, cert: Certificate, sm=None) -> Certificate:
+    """The certificate, once `verify_certificate` accepts it, or, given
+    the memo sm it was built from, once the same checks accept it on sm's
+    smoothings; a rejection is an internal error naming what kind of
+    certificate failed."""
+    ok, msg = verify_certificate(cert) if sm is None else _check(cert, sm)
     if not ok:
         raise InternalError(f"{what} certificate failed verification: {msg}")
     return cert
 
 
 def verify_certificate(cert: Certificate) -> tuple[bool, str]:
-    """Check a certificate from scratch. Returns (ok, detail); on failure
-    the detail names the first reason, including the first cell where a
+    """Check a certificate from scratch, smoothing f and g at eps and 2 eps
+    itself. Returns (ok, detail); on failure the detail names the first
+    reason, including the first cell where a map leaves its graphs or a
     round trip leaves the canonical map."""
     eps = cert.epsilon
-    f = cert.sm_f.source
-    g = cert.sm_g.source
-    if (cert.sm_f.epsilon != eps or cert.sm_g.epsilon != eps
-            or cert.sm_f2.epsilon != 2 * eps or cert.sm_g2.epsilon != 2 * eps):
-        return False, "smoothing radii do not match the certificate's epsilon"
-    if cert.sm_f2.source != f or cert.sm_g2.source != g:
-        return False, "doubled smoothings taken over different graphs"
-    for name in ("sm_f", "sm_g", "sm_f2", "sm_g2"):
-        sm = getattr(cert, name)
-        n, where = len(sm.source.criticals), f"{name} at radius {format_rational(sm.epsilon)}"
-        _, (r, *xs) = scaled((sm.epsilon, *sm.source.criticals, *sm.smoothed.criticals))
-        if xs[n:] != sorted({*(s - r for s in xs[:n]), *(s + r for s in xs[:n])}):
-            return False, f"{where}: its criticals are not its source's moved by -r and +r"
-        if sm.zeta.source != sm.source or sm.zeta.target != sm.smoothed:
-            return False, f"{where}: zeta does not run from its source to its smoothed graph"
-    if cert.alpha.source != f or cert.alpha.target != cert.sm_g.smoothed:
-        return False, "alpha does not run from the source graph into the smoothed target"
-    if cert.beta.source != g or cert.beta.target != cert.sm_f.smoothed:
-        return False, "beta does not run from the target graph into the smoothed source"
-    rep = validate_morphism(cert.alpha)
-    if not rep.ok:
-        return False, "alpha is not a morphism: " + rep.violations[0]
-    rep = validate_morphism(cert.beta)
-    if not rep.ok:
-        return False, "beta is not a morphism: " + rep.violations[0]
-    for first, moved, src, mid, total, through in (
-            ("alpha", "beta", "sm_g", "sm_f", "sm_f2", "target"),
-            ("beta", "alpha", "sm_f", "sm_g", "sm_g2", "source")):
-        try:
-            shifted = shift_compose(*(getattr(cert, a) for a in (moved, src, mid, total)))
-        except InternalError as exc:
-            return False, f"{moved} does not shift from {src} through {mid} into {total}: {exc}"
-        diff = morphism_first_difference(compose(getattr(cert, first), shifted),
-                                         getattr(cert, total).zeta)
+    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+        return False, f"the radius {eps!r} is not an int or a Fraction"
+    if eps < 0:
+        return False, f"the radius {format_rational(eps)} is negative"
+    return _check(cert, _smoothings(cert.f, cert.g, eps))
+
+
+def _check(cert: Certificate, sm) -> tuple[bool, str]:
+    """`verify_certificate`'s checks on a nonnegative radius, reading
+    S_{k eps} of graph d (0 for f, 1 for g) from the memo sm(d, k)."""
+    graphs, maps = (cert.f, cert.g), (cert.alpha, cert.beta)
+    for d, name in enumerate(("alpha", "beta")):
+        own, into = "fg"[d], f"S_eps {'gf'[d]}"
+        if maps[d].source != graphs[d]:
+            return False, (f"{name} does not run from {own}: "
+                           + _misplaced(maps[d].source, graphs[d], "its source", own))
+        target = sm(1 - d, 1).smoothed
+        if maps[d].target != target:
+            return False, (f"{name} does not run into {into} at epsilon = "
+                           f"{format_rational(cert.epsilon)}: "
+                           + _misplaced(maps[d].target, target, "its target", into))
+        rep = validate_morphism(maps[d])
+        if not rep.ok:
+            return False, f"{name} is not a morphism: " + rep.violations[0]
+    # graph d's round trip is its own map followed by the other one shifted
+    for d, through in ((0, "target"), (1, "source")):
+        shifted = shift_compose(maps[1 - d], sm(1 - d, 1), sm(d, 1), sm(d, 2))
+        diff = morphism_first_difference(compose(maps[d], shifted), sm(d, 2).zeta)
         if diff is not None:
             return False, f"round trip through the {through} leaves the canonical map: {diff}"
     return True, "ok"
+
+
+def _misplaced(a: RGraph, b: RGraph, a_name: str, b_name: str) -> str:
+    """Where graph a departs from graph b: the first cell, of a in level
+    then slot order and then of b, that the other graph lacks or places
+    elsewhere (a vertex at another value, an edge between other ends),
+    or else their criticals."""
+    for g, h, gn, hn in ((a, b, a_name, b_name), (b, a, b_name, a_name)):
+        for v in g.vertex_ids:
+            if v not in h.vertex_level or h.value(v) != g.value(v):
+                return f"{gn} has vertex {v!r} at {format_rational(g.value(v))}, {hn} does not"
+        for e in g.edge_ids:
+            if e not in h.edge_slot or h.endpoints(e) != g.endpoints(e):
+                lo, hi = g.endpoints(e)
+                return f"{gn} has edge {e!r} from {lo!r} to {hi!r}, {hn} does not"
+    return f"{a_name} and {b_name} have different criticals"
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +180,6 @@ class _Ranks:
         self.last = len(self.at) - 1
         self.before = [0, *accumulate(map(len, self.at))]   # cells before each position
         self._uf = RollbackUnionFind(len(num), groups)
-        self._held = (0, 0)                  # the range whose links _uf holds
 
     def span(self, lo, hi, r: int) -> tuple[int, int]:
         """The first and last doubled positions that (lo - r, hi + r) meets;
@@ -191,9 +198,7 @@ class _Ranks:
         `small` into that on range `big`; image(r, r) counts the value on r.
         Over `big`, an edge joins those of its endpoints in the range."""
         uf = self._uf
-        if big != self._held:
-            self._held = big
-            uf.slide(*big)
+        uf.slide(*big)      # returns at once on a run of checks on one range
         if small == big:    # each union that merged two classes removes one
             return self.cells(big) - len(uf.undo)
         return len({uf.find(c) for cells in self.at[small[0]:small[1] + 1] for c in cells})
@@ -458,15 +463,8 @@ def _probe(f: RGraph, g: RGraph, eps,
         if not ok:
             raise InternalError("rank refutation failed verification: " + msg)
         return SearchOutcome("exhausted", None, eps, 0, ref), None
-    built: dict = {}
-
-    def sm(d, k):
-        # S_{k eps} of graph d (0 for f, 1 for g), built on first use: the
-        # first enumeration, where most budget probes end, reads only sm(1, 1)
-        if (d, k) not in built:
-            built[d, k] = smooth((f, g)[d], k * eps)
-        return built[d, k]
-
+    # the first enumeration, where most budget probes end, reads only sm(1, 1)
+    sm = _smoothings(f, g, eps)
     try:
         # an isomorphism interleaves at every radius; take that exit before
         # enumerating maps, since the witness assembles into a certificate
@@ -479,7 +477,7 @@ def _probe(f: RGraph, g: RGraph, eps,
         return SearchOutcome("budget", None, eps, meter.nodes), None
     if pair is None:
         return SearchOutcome("exhausted", None, eps, meter.nodes), None
-    cert = _verified("found", Certificate(eps, *pair, sm(0, 1), sm(1, 1), sm(0, 2), sm(1, 2)))
+    cert = _verified("found", Certificate(f, g, eps, *pair), sm)
     return SearchOutcome("found", cert, eps, meter.nodes), wit
 
 
@@ -569,23 +567,23 @@ def lift_certificate(cert: Certificate, eps2) -> Certificate:
         raise ValidationError("can only lift to a radius at least the current one")
     if delta == 0:
         return cert
-    return compose_certificates(cert, self_certificate(cert.sm_g.source, delta))
+    return compose_certificates(cert, self_certificate(cert.g, delta))
 
 
 def compose_certificates(c1: Certificate, c2: Certificate) -> Certificate:
     """Chain a certificate between f and g at radius e1 with one between
     g and h at radius e2 into one between f and h at radius e1 + e2. The
     result is verified before it is returned."""
-    if c1.sm_g.source != c2.sm_f.source:
+    if c1.g != c2.f:
         raise ValidationError("certificates do not share their middle graph")
-    f = c1.sm_f.source
-    h = c2.sm_g.source
-    e = c1.epsilon + c2.epsilon
-    sm_f, sm_h = smooth(f, e), smooth(h, e)
-    alpha = compose(c1.alpha, shift_compose(c2.alpha, c1.sm_g, c2.sm_g, sm_h))
-    beta = compose(c2.beta, shift_compose(c1.beta, c2.sm_f, c1.sm_f, sm_f))
-    return _verified("composed", Certificate(
-        e, alpha, beta, sm_f, sm_h, smooth(f, 2 * e), smooth(h, 2 * e)))
+    f, g, h = c1.f, c1.g, c2.g
+    e1, e2 = c1.epsilon, c2.epsilon
+    # c2's alpha shifts from S_e1 g, c1's beta from S_e2 g
+    alpha = compose(c1.alpha, shift_compose(c2.alpha, smooth(g, e1), smooth(h, e2),
+                                            smooth(h, e1 + e2)))
+    beta = compose(c2.beta, shift_compose(c1.beta, smooth(g, e2), smooth(f, e1),
+                                          smooth(f, e1 + e2)))
+    return _verified("composed", Certificate(f, h, e1 + e2, alpha, beta))
 
 
 def contract_certificate(cert: Certificate, delta) -> Certificate:
@@ -593,23 +591,18 @@ def contract_certificate(cert: Certificate, delta) -> Certificate:
     between their delta-smoothings. The result is verified before it is
     returned."""
     delta = as_radius(delta, "smoothing")
-    eps = cert.epsilon
-    f, g = cert.sm_f.source, cert.sm_g.source
-    sm_f_d, sm_g_d = smooth(f, delta), smooth(g, delta)
-    total_f, total_g = smooth(f, eps + delta), smooth(g, eps + delta)
-    sm_f, sm_g = smooth(sm_f_d.smoothed, eps), smooth(sm_g_d.smoothed, eps)
+    eps, graphs, maps = cert.epsilon, (cert.f, cert.g), (cert.alpha, cert.beta)
+    near = [smooth(x, delta) for x in graphs]
+    total = [smooth(x, eps + delta) for x in graphs]
     # alpha shifts to S_delta f -> S_{eps+delta} g, and the inverse of the
     # shifted identity S_eps S_delta g -> S_{eps+delta} g carries it on
     # into S_eps S_delta g; beta likewise
-    back_f = shift_compose(identity(sm_f_d.smoothed), sm_f, sm_f_d, total_f)
-    back_g = shift_compose(identity(sm_g_d.smoothed), sm_g, sm_g_d, total_g)
-    alpha = compose(shift_compose(cert.alpha, sm_f_d, cert.sm_g, total_g),
-                    invert_isomorphism(back_g))
-    beta = compose(shift_compose(cert.beta, sm_g_d, cert.sm_f, total_f),
-                   invert_isomorphism(back_f))
-    return _verified("contracted", Certificate(
-        eps, alpha, beta, sm_f, sm_g,
-        smooth(sm_f_d.smoothed, 2 * eps), smooth(sm_g_d.smoothed, 2 * eps)))
+    back = [invert_isomorphism(shift_compose(identity(sm.smoothed), smooth(sm.smoothed, eps),
+                                             sm, tot)) for sm, tot in zip(near, total)]
+    alpha, beta = (compose(shift_compose(maps[d], near[d], smooth(graphs[1 - d], eps),
+                                         total[1 - d]), back[1 - d]) for d in (0, 1))
+    return _verified("contracted", Certificate(near[0].smoothed, near[1].smoothed,
+                                               eps, alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +636,7 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
     gf, segf, split_f = _build(verts_f, oriented_f, ())
     gg, segg, split_g = _build(verts_g, oriented_g, ())
     red_f, red_g = reduce(gf), reduce(gg)
-    sm_f_red, sm_g_red = smooth(red_f.graph, eps), smooth(red_g.graph, eps)
+    near_f, near_g = smooth(red_f.graph, eps), smooth(red_g.graph, eps)
 
     def whole_edge_images(src, src_seg, src_splits, dst_seg, dst_splits, red):
         """Each cell of input edge e has all of e in the other graph, its
@@ -661,12 +654,10 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
                 for x in (*src.vertex_ids, *src.edge_ids)}, None, None
 
     alpha = compose(reduce_embed(gf, red_f), transport(
-        gf, whole_edge_images(gf, segf, split_f, segg, split_g, red_g), sm_g_red))
+        gf, whole_edge_images(gf, segf, split_f, segg, split_g, red_g), near_g))
     beta = compose(reduce_embed(gg, red_g), transport(
-        gg, whole_edge_images(gg, segg, split_g, segf, split_f, red_f), sm_f_red))
-    return _verified("stability", Certificate(
-        eps, alpha, beta, sm_f_red, sm_g_red,
-        smooth(red_f.graph, 2 * eps), smooth(red_g.graph, 2 * eps)))
+        gg, whole_edge_images(gg, segg, split_g, segf, split_f, red_f), near_f))
+    return _verified("stability", Certificate(red_f.graph, red_g.graph, eps, alpha, beta))
 
 
 # ---------------------------------------------------------------------------

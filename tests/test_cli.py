@@ -148,6 +148,26 @@ class TestCosheafEval:
     def test_negative_bounds_need_no_separator(self, files, lo, hi, want):
         assert run("cosheaf-eval", files["loop"], lo, hi) == (0, want, "")
 
+    @pytest.mark.parametrize("lo,hi", [
+        ("inf", "1/2"), ("1/2", "-inf"), ("inf", "inf"), ("-inf", "-inf"),
+        ("inf", "*"), ("*", "-inf"), ("inf", "-inf"),
+    ])
+    def test_an_infinity_on_the_far_side_is_an_empty_interval(self, files, lo, hi):
+        # (inf, 1/2) and (1/2, -inf) hold no point, like (2, 1)
+        assert run("cosheaf-eval", files["line"], lo, hi) == (0, "", "")
+        assert run("cosheaf-eval", files["line"], "2", "1") == (0, "", "")
+
+    @pytest.mark.parametrize("lo,hi,want", [
+        ("*", "1/2", "e0 v0\n"), ("1/2", "*", "e0 v1\n"),
+        ("-inf", "1/2", "e0 v0\n"), ("1/2", "inf", "e0 v1\n"),
+    ])
+    def test_star_and_the_near_infinity_are_unbounded(self, files, lo, hi, want):
+        assert run("cosheaf-eval", files["line"], lo, hi) == (0, want, "")
+
+    def test_an_empty_interval_still_reads_both_bounds(self, files):
+        code, out, err = run("cosheaf-eval", files["line"], "inf", "x")
+        assert (code, out) == (1, "") and "bad rational token 'x'" in err
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv", [

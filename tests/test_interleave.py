@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import islice, product
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,16 +63,31 @@ class TestVerify:
         assert not ok
         assert "epsilon" in msg
 
-    def test_verify_names_a_relabelled_smoothing_record(self):
+    @pytest.mark.parametrize("eps, named", [
+        (Fraction(-1, 4), "the radius -1/4 is negative"),
+        (-1, "the radius -1 is negative"),
+        (0.25, "the radius 0.25 is not an int or a Fraction"),
+        ("1/4", "the radius '1/4' is not an int or a Fraction"),
+        (True, "the radius True is not an int or a Fraction"),
+    ])
+    def test_verify_rejects_a_bad_radius_by_name(self, eps, named):
         cert = reeb.self_certificate(reeb.loop(0, 1), Fraction(1, 4))
-        ok, msg = reeb.verify_certificate(relabelled(cert, Fraction(1, 8)))
-        assert (ok, msg) == (False, "sm_f at radius 1/8: its criticals are not "
-                             "its source's moved by -r and +r")
-        bad = dataclasses.replace(
-            cert, sm_g2=dataclasses.replace(cert.sm_g2, zeta=cert.sm_g.zeta))
+        assert reeb.verify_certificate(dataclasses.replace(cert, epsilon=eps)) == (False, named)
+
+    def test_a_certificate_is_its_graphs_radius_and_maps(self):
+        assert [fd.name for fd in dataclasses.fields(Certificate)] == \
+            ["f", "g", "epsilon", "alpha", "beta"]
+
+    def test_verify_names_the_cell_of_a_wrong_target(self):
+        cert = reeb.self_certificate(reeb.loop(0, 1), Fraction(1, 4))
+        bad = dataclasses.replace(cert, epsilon=Fraction(1, 8))
         assert reeb.verify_certificate(bad) == (
-            False, "sm_g2 at radius 1/2: zeta does not run from its source to "
-            "its smoothed graph")
+            False, "alpha does not run into S_eps g at epsilon = 1/8: its target has "
+            "vertex 'v(0;v0)' at -1/4, S_eps g does not")
+        bad = dataclasses.replace(cert, f=reeb.line(0, 1))
+        assert reeb.verify_certificate(bad) == (
+            False, "alpha does not run from f: its source has edge 'e1' from 'v0' "
+            "to 'v1', f does not")
 
     def test_verify_catches_misdirected_map(self):
         out = reeb.search_certificate(reeb.line(0, 1), reeb.loop(0, 1), Fraction(1, 4))
@@ -334,22 +350,23 @@ class TestCertificateAlgebra:
         ok, msg = reeb.verify_certificate(shrunk)
         assert ok, msg
 
-    def test_contract_and_compose_reuse_the_smoothings_they_hold(self, monkeypatch):
-        # contraction smooths f and g at delta and eps + delta, their
-        # delta-smoothings at eps and 2 eps; composition f and h at the
-        # summed radius and its double
+    def test_contract_and_compose_smooth_then_verify(self, monkeypatch):
+        # contraction smooths f and g at eps, delta and eps + delta and
+        # their delta-smoothings at eps; composition g at both radii, f
+        # and h at their own and the sum; the verifier then smooths the
+        # result's two graphs at its radius and its double
         calls = []
         sweep = reeb.smoothing.smooth_sweep
         monkeypatch.setattr(reeb.smoothing, "smooth_sweep",
                             lambda g, eps: calls.append(eps) or sweep(g, eps))
         cert = loop_certificate()
-        mid = reeb.self_certificate(cert.sm_g.source, Fraction(1, 7))
+        mid = reeb.self_certificate(cert.g, Fraction(1, 7))
         del calls[:]
         reeb.contract_certificate(cert, Fraction(1, 10))
-        assert len(calls) == 8
+        assert len(calls) == 8 + 4
         del calls[:]
         reeb.compose_certificates(cert, mid)
-        assert len(calls) == 4
+        assert len(calls) == 6 + 4
 
     def test_a_probe_smooths_only_what_its_outcome_reads(self, monkeypatch):
         # a rank refutation smooths nothing; the doubled smoothings wait
@@ -369,11 +386,9 @@ class TestCertificateAlgebra:
         del calls[:]
         out = reeb.search_certificate(line, loop, Fraction(1, 4))
         assert out.status == "found"
+        # the probe's own check reads the smoothings it built
         assert sorted(calls) == [Fraction(1, 4)] * 2 + [Fraction(1, 2)] * 2
-        for sm, g in ((out.certificate.sm_f2, line), (out.certificate.sm_g2, loop)):
-            want = reeb.smooth(g, Fraction(1, 2))
-            assert (sm.source, sm.epsilon, sm.smoothed, sm.zeta, dict(sm.provenance)) == \
-                (g, want.epsilon, want.smoothed, want.zeta, dict(want.provenance))
+        assert reeb.verify_certificate(out.certificate) == (True, "ok")
 
     def test_rank_refuted_probe_builds_no_cosheaf(self, monkeypatch):
         def forbidden(g):
@@ -394,7 +409,7 @@ class TestCertificateAlgebra:
 
     def test_compose_with_a_radius_zero_certificate_on_either_side(self):
         cert = loop_certificate()
-        f, g = cert.sm_f.source, cert.sm_g.source
+        f, g = cert.f, cert.g
         for c1, c2 in ((reeb.self_certificate(f, 0), cert),
                        (cert, reeb.self_certificate(g, 0)),
                        (reeb.self_certificate(f, 0), reeb.self_certificate(f, 0))):
@@ -423,8 +438,7 @@ class TestCertificateAlgebra:
     ], ids=["smoothing", "lift", "compose", "contract", "stability", "search"])
     def test_every_verifying_constructor_verifies(self, monkeypatch, what, prepare):
         build = prepare()
-        monkeypatch.setattr(interleave, "verify_certificate",
-                            lambda cert: (False, "forced"))
+        monkeypatch.setattr(interleave, "_check", lambda cert, sm: (False, "forced"))
         with pytest.raises(reeb.InternalError,
                            match=f"^{what} certificate failed verification: forced$"):
             build()
@@ -710,35 +724,95 @@ def test_rank_counts_match_the_cosheaf_route(seed, shape):
         assert reeb.verify_refutation(f, g, ref)[0] == (counts[0] > counts[1])
 
 
-def relabelled(cert, r):
-    """The certificate with its radius and every smoothing record's radius
-    replaced, r for the single and 2r for the doubled ones."""
-    def at(sm, radius):
-        return dataclasses.replace(sm, epsilon=radius)
-    return dataclasses.replace(cert, epsilon=r, sm_f=at(cert.sm_f, r), sm_g=at(cert.sm_g, r),
-                               sm_f2=at(cert.sm_f2, 2 * r), sm_g2=at(cert.sm_g2, 2 * r))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1),
-       st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]))
-def test_relabelled_certificates_are_rejected_and_never_raise(seed, factor):
-    # the stability certificate of a seeded pair, and the one the search
-    # finds at the same radius; relabelled to a smaller radius, each must
-    # be rejected by name. A graph here has at least one vertex, so a
-    # record's criticals fix its radius
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4).map(lambda n: Fraction(n, 4)))
+def test_every_constructor_verifies_from_scratch(seed, r):
+    # a seeded stability pair's certificate at its radius delta, and what
+    # each other constructor builds from it: the search at delta (if it
+    # finds one within 300 nodes), f's self and smoothing certificates at
+    # r, the composition with g's self certificate at r, the lift to
+    # delta + r and the contraction by r. The public verifier smooths for
+    # itself and reads no field but the five
     edges, fv, gv = reeb.random_stability_pair(random.Random(seed),
                                                max_vertices=5, max_edges=6)
     cert = reeb.stability_certificate(edges, fv, gv)
-    out = reeb.search_certificate(cert.sm_f.source, cert.sm_g.source, cert.epsilon,
-                                  budget=300)
-    for c in (cert, out.certificate):
-        if c is None or c.epsilon == 0:
+    found = reeb.search_certificate(cert.f, cert.g, cert.epsilon, budget=300).certificate
+    for c in (cert, found, reeb.self_certificate(cert.f, r), reeb.smoothing_certificate(cert.f, r),
+              reeb.compose_certificates(cert, reeb.self_certificate(cert.g, r)),
+              reeb.lift_certificate(cert, cert.epsilon + r), reeb.contract_certificate(cert, r)):
+        if c is not None:
+            bare = SimpleNamespace(f=c.f, g=c.g, epsilon=c.epsilon, alpha=c.alpha, beta=c.beta)
+            assert reeb.verify_certificate(bare) == (True, "ok")
+
+
+def redirected(m):
+    """m with one image moved to another cell of the same level or slot of
+    its target, for every such move: (whether the move breaks m as a
+    morphism, the moved map). A vertex with edges at it, or an edge piece
+    moved to an edge between other ends, breaks it; a move onto a parallel
+    edge, or of an isolated vertex, keeps it a morphism."""
+    src, tgt = m.source, m.target
+    for v, (kind, c) in m.vertex_map.items():
+        cells = (tgt.levels[tgt.vertex_level[c]] if kind == "vertex"
+                 else tgt.slots[tgt.edge_slot[c]])
+        for c2 in cells:
+            if c2 != c:
+                breaks = bool(src.below_edges[v] or src.above_edges[v])
+                yield breaks, dataclasses.replace(
+                    m, vertex_map={**m.vertex_map, v: (kind, c2)})
+    for e, path in m.edge_map.items():
+        for i, c in enumerate(path):
+            for c2 in tgt.slots[tgt.edge_slot[c]]:
+                if c2 != c:
+                    new = (*path[:i], c2, *path[i + 1:])
+                    breaks = tgt.endpoints(c2) != tgt.endpoints(c)
+                    yield breaks, dataclasses.replace(m, edge_map={**m.edge_map, e: new})
+
+
+def round_trips_hold(cert):
+    """Both round trips, each map shifted by `smooth_morphism` and the
+    iterated-smoothing witness instead of `shift_compose`."""
+    eps = cert.epsilon
+    for x, y, a in ((cert.alpha, cert.beta, cert.f), (cert.beta, cert.alpha, cert.g)):
+        cs = reeb.compose_smoothings(a, eps, eps)
+        shifted = reeb.compose(reeb.smooth_morphism(y, eps), cs.witness)
+        if not reeb.morphism_equal(reeb.compose(x, shifted), cs.total.zeta):
+            return False
+    return True
+
+
+NAMES_A_CELL = re.compile(r".*\b(vertex|edge) '[^']+'.*")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_mutated_alphas_are_rejected_by_cell_and_never_raise(seed):
+    # one alpha image redirected within its level or slot: a move that
+    # breaks the morphism is rejected naming a cell, and any other is
+    # accepted only if its round trips hold by the smooth_morphism route.
+    # alpha retargeted at the half-radius smoothing is rejected naming
+    # the first misplaced cell
+    edges, fv, gv = reeb.random_stability_pair(random.Random(seed),
+                                               max_vertices=5, max_edges=6)
+    cert = reeb.stability_certificate(edges, fv, gv)
+    found = reeb.search_certificate(cert.f, cert.g, cert.epsilon, budget=300).certificate
+    for c in (cert, found):
+        if c is None:
             continue
-        ok, msg = reeb.verify_certificate(relabelled(c, c.epsilon * factor))
-        assert not ok
-        assert re.fullmatch(r"sm_f at radius \S+: its criticals are not its "
-                            r"source's moved by -r and \+r", msg), msg
+        for breaks, alpha in redirected(c.alpha):
+            mutant = dataclasses.replace(c, alpha=alpha)
+            ok, msg = reeb.verify_certificate(mutant)
+            if ok:
+                assert not breaks and round_trips_hold(mutant)
+            else:
+                assert NAMES_A_CELL.fullmatch(msg), msg
+        if c.epsilon > 0:
+            half = reeb.smooth(c.g, c.epsilon / 2).smoothed
+            ok, msg = reeb.verify_certificate(
+                dataclasses.replace(c, alpha=dataclasses.replace(c.alpha, target=half)))
+            assert not ok
+            assert re.fullmatch(r"alpha does not run into S_eps g at epsilon = \S+: its target "
+                                r"has vertex '[^']+' at \S+, S_eps g does not", msg), msg
 
 
 @props
@@ -769,8 +843,7 @@ def test_stability_radius_is_never_refuted(seed, extra):
     edges, fv, gv = reeb.random_stability_pair(random.Random(seed),
                                                max_vertices=5, max_edges=6)
     cert = reeb.stability_certificate(edges, fv, gv)
-    f, g = cert.sm_f.source, cert.sm_g.source
-    assert _refute(f, g, cert.epsilon + Fraction(extra, 4)) is None
+    assert _refute(cert.f, cert.g, cert.epsilon + Fraction(extra, 4)) is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -782,7 +855,8 @@ def test_stability_maps_each_vertex_into_the_component_around_it(seed):
     edges, fv, gv = reeb.random_stability_pair(random.Random(seed),
                                                max_vertices=5, max_edges=6)
     cert = reeb.stability_certificate(edges, fv, gv)
-    for m, sm, values in ((cert.alpha, cert.sm_g, gv), (cert.beta, cert.sm_f, fv)):
+    for m, sm, values in ((cert.alpha, reeb.smooth(cert.g, cert.epsilon), gv),
+                          (cert.beta, reeb.smooth(cert.f, cert.epsilon), fv)):
         rising = [(e, a, b) if values[a] < values[b] else (e, b, a)
                   for e, (a, b) in edges.items()]
         dropped = reeb.reduce(reeb.build_rgraph(values, rising)).dropped_vertices
@@ -798,8 +872,8 @@ def test_lifting_only_grows_the_image_components(seed, extra):
                                                max_vertices=5, max_edges=6)
     cert = reeb.stability_certificate(edges, fv, gv)
     lifted = reeb.lift_certificate(cert, cert.epsilon + Fraction(extra, 4))
-    for old, new, sm, sm2 in ((cert.alpha, lifted.alpha, cert.sm_g, lifted.sm_g),
-                              (cert.beta, lifted.beta, cert.sm_f, lifted.sm_f)):
+    for old, new, x in ((cert.alpha, lifted.alpha, cert.g), (cert.beta, lifted.beta, cert.f)):
+        sm, sm2 = reeb.smooth(x, cert.epsilon), reeb.smooth(x, lifted.epsilon)
         for v in old.source.vertex_ids:
             assert (sm.provenance[old.vertex_map[v][1]]
                     <= sm2.provenance[new.vertex_map[v][1]])
@@ -837,7 +911,7 @@ def test_stability_outcomes_are_monotone_in_the_radius(seed):
     edges, fv, gv = reeb.random_stability_pair(random.Random(seed),
                                                max_vertices=5, max_edges=6)
     cert = reeb.stability_certificate(edges, fv, gv)
-    f, g, delta = cert.sm_f.source, cert.sm_g.source, cert.epsilon
+    f, g, delta = cert.f, cert.g, cert.epsilon
     statuses = [reeb.search_certificate(f, g, delta * k / 4, budget=50).status
                 for k in (1, 2, 3, 4, 6)]
     assert statuses[3] != "exhausted"
@@ -1204,42 +1278,3 @@ def test_filtered_bundles_keep_exactly_the_round_trips(probe):
             got = set() if table is None else {
                 reeb.emit_morphism(y) for y in _expand_table(side_b, bundle, table, budget)}
             assert got == want
-
-
-def provenance_drops(cert):
-    """The certificate with one member dropped from one provenance entry
-    of one smoothing record, for every such member: (record, entry,
-    whether the entry is left empty, certificate)."""
-    for name in ("sm_f", "sm_g", "sm_f2", "sm_g2"):
-        sm = getattr(cert, name)
-        for cell, members in sm.provenance.items():
-            for m in sorted(members):
-                prov = {**sm.provenance, cell: members - {m}}
-                yield name, cell, len(members) == 1, dataclasses.replace(
-                    cert, **{name: dataclasses.replace(sm, provenance=prov)})
-
-
-def test_forged_provenance_is_rejected_or_verified_never_raised():
-    # a shifted composite that cannot be formed rejects the certificate,
-    # naming the three records it goes through and the cell
-    cert = reeb.search_certificate(reeb.line(), reeb.loop(), Fraction(1, 4)).certificate
-    tally = {}
-    for name, cell, emptied, forged in provenance_drops(cert):
-        ok, msg = reeb.verify_certificate(forged)
-        tally[emptied, ok] = tally.get((emptied, ok), 0) + 1
-        if not ok:
-            m = re.fullmatch(r"(alpha|beta) does not shift from (sm_\w+) through "
-                             r"(sm_\w+) into (sm_\w+): (vertex|edge) '[^']+'.*", msg)
-            assert m and name in m.groups()[1:4], msg
-    # 37 drops leave their entry nonempty, 10 of them break a shift
-    assert tally == {(False, True): 27, (False, False): 10, (True, True): 4, (True, False): 7}
-
-
-def test_verified_raises_on_a_forged_search_certificate():
-    cert = reeb.search_certificate(reeb.line(), reeb.loop(), Fraction(1, 4)).certificate
-    forged = next(c for name, cell, _, c in provenance_drops(cert)
-                  if (name, cell) == ("sm_f2", "e(0;e0)"))
-    with pytest.raises(reeb.InternalError, match=r"^found certificate failed verification: "
-                       r"beta does not shift from sm_g through sm_f into sm_f2: "
-                       r"vertex 'v\(0;v0\)': witness cell '\w+' not tracked at slot 0$"):
-        interleave._verified("found", forged)

@@ -285,8 +285,8 @@ def shifted_zeta_law(g, r, s, cert):
     # for any m: A -> S_s B, the shifted composite is the smoothed map
     # followed by S_r S_s B -> S_{r+s} B
     m, sm_a = cert.alpha, smooth(cert.alpha.source, r)
-    cb = compose_smoothings(cert.sm_g.source, cert.epsilon, r)
-    assert morphism_equal(valid(shift_compose(m, sm_a, cert.sm_g, cb.total)),
+    cb = compose_smoothings(cert.g, cert.epsilon, r)
+    assert morphism_equal(valid(shift_compose(m, sm_a, cb.first, cb.total)),
                           compose(valid(smooth_morphism(m, r)),
                                   cb.witness))
 
