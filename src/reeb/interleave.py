@@ -64,18 +64,18 @@ def smoothing_certificate(f: RGraph, eps) -> Certificate:
     the canonical map applied twice, beta the identity. Verified before it
     is returned."""
     eps = as_rational(eps)
-    sm = smooth(f, eps)
-    g = sm.smoothed
+    g = smooth(f, eps).smoothed
+    sm = _smoothings(f, g, eps)
     return _verified("smoothing", Certificate(
-        f, g, eps, compose(sm.zeta, smooth(g, eps).zeta), identity(g)))
+        f, g, eps, compose(sm(0, 1).zeta, sm(1, 1).zeta), identity(g)), sm)
 
 
-def _verified(what: str, cert: Certificate, sm=None) -> Certificate:
-    """The certificate, once `verify_certificate` accepts it, or, given
-    the memo sm it was built from, once the same checks accept it on sm's
-    smoothings; a rejection is an internal error naming what kind of
-    certificate failed."""
-    ok, msg = verify_certificate(cert) if sm is None else _check(cert, sm)
+def _verified(what: str, cert: Certificate, sm) -> Certificate:
+    """The certificate, once `verify_certificate`'s checks accept it on
+    the smoothings of the memo sm it was built from, `_smoothings` of its
+    own f, g and radius; a rejection is an internal error naming what
+    kind of certificate failed."""
+    ok, msg = _check(cert, sm)
     if not ok:
         raise InternalError(f"{what} certificate failed verification: {msg}")
     return cert
@@ -578,12 +578,11 @@ def compose_certificates(c1: Certificate, c2: Certificate) -> Certificate:
         raise ValidationError("certificates do not share their middle graph")
     f, g, h = c1.f, c1.g, c2.g
     e1, e2 = c1.epsilon, c2.epsilon
+    sm = _smoothings(f, h, e1 + e2)
     # c2's alpha shifts from S_e1 g, c1's beta from S_e2 g
-    alpha = compose(c1.alpha, shift_compose(c2.alpha, smooth(g, e1), smooth(h, e2),
-                                            smooth(h, e1 + e2)))
-    beta = compose(c2.beta, shift_compose(c1.beta, smooth(g, e2), smooth(f, e1),
-                                          smooth(f, e1 + e2)))
-    return _verified("composed", Certificate(f, h, e1 + e2, alpha, beta))
+    alpha = compose(c1.alpha, shift_compose(c2.alpha, smooth(g, e1), smooth(h, e2), sm(1, 1)))
+    beta = compose(c2.beta, shift_compose(c1.beta, smooth(g, e2), smooth(f, e1), sm(0, 1)))
+    return _verified("composed", Certificate(f, h, e1 + e2, alpha, beta), sm)
 
 
 def contract_certificate(cert: Certificate, delta) -> Certificate:
@@ -594,15 +593,16 @@ def contract_certificate(cert: Certificate, delta) -> Certificate:
     eps, graphs, maps = cert.epsilon, (cert.f, cert.g), (cert.alpha, cert.beta)
     near = [smooth(x, delta) for x in graphs]
     total = [smooth(x, eps + delta) for x in graphs]
+    sm = _smoothings(near[0].smoothed, near[1].smoothed, eps)
     # alpha shifts to S_delta f -> S_{eps+delta} g, and the inverse of the
     # shifted identity S_eps S_delta g -> S_{eps+delta} g carries it on
     # into S_eps S_delta g; beta likewise
-    back = [invert_isomorphism(shift_compose(identity(sm.smoothed), smooth(sm.smoothed, eps),
-                                             sm, tot)) for sm, tot in zip(near, total)]
+    back = [invert_isomorphism(shift_compose(identity(near[d].smoothed), sm(d, 1),
+                                             near[d], total[d])) for d in (0, 1)]
     alpha, beta = (compose(shift_compose(maps[d], near[d], smooth(graphs[1 - d], eps),
                                          total[1 - d]), back[1 - d]) for d in (0, 1))
     return _verified("contracted", Certificate(near[0].smoothed, near[1].smoothed,
-                                               eps, alpha, beta))
+                                               eps, alpha, beta), sm)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +636,7 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
     gf, segf, split_f = _build(verts_f, oriented_f, ())
     gg, segg, split_g = _build(verts_g, oriented_g, ())
     red_f, red_g = reduce(gf), reduce(gg)
-    near_f, near_g = smooth(red_f.graph, eps), smooth(red_g.graph, eps)
+    sm = _smoothings(red_f.graph, red_g.graph, eps)
 
     def whole_edge_images(src, src_seg, src_splits, dst_seg, dst_splits, red):
         """Each cell of input edge e has all of e in the other graph, its
@@ -654,10 +654,10 @@ def stability_certificate(edges, f_values, g_values) -> Certificate:
                 for x in (*src.vertex_ids, *src.edge_ids)}, None, None
 
     alpha = compose(reduce_embed(gf, red_f), transport(
-        gf, whole_edge_images(gf, segf, split_f, segg, split_g, red_g), near_g))
+        gf, whole_edge_images(gf, segf, split_f, segg, split_g, red_g), sm(1, 1)))
     beta = compose(reduce_embed(gg, red_g), transport(
-        gg, whole_edge_images(gg, segg, split_g, segf, split_f, red_f), near_f))
-    return _verified("stability", Certificate(red_f.graph, red_g.graph, eps, alpha, beta))
+        gg, whole_edge_images(gg, segg, split_g, segf, split_f, red_f), sm(0, 1)))
+    return _verified("stability", Certificate(red_f.graph, red_g.graph, eps, alpha, beta), sm)
 
 
 # ---------------------------------------------------------------------------

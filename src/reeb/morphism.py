@@ -13,6 +13,7 @@ inversion work with.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,9 @@ def identity(g: RGraph) -> RGraphMorphism:
 
 
 def validate_morphism(phi: RGraphMorphism) -> ValidationReport:
+    """The ways phi fails to be a morphism, in a report; it never raises.
+    A vertex image must be ("vertex" | "edge", a str id), an edge image a
+    non-empty sequence of str ids; anything else is a malformed image."""
     bad: list[str] = []
     src, tgt = phi.source, phi.target
     src_vs, tgt_vs = set(src.vertex_ids), set(tgt.vertex_ids)
@@ -61,7 +65,8 @@ def validate_morphism(phi: RGraphMorphism) -> ValidationReport:
 
     for v in src.vertex_ids:
         img = phi.vertex_map[v]
-        if not (isinstance(img, tuple) and len(img) == 2 and img[0] in ("vertex", "edge")):
+        if not (isinstance(img, tuple) and len(img) == 2 and img[0] in ("vertex", "edge")
+                and isinstance(img[1], str)):
             bad.append(f"vertex {v!r}: malformed image {img!r}")
             continue
         kind, tid = img
@@ -85,6 +90,9 @@ def validate_morphism(phi: RGraphMorphism) -> ValidationReport:
 
     for e in src.edge_ids:
         path = phi.edge_map[e]
+        if not (isinstance(path, Sequence) and all(isinstance(p, str) for p in path)):
+            bad.append(f"edge {e!r}: malformed image {path!r}")
+            continue
         if not path:
             bad.append(f"edge {e!r}: empty path")
             continue

@@ -18,8 +18,8 @@ The sweep builds only the smoothed graph up front. It reads each name off
 the least cell a union-find root holds; it keeps, as integers, the least
 cell under each input vertex and under each input edge at each slot it
 meets, and names the canonical map from them on the first read of
-`zeta`; and it walks a component's members only when its provenance is
-first read.
+`zeta`; and it walks the members of each record's component, once, on
+the first read of `provenance`.
 
 At eps = 0 windows degenerate to points and the attach rule through
 window overlaps breaks down, so that case is a plain renaming of the
@@ -29,8 +29,8 @@ input.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -45,37 +45,32 @@ from .rationals import as_radius, scaled
 
 @dataclass(frozen=True)
 class SmoothingResult:
-    """The eps-smoothing of `source` with its canonical map.
-
-    `zeta` may be given unbuilt, as a function of no arguments that
-    returns it: the sweep does so, and the map is then built on the first
-    read of `zeta` and kept. The sweep's `provenance` walks each component
-    on its first read, and `position_index` is built on its first read."""
+    """The eps-smoothing of `source`: the smoothed graph, and, each built
+    on its first read and kept, the canonical map `zeta`, the
+    `provenance` and the `position_index`. The constructor takes the
+    functions of no arguments that build the map and the provenance;
+    equality compares the source, the radius and the smoothed graph."""
     source: RGraph
     epsilon: Fraction
     smoothed: RGraph
-    zeta: RGraphMorphism                 # the canonical map source -> smoothed
-    provenance: Mapping[str, frozenset]  # smoothed cell -> source cells it came from
+    _build_zeta: Callable[[], RGraphMorphism] = field(compare=False, repr=False)
+    _build_provenance: Callable[[], dict[str, frozenset]] = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if callable(self.zeta):
-            # set aside, so that the first read of `zeta` reaches __getattr__
-            self.__dict__["_build_zeta"] = self.__dict__.pop("zeta")
+    @cached_property
+    def zeta(self) -> RGraphMorphism:
+        """The canonical map source -> smoothed."""
+        return self._build_zeta()
 
-    def __getattr__(self, name: str):
-        # reached only for an attribute the instance does not hold
-        build = self.__dict__.get("_build_zeta") if name == "zeta" else None
-        if build is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__["zeta"] = zeta = build()
-        del self.__dict__["_build_zeta"]
-        return zeta
+    @cached_property
+    def provenance(self) -> dict[str, frozenset]:
+        """Smoothed cell -> the source cells it came from."""
+        return self._build_provenance()
 
     @cached_property
     def position_index(self) -> dict[tuple[int, str], str]:
         """(doubled position, source cell) -> the smoothed cell holding that
         source cell there; the doubled position is 2k on level k and 2j+1
-        on slot j. Built on first use, for window transport."""
+        on slot j. For window transport."""
         g = self.smoothed
         index = {}
         for pos, name in (*((2 * k, v) for v, k in g.vertex_level.items()),
@@ -104,7 +99,7 @@ def _relabel_zero(g: RGraph) -> SmoothingResult:
     zeta_e = {e: (n,) for e, n in ename.items()}
     smoothed = _assemble(g.criticals, levels, slots, down, up)
     zeta = RGraphMorphism(g, smoothed, zeta_v, zeta_e)
-    return SmoothingResult(g, Fraction(0), smoothed, zeta, provenance)
+    return SmoothingResult(g, Fraction(0), smoothed, lambda: zeta, lambda: provenance)
 
 
 def _span_positions(B, x: Fraction, y: Fraction) -> tuple[int, int]:
@@ -189,7 +184,7 @@ def smooth_naive(g: RGraph, eps: Fraction) -> SmoothingResult:
         j_start, j_end = _span_positions(B, x, y)
         zeta_e[e] = tuple(slot_lookup[j][e] for j in range(j_start, j_end + 1))
     zeta = RGraphMorphism(g, smoothed, zeta_v, zeta_e)
-    return SmoothingResult(g, eps, smoothed, zeta, provenance)
+    return SmoothingResult(g, eps, smoothed, lambda: zeta, lambda: provenance)
 
 
 def _walk(adjacent: list[list[tuple[int, int, int]]], start: int, pos: int) -> set[int]:
@@ -205,45 +200,31 @@ def _walk(adjacent: list[list[tuple[int, int, int]]], start: int, pos: int) -> s
     return seen
 
 
-class _Provenance(Mapping):
+def _provenance(where: dict[str, tuple[int, int]], cells: list[str],
+                groups: list, lifetimes: list) -> dict[str, frozenset]:
     """Smoothed cell -> the source cells of its window component, walked
-    over the sweep's link groups on first read. Each name holds its
-    doubled position and its least cell; the cells of one record hold the
-    same pair, so they share one walk and one frozenset."""
-
-    def __init__(self, where: dict[str, tuple[int, int]], cells: list[str],
-                 groups: list, lifetimes: list):
-        self._where, self._cells = where, cells
-        self._groups, self._lifetimes = groups, lifetimes
-        self._adjacent: list[list[tuple[int, int, int]]] | None = None
-        self._memo: dict[tuple[int, int], frozenset] = {}
-
-    def __getitem__(self, name: str) -> frozenset:
-        at = pos, key = self._where[name]
-        if at not in self._memo:
-            if self._adjacent is None:
-                self._adjacent = [[] for _ in self._cells]
-                for (first, last), group in zip(self._lifetimes, self._groups):
-                    for a, b in group:
-                        self._adjacent[a].append((first, last, b))
-                        self._adjacent[b].append((first, last, a))
-            members = _walk(self._adjacent, key, pos)
+    over the sweep's link groups. Each name holds its doubled position and
+    its least cell; the cells of one record hold the same pair, so they
+    share one walk and one frozenset."""
+    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in cells]
+    for (first, last), group in zip(lifetimes, groups):
+        for a, b in group:
+            adjacent[a].append((first, last, b))
+            adjacent[b].append((first, last, a))
+    walked: dict[tuple[int, int], frozenset] = {}
+    provenance = {}
+    for name, at in where.items():
+        if at not in walked:
+            pos, key = at
+            members = _walk(adjacent, key, pos)
             if min(members) != key:
                 raise InternalError(f"provenance of {name!r}, walked at "
                                     f"{'slot' if pos & 1 else 'level'} {pos >> 1}, "
-                                    f"reaches {self._cells[min(members)]!r} below "
-                                    f"{self._cells[key]!r}")
-            self._memo[at] = frozenset([self._cells[c] for c in members])
-        return self._memo[at]
-
-    def __contains__(self, name) -> bool:
-        return name in self._where
-
-    def __iter__(self):
-        return iter(self._where)
-
-    def __len__(self) -> int:
-        return len(self._where)
+                                    f"reaches {cells[min(members)]!r} below "
+                                    f"{cells[key]!r}")
+            walked[at] = frozenset([cells[c] for c in members])
+        provenance[name] = walked[at]
+    return provenance
 
 
 @dataclass(slots=True, eq=False)
@@ -455,7 +436,8 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
                 zeta_e[cells[x]].append(keyed_name("e", k, cells[m]))
         return RGraphMorphism(g, smoothed, zeta_v, {e: tuple(im) for e, im in zeta_e.items()})
 
-    return SmoothingResult(g, eps, smoothed, zeta, _Provenance(where, cells, groups, lifetimes))
+    return SmoothingResult(g, eps, smoothed, zeta,
+                           lambda: _provenance(where, cells, groups, lifetimes))
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,22 @@ class TestDistance:
         assert code == 0
         assert out == "lower 3/16\nupper 1/4\n"
 
+    def test_a_budget_run_out_while_bisecting_keeps_the_bracket(self, files):
+        # the probe at 2 is found within 9 nodes, the one at 1 too; the
+        # one at 1/2 runs out
+        code, out, _ = run("distance", files["line"], files["loop"],
+                           "--budget", "9", "--tol", "1/16")
+        assert (code, out) == (2, "lower 0\nupper 1\n")
+
+    def test_a_budget_run_out_above_the_diameter_leaves_no_upper_end(self, files):
+        code, out, _ = run("distance", files["line"], files["loop"], "--budget", "0")
+        assert (code, out) == (2, "lower 0\nupper ?\n")
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_a_nonpositive_tolerance_is_bad_input(self, files, tol):
+        assert run("distance", files["line"], files["loop"], "--tol", tol) == (
+            1, "", "error: tolerance must be positive\n")
+
     def test_infinite(self, files, tmp_path):
         two = tmp_path / "two.txt"
         two.write_text("vertex a 0\nvertex b 1\nvertex c 0\nedge e a b\n")

@@ -4,6 +4,7 @@ import io
 import random
 import sys
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +275,39 @@ class TestFieldFiles:
         with pytest.raises(ParseError) as info:
             reeb.parse_field(text)
         assert hint in str(info.value)
+
+    def test_a_closing_triangle_reads_alike_in_every_order_and_orientation(self, tmp_path):
+        # the sides of a 0 < b 1 < c 2 in all 6 orders, each side either way
+        # round: every one parses, and the Reeb graph's text is one text
+        texts = set()
+        for order in permutations([("ab", "a", "b"), ("bc", "b", "c"), ("ac", "a", "c")]):
+            for flips in product((False, True), repeat=3):
+                sides = [(e, y, x) if flip else (e, x, y) for (e, x, y), flip in zip(order, flips)]
+                text = "v a 0\nv b 1\nv c 2\n" + "".join(f"e {e} {x} {y}\n" for e, x, y in sides)
+                text += "t T " + " ".join(e for e, _, _ in sides) + "\n"
+                assert reeb.parse_field(text).triangles == {"T": tuple(e for e, _, _ in sides)}
+                path = tmp_path / "field.txt"
+                path.write_text(text)
+                out = io.StringIO()
+                assert cli.main(["reeb", str(path)], stdout=out) == 0
+                texts.add(out.getvalue())
+        assert len(texts) == 1
+
+    @pytest.mark.parametrize("sides", [
+        [("ab", "a", "b"), ("bc", "b", "c"), ("cd", "c", "d")],     # a path
+        [("ab", "a", "b"), ("ac", "a", "c"), ("ad", "a", "d")],     # a star
+        [("ab", "a", "b"), ("cd", "c", "d"), ("ac", "a", "c")],
+    ])
+    def test_a_triple_that_does_not_close_is_refused_in_every_order(self, sides):
+        for order in permutations(sides):
+            for flips in product((False, True), repeat=3):
+                oriented = [(e, y, x) if flip else (e, x, y)
+                            for (e, x, y), flip in zip(order, flips)]
+                text = "v a 0\nv b 1\nv c 2\nv d 3\n"
+                text += "".join(f"e {e} {x} {y}\n" for e, x, y in oriented)
+                text += "t T " + " ".join(e for e, _, _ in oriented) + "\n"
+                with pytest.raises(ParseError, match="'T' do not close up"):
+                    reeb.parse_field(text)
 
     def test_parallel_sides_do_not_close_up(self):
         # the six ends name exactly three vertices, but two sides join the

@@ -89,6 +89,19 @@ class TestVerify:
             False, "alpha does not run from f: its source has edge 'e1' from 'v0' "
             "to 'v1', f does not")
 
+    @pytest.mark.parametrize("part, cell, image", [
+        ("vertex_map", "v0", ("vertex", ["nope"])),
+        ("edge_map", "e0", 5),
+        ("edge_map", "e0", [["x"]]),
+    ])
+    def test_verify_rejects_a_malformed_image_without_raising(self, part, cell, image):
+        cert = reeb.search_certificate(reeb.line(), reeb.line(), Fraction(1, 2)).certificate
+        kind = "vertex" if part == "vertex_map" else "edge"
+        alpha = dataclasses.replace(cert.alpha, **{part: {**getattr(cert.alpha, part),
+                                                           cell: image}})
+        assert reeb.verify_certificate(dataclasses.replace(cert, alpha=alpha)) == (
+            False, f"alpha is not a morphism: {kind} {cell!r}: malformed image {image!r}")
+
     def test_verify_catches_misdirected_map(self):
         out = reeb.search_certificate(reeb.line(0, 1), reeb.loop(0, 1), Fraction(1, 4))
         assert out.status == "found"
@@ -309,6 +322,15 @@ def loop_certificate():
     return reeb.smoothing_certificate(reeb.loop(0, 1), Fraction(1, 5))
 
 
+def smooth_calls(monkeypatch):
+    """The radius of every sweep run from now on, in order."""
+    calls = []
+    sweep = reeb.smoothing.smooth_sweep
+    monkeypatch.setattr(reeb.smoothing, "smooth_sweep",
+                        lambda g, eps: calls.append(eps) or sweep(g, eps))
+    return calls
+
+
 class TestCertificateAlgebra:
     def test_lift_raises_the_radius(self):
         cert = reeb.smoothing_certificate(reeb.loop(0, 1), Fraction(1, 5))
@@ -353,20 +375,35 @@ class TestCertificateAlgebra:
     def test_contract_and_compose_smooth_then_verify(self, monkeypatch):
         # contraction smooths f and g at eps, delta and eps + delta and
         # their delta-smoothings at eps; composition g at both radii, f
-        # and h at their own and the sum; the verifier then smooths the
-        # result's two graphs at its radius and its double
-        calls = []
-        sweep = reeb.smoothing.smooth_sweep
-        monkeypatch.setattr(reeb.smoothing, "smooth_sweep",
-                            lambda g, eps: calls.append(eps) or sweep(g, eps))
+        # and h at their own and the sum; the check then reads the
+        # result's smoothings at its radius from those and smooths its two
+        # graphs at the double only
+        calls = smooth_calls(monkeypatch)
         cert = loop_certificate()
         mid = reeb.self_certificate(cert.g, Fraction(1, 7))
         del calls[:]
         reeb.contract_certificate(cert, Fraction(1, 10))
-        assert len(calls) == 8 + 4
+        assert len(calls) == 8 + 2
         del calls[:]
         reeb.compose_certificates(cert, mid)
-        assert len(calls) == 6 + 4
+        assert len(calls) == 6 + 2
+
+    def test_lift_stability_and_smoothing_smooth_then_verify(self, monkeypatch):
+        # a lift smooths g for its self certificate, then composes; the
+        # stability certificate smooths its two graphs at eps, and the
+        # smoothing certificate f at eps for g, then f and g at eps; each
+        # check then smooths the two graphs at the doubled radius only
+        calls = smooth_calls(monkeypatch)
+        cert = loop_certificate()
+        del calls[:]
+        reeb.lift_certificate(cert, Fraction(2, 5))
+        assert len(calls) == 1 + 6 + 2
+        del calls[:]
+        reeb.stability_certificate([("e0", "a", "b")], {"a": 0, "b": 1}, {"a": 0, "b": 2})
+        assert len(calls) == 2 + 2
+        del calls[:]
+        reeb.smoothing_certificate(reeb.loop(0, 1), Fraction(1, 5))
+        assert len(calls) == 1 + 2 + 2
 
     def test_a_probe_smooths_only_what_its_outcome_reads(self, monkeypatch):
         # a rank refutation smooths nothing; the doubled smoothings wait
@@ -505,6 +542,22 @@ class TestDistance:
         assert br.lower == 0
         assert br.upper - br.lower <= Fraction(1, 8)
         assert reeb.verify_certificate(br.witness)[0]
+
+    def test_a_budget_run_out_while_bisecting_keeps_the_bracket(self):
+        line, loop = reeb.line(0, 1), reeb.loop(0, 1)
+        br = reeb.distance_bracket(line, loop, Fraction(1, 16), budget=9)
+        assert (br.infinite, br.lower, br.upper, br.unknown_gaps) == (False, 0, 1, True)
+        assert br.refutation is None and br.witness.epsilon == 1
+        assert reeb.verify_certificate(br.witness) == (True, "ok")
+
+    def test_a_budget_run_out_above_the_diameter_leaves_no_upper_end(self):
+        br = reeb.distance_bracket(reeb.line(0, 1), reeb.loop(0, 1), Fraction(1, 16), budget=0)
+        assert br == reeb.DistanceBracket(False, 0, None, None, None, True)
+
+    @pytest.mark.parametrize("tol", [0, -1, Fraction(-1, 16)])
+    def test_a_nonpositive_tolerance_is_refused(self, tol):
+        with pytest.raises(ValidationError, match="^tolerance must be positive$"):
+            reeb.distance_bracket(reeb.line(0, 1), reeb.loop(0, 1), tol)
 
     def test_no_interleaving_above_the_diameter_names_the_radius(self, monkeypatch):
         monkeypatch.setattr(interleave, "search_certificate",

@@ -78,6 +78,70 @@ def test_validate_morphism_catches_broken_paths():
     assert not rep.ok
 
 
+# valid maps of line(0, 2): onto two routes a -> b -> c and a -> b2 -> c
+# over [0, 2], and into two edges p -> q -> r over [-1, 3]
+DROP = object()
+TARGETS = {
+    "routes": (build_rgraph([("a", 0), ("b", 1), ("c", 2), ("b2", 1)],
+                            [("ab", "a", "b"), ("bc", "b", "c"), ("ab2", "a", "b2"),
+                             ("b2c", "b2", "c")]),
+               {"v0": ("vertex", "a"), "v1": ("vertex", "c")}, {"e0": ("ab", "bc")}),
+    "inside": (build_rgraph([("p", -1), ("q", 1), ("r", 3)],
+                            [("pq", "p", "q"), ("qr", "q", "r")]),
+               {"v0": ("edge", "pq"), "v1": ("edge", "qr")}, {"e0": ("pq", "qr")}),
+}
+
+
+@pytest.mark.parametrize("target, vertex_map, edge_map, message", [
+    ("routes", {"v1": DROP}, {}, "vertex map missing ['v1']"),
+    ("routes", {"x": ("vertex", "a")}, {}, "vertex map defined on unknown ['x']"),
+    ("routes", {}, {"e0": DROP}, "edge map missing ['e0']"),
+    ("routes", {}, {"x": ("ab",)}, "edge map defined on unknown ['x']"),
+    ("routes", {"v0": ("vertex", ["nope"])}, {},
+     "vertex 'v0': malformed image ('vertex', ['nope'])"),
+    ("routes", {"v0": ("point", "a")}, {}, "vertex 'v0': malformed image ('point', 'a')"),
+    ("routes", {"v0": "a"}, {}, "vertex 'v0': malformed image 'a'"),
+    ("routes", {"v0": ("vertex", "x")}, {}, "vertex 'v0': unknown target vertex 'x'"),
+    ("routes", {"v0": ("vertex", "b")}, {}, "vertex 'v0': value 0 mapped to vertex at 1"),
+    ("routes", {"v0": ("edge", "x")}, {}, "vertex 'v0': unknown target edge 'x'"),
+    ("routes", {"v0": ("edge", "ab")}, {},
+     "vertex 'v0': value 0 not strictly inside target edge 'ab'"),
+    ("routes", {}, {"e0": 5}, "edge 'e0': malformed image 5"),
+    ("routes", {}, {"e0": [["x"]]}, "edge 'e0': malformed image [['x']]"),
+    ("routes", {}, {"e0": None}, "edge 'e0': malformed image None"),
+    ("routes", {}, {"e0": ()}, "edge 'e0': empty path"),
+    ("routes", {}, {"e0": ("ab", "x")}, "edge 'e0': path uses unknown target edges"),
+    ("routes", {}, {"e0": ("ab", "b2c")}, "edge 'e0': path does not chain bottom-to-top"),
+    ("routes", {}, {"e0": ("bc",)}, "edge 'e0': path does not start at the image of 'v0'"),
+    ("routes", {}, {"e0": ("ab",)}, "edge 'e0': path does not end at the image of 'v1'"),
+    ("inside", {}, {"e0": ("qr",)},
+     "edge 'e0': path does not start inside the image of 'v0'"),
+    ("inside", {}, {"e0": ("pq",)}, "edge 'e0': path does not end inside the image of 'v1'"),
+])
+def test_validate_morphism_reports_each_violation(target, vertex_map, edge_map, message):
+    # each case changes a valid map by the entries given, DROP removing
+    # one, and breaks it in exactly one way; nothing is raised
+    g = line(0, 2)
+    h, vmap, emap = TARGETS[target]
+    assert validate_morphism(RGraphMorphism(g, h, vmap, emap)).ok
+
+    def changed(base, new):
+        return {k: v for k, v in {**base, **new}.items() if v is not DROP}
+
+    phi = RGraphMorphism(g, h, changed(vmap, vertex_map), changed(emap, edge_map))
+    assert validate_morphism(phi).violations == (message,)
+
+
+def test_validate_morphism_keeps_list_and_str_paths():
+    # a path may be any sequence of edge ids, as before
+    g = line(0, 2)
+    h, vmap, _ = TARGETS["routes"]
+    assert validate_morphism(RGraphMorphism(g, h, vmap, {"e0": ["ab", "bc"]})).ok
+    h = build_rgraph([("p", 0), ("q", 2)], [("x", "p", "q")])
+    assert validate_morphism(RGraphMorphism(g, h, {"v0": ("vertex", "p"),
+                                                   "v1": ("vertex", "q")}, {"e0": "x"})).ok
+
+
 def test_compose_through_edge_images():
     src, tgt, phi = collapse_line_onto_point_family()
     red = reduce(tgt)
@@ -174,8 +238,8 @@ def test_transport_names_a_witness_the_smoothing_does_not_track():
     sm = smooth(g, eps)
     # the smoothed vertex at 1/4 holds v0 and e0; drop v0 from it
     assert sm.provenance["v(1;e0)"] == frozenset({"v0", "e0"})
-    broken = dataclasses.replace(
-        sm, provenance={**sm.provenance, "v(1;e0)": frozenset({"e0"})})
+    broken = dataclasses.replace(sm)
+    broken.__dict__["provenance"] = {**sm.provenance, "v(1;e0)": frozenset({"e0"})}
     with pytest.raises(InternalError, match="^" + re.escape(
             "vertex 'v(1;e0)': witness cell 'v0' not tracked at level 1") + "$"):
         transport(sm.smoothed, smoothed_pull(identity(g), sm), broken)

@@ -420,21 +420,28 @@ def test_provenance_is_walked_once_per_record_and_only_when_read(tmp_path, monke
     assert out.getvalue() and walks == []
 
     # a point beside the path lies in one window component, untouched by
-    # the path's events, from 1000 - 250 to 1000 + 250: one record
-    sm = smooth(build_rgraph({**verts, "w": 1000}, edges), 250)
+    # the path's events, from 100 - 25 to 100 + 25: one record
+    verts, edges = path(200)
+    sm = smooth(build_rgraph({**verts, "w": 100}, edges), 25)
+    assert walks == []
+    prov = sm.provenance
+    # the first read walks each (doubled position, least cell) once, and
+    # the names that share one share its frozenset
+    assert len(set(walks)) == len(walks) == len({id(c) for c in prov.values()})
+    assert len(walks) < len(prov)
     B = sm.smoothed.criticals
-    birth, death = B.index(750), B.index(1250)
+    birth, death = B.index(75), B.index(125)
     record = [keyed_name("e", j, "w") for j in range(birth, death)]
     record += [keyed_name("v", k, "w") for k in range(birth + 1, death)]
-    comp = sm.provenance[record[len(record) // 2]]
-    assert comp == {"w"} and len(walks) == 1
-    assert all(sm.provenance[name] is comp for name in record)
-    assert len(walks) == 1
-    # a slot in the middle of the path: hundreds of members, one walk
-    j = B.index(1000)
+    assert prov[record[0]] == {"w"}
+    assert all(prov[name] is prov[record[0]] for name in record)
+    # a slot in the middle of the path: its whole window of the path
+    j = B.index(100)
     [name] = [e for e in sm.smoothed.slots[j] if not e.endswith(";w)")]
-    assert len(sm.provenance[name]) > 900 and sm.provenance[name] is sm.provenance[name]
-    assert len(walks) == 2
+    assert len(prov[name]) > 90
+    # a second read walks nothing
+    del walks[:]
+    assert sm.provenance is prov and sm.position_index and walks == []
 
 
 def test_zeta_is_named_only_when_read(tmp_path, monkeypatch):
