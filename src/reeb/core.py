@@ -1,12 +1,13 @@
 """Combinatorial graphs over the real line.
 
 An RGraph stores a strictly increasing tuple of critical values
-a_0 < ... < a_n, one vertex set per critical value (a "level"), one edge
-set per consecutive pair of criticals (a "slot"), and two total
-attaching maps per slot giving each edge its endpoint in the level below
-and in the level above. A vertex's function value is the critical value
-of its level; an edge spans the open interval between its slot's
-critical values, rising from its lower endpoint to its upper one.
+a_0 < ... < a_n, one vertex set per critical value (a "level"), and two
+attaching maps per consecutive pair of criticals (a "slot") giving each
+of the slot's edges its endpoint in the level below and in the level
+above. The slot's edges are the keys of those maps. A vertex's function
+value is the critical value of its level; an edge spans the open
+interval between its slot's critical values, rising from its lower
+endpoint to its upper one.
 
 Levels may be empty or contain isolated vertices; the empty graph (no
 criticals at all) is legal. All values are exact rationals.
@@ -25,9 +26,10 @@ from .unionfind import UnionFind
 
 @dataclass(frozen=True)
 class RGraph:
+    """Per slot, the lower and upper attach maps keyed by exactly its
+    edges, their only record: no dict may change once a graph holds it."""
     criticals: tuple[Fraction, ...]
     levels: tuple[tuple[str, ...], ...]
-    slots: tuple[tuple[str, ...], ...]
     down: tuple[dict[str, str], ...]
     up: tuple[dict[str, str], ...]
 
@@ -37,7 +39,12 @@ class RGraph:
 
     @property
     def n_slots(self) -> int:
-        return len(self.slots)
+        return len(self.down)
+
+    @cached_property
+    def slots(self) -> tuple[tuple[str, ...], ...]:
+        """Each slot's edges, sorted: the keys of its lower attach map."""
+        return tuple(tuple(sorted(d)) for d in self.down)
 
     @property
     def is_empty(self) -> bool:
@@ -107,14 +114,13 @@ class RGraph:
         return len(self.above_edges[vid])
 
 
-def _assemble(criticals, levels, slots, down, up) -> RGraph:
+def _assemble(criticals, levels, down, up) -> RGraph:
     """Normalize raw pieces into the canonical sorted representation:
-    levels and slots are sorted, and the per-slot attach dicts are kept
-    as given, so each must be keyed by exactly its slot's edges."""
+    levels are sorted, and the per-slot attach dicts are kept as given,
+    so each slot's up dict must be keyed by exactly its down dict's keys."""
     crit = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in criticals)
     lev = tuple(tuple(sorted(l)) for l in levels)
-    slo = tuple(tuple(sorted(s)) for s in slots)
-    return RGraph(crit, lev, slo, tuple(down), tuple(up))
+    return RGraph(crit, lev, tuple(down), tuple(up))
 
 
 @dataclass(frozen=True)
@@ -138,10 +144,9 @@ def validate(g: RGraph) -> ValidationReport:
             bad.append(f"criticals not strictly increasing at {a}, {b}")
     if len(g.levels) != len(crit):
         bad.append(f"{len(g.levels)} levels for {len(crit)} criticals")
-    want_slots = max(0, len(crit) - 1)
-    if len(g.slots) != want_slots:
-        bad.append(f"{len(g.slots)} slots for {len(crit)} criticals")
-    if len(g.down) != len(g.slots) or len(g.up) != len(g.slots):
+    if len(g.down) != max(0, len(crit) - 1):
+        bad.append(f"{len(g.down)} slots for {len(crit)} criticals")
+    if len(g.up) != len(g.down):
         bad.append("attach map count does not match slot count")
         return ValidationReport(False, tuple(bad))
 
@@ -154,8 +159,8 @@ def validate(g: RGraph) -> ValidationReport:
                 bad.append(f"duplicate id {v!r}")
             else:
                 seen.add(v)
-    for j, slot in enumerate(g.slots):
-        for e in slot:
+    for j, dn in enumerate(g.down):
+        for e in dn:
             if not isinstance(e, str):
                 bad.append(f"slot {j}: edge id {e!r} is not a string")
             elif e in seen:
@@ -163,23 +168,18 @@ def validate(g: RGraph) -> ValidationReport:
             else:
                 seen.add(e)
 
-    for j, slot in enumerate(g.slots):
+    for j, (dn, u) in enumerate(zip(g.down, g.up)):
         lo_level = set(g.levels[j]) if j < len(g.levels) else set()
         hi_level = set(g.levels[j + 1]) if j + 1 < len(g.levels) else set()
-        for e in slot:
-            if e not in g.down[j]:
-                bad.append(f"slot {j}: edge {e!r}: partial attaching map (no lower endpoint)")
-            elif g.down[j][e] not in lo_level:
-                bad.append(f"slot {j}: edge {e!r}: lower endpoint {g.down[j][e]!r} not in level {j}")
-            if e not in g.up[j]:
+        for e, lo in dn.items():
+            if lo not in lo_level:
+                bad.append(f"slot {j}: edge {e!r}: lower endpoint {lo!r} not in level {j}")
+            if e not in u:
                 bad.append(f"slot {j}: edge {e!r}: partial attaching map (no upper endpoint)")
-            elif g.up[j][e] not in hi_level:
-                bad.append(f"slot {j}: edge {e!r}: upper endpoint {g.up[j][e]!r} not in level {j + 1}")
-        for e in g.down[j]:
-            if e not in slot:
-                bad.append(f"slot {j}: lower attach defined on unknown edge {e!r}")
-        for e in g.up[j]:
-            if e not in slot:
+            elif u[e] not in hi_level:
+                bad.append(f"slot {j}: edge {e!r}: upper endpoint {u[e]!r} not in level {j + 1}")
+        for e in u:
+            if e not in dn:
                 bad.append(f"slot {j}: upper attach defined on unknown edge {e!r}")
 
     return ValidationReport(not bad, tuple(bad))
@@ -278,14 +278,12 @@ def _split(crit, vertices, edges, used):
         levels[k].append(vid)
     fmt: list[str | None] = [None] * len(crit)      # each split critical's text
     n_slots = max(0, len(crit) - 1)
-    slots: list[list[str]] = [[] for _ in range(n_slots)]
     down: list[dict[str, str]] = [{} for _ in range(n_slots)]
     up: list[dict[str, str]] = [{} for _ in range(n_slots)]
     edge_map: dict[str, tuple[str, ...]] = {}
     split_vertices: dict[str, str] = {}
     for eid, lo, hi, i, j in edges:
         if j == i + 1:
-            slots[i].append(eid)
             down[i][eid] = lo
             up[i][eid] = hi
             edge_map[eid] = (eid,)
@@ -301,13 +299,12 @@ def _split(crit, vertices, edges, used):
                     levels[k + 1].append(top)
                     split_vertices[top] = eid
                 seg = _fresh(f"{eid}:{k - i}", used)
-                slots[k].append(seg)
                 down[k][seg] = bottom
                 up[k][seg] = top
                 segs.append(seg)
                 bottom = top
             edge_map[eid] = tuple(segs)
-    return _assemble(crit, levels, slots, down, up), edge_map, split_vertices
+    return _assemble(crit, levels, down, up), edge_map, split_vertices
 
 
 def build_rgraph(vertices, edges=(), criticals=()) -> RGraph:
@@ -360,18 +357,16 @@ def reduce(g: RGraph) -> ReduceResult:
     ]
     kept = [i for i, d in enumerate(droppable) if not d]
     if not kept:
-        return ReduceResult(_assemble((), (), (), (), ()), {}, {}, {})
+        return ReduceResult(empty_rgraph(), {}, {}, {})
 
     crit = [g.criticals[i] for i in kept]
     levels = [g.levels[i] for i in kept]
-    slots: list[list[str]] = []
     down: list[dict[str, str]] = []
     up: list[dict[str, str]] = []
     edge_map: dict[str, str] = {}
     dropped_vertices: dict[str, str] = {}
     chains: dict[str, tuple[str, ...]] = {}
     for p, q in zip(kept, kept[1:]):
-        slot: list[str] = []
         dn: dict[str, str] = {}
         u: dict[str, str] = {}
         for e in g.slots[p]:
@@ -383,16 +378,14 @@ def reduce(g: RGraph) -> ReduceResult:
                 dropped_vertices[v] = e
                 chain.append(cur)
                 s += 1
-            slot.append(e)
             dn[e] = g.down[p][e]
             u[e] = g.up[q - 1][cur]
             chains[e] = tuple(chain)
             for c in chain:
                 edge_map[c] = e
-        slots.append(slot)
         down.append(dn)
         up.append(u)
-    return ReduceResult(_assemble(crit, levels, slots, down, up),
+    return ReduceResult(_assemble(crit, levels, down, up),
                         edge_map, dropped_vertices, chains)
 
 
@@ -474,4 +467,4 @@ def fork() -> RGraph:
 
 
 def empty_rgraph() -> RGraph:
-    return _assemble((), (), (), (), ())
+    return _assemble((), (), (), ())

@@ -1,8 +1,9 @@
 """Set-valued cosheaves over the real line in zigzag form.
 
 A constructible cosheaf is stored by its critical values, one finite set
-per critical value (node sets), one per gap between neighbours (edge
-sets), and maps from each edge set into the node sets on both sides.
+per critical value (node sets), and per gap between neighbours the maps
+from its finite set (edge set, their common domain) into the node sets
+on both sides.
 The value on an arbitrary open interval is computed on demand: restrict
 the zigzag to the interval and take connected components. Elements of an
 evaluation are frozensets of back-references ("v", i, x) / ("e", k, x)
@@ -15,6 +16,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import ValidationReport, _assemble, component_sets, refine, RGraph
 from .errors import InternalError, ValidationError
@@ -101,15 +103,21 @@ def _hull(a: Interval, b: Interval) -> Interval:
 
 @dataclass(frozen=True)
 class Cosheaf:
+    """The zigzag: node sets, and per gap a left and a right map keyed by
+    exactly its edge set, whose only record they are."""
     criticals: tuple[Fraction, ...]
     node_sets: tuple[tuple[str, ...], ...]          # one per critical value
-    edge_sets: tuple[tuple[str, ...], ...]          # one per gap
     left_maps: tuple[dict[str, str], ...]           # edge set k -> node set k
     right_maps: tuple[dict[str, str], ...]          # edge set k -> node set k + 1
     # provenance, when the cosheaf was derived from something:
     node_contents: tuple[dict[str, frozenset], ...] | None = None   # graph cells
     node_merged: tuple[dict[str, frozenset], ...] | None = None     # source refs
     edge_merged: tuple[dict[str, frozenset], ...] | None = None
+
+    @cached_property
+    def edge_sets(self) -> tuple[tuple[str, ...], ...]:
+        """Each gap's elements, sorted: the keys of its left map."""
+        return tuple(tuple(sorted(m)) for m in self.left_maps)
 
 
 def validate_cosheaf(F: Cosheaf) -> ValidationReport:
@@ -121,7 +129,7 @@ def validate_cosheaf(F: Cosheaf) -> ValidationReport:
     if len(F.node_sets) != len(crit):
         bad.append(f"{len(F.node_sets)} node sets for {len(crit)} criticals")
     want = max(0, len(crit) - 1)
-    if len(F.edge_sets) != want or len(F.left_maps) != want or len(F.right_maps) != want:
+    if len(F.left_maps) != want or len(F.right_maps) != want:
         bad.append("edge set or map count does not match the gap count")
         return ValidationReport(False, tuple(bad))
     seen: set[str] = set()
@@ -235,10 +243,9 @@ def reeb_cosheaf(g: RGraph) -> Cosheaf:
         node_sets.append(tuple(sorted(ids)))
         node_contents.append(contents)
         lookup.append(lk)
-    edge_sets = tuple(tuple(slot) for slot in g.slots)
     left = tuple({e: lookup[j][e] for e in g.slots[j]} for j in range(g.n_slots))
     right = tuple({e: lookup[j + 1][e] for e in g.slots[j]} for j in range(g.n_slots))
-    return Cosheaf(S, tuple(node_sets), edge_sets, left, right,
+    return Cosheaf(S, tuple(node_sets), left, right,
                    node_contents=tuple(node_contents))
 
 
@@ -246,11 +253,9 @@ def display(F: Cosheaf) -> RGraph:
     """Read the zigzag itself as a graph over the line: node elements
     become vertices, edge elements become edges. Element ids must be
     globally unique (all construction paths here keep them so)."""
-    return _assemble(F.criticals,
-                     [list(ns) for ns in F.node_sets],
-                     [list(es) for es in F.edge_sets],
-                     [{e: m[e] for e in sorted(es)} for es, m in zip(F.edge_sets, F.left_maps)],
-                     [{e: m[e] for e in sorted(es)} for es, m in zip(F.edge_sets, F.right_maps)])
+    return _assemble(F.criticals, F.node_sets,
+                     [{e: m[e] for e in es} for es, m in zip(F.edge_sets, F.left_maps)],
+                     [{e: m[e] for e in es} for es, m in zip(F.edge_sets, F.right_maps)])
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +279,7 @@ def smooth_cosheaf(F: Cosheaf, eps) -> Cosheaf:
     eps = as_radius(eps, "smoothing")
     S = F.criticals
     if not S:
-        return Cosheaf((), (), (), (), (), node_merged=(), edge_merged=())
+        return Cosheaf((), (), (), (), node_merged=(), edge_merged=())
     B = sorted({s - eps for s in S} | {s + eps for s in S})
     node_sets = []
     node_merged = []
@@ -285,7 +290,6 @@ def smooth_cosheaf(F: Cosheaf, eps) -> Cosheaf:
         named = {_merged_name(f"n{k}", e): e for e in elts}
         node_sets.append(tuple(sorted(named)))
         node_merged.append(named)
-    edge_sets = []
     edge_merged = []
     left = []
     right = []
@@ -293,7 +297,6 @@ def smooth_cosheaf(F: Cosheaf, eps) -> Cosheaf:
         gap = interval(B[k], B[k + 1])
         elts = evaluate(F, expand(gap, eps))
         named = {_merged_name(f"g{k}", e): e for e in elts}
-        edge_sets.append(tuple(sorted(named)))
         edge_merged.append(named)
         lo_iv = expand(interval(B[k - 1] if k > 0 else None, B[k + 1]), eps)
         hi_iv = expand(interval(B[k], B[k + 2] if k + 2 < len(B) else None), eps)
@@ -303,8 +306,7 @@ def smooth_cosheaf(F: Cosheaf, eps) -> Cosheaf:
                      for name, e in named.items()})
         right.append({name: _merged_name(f"n{k + 1}", to_hi[e])
                       for name, e in named.items()})
-    return Cosheaf(tuple(B), tuple(node_sets), tuple(edge_sets),
-                   tuple(left), tuple(right),
+    return Cosheaf(tuple(B), tuple(node_sets), tuple(left), tuple(right),
                    node_merged=tuple(node_merged), edge_merged=tuple(edge_merged))
 
 
@@ -334,7 +336,7 @@ def refine_cosheaf(F: Cosheaf, extra) -> RefinedCosheaf:
             return ("e", D.edge_slot[owner[y]], owner[y])
         return ("v", D.vertex_level[y], y)
 
-    cos = Cosheaf(R.criticals, R.levels, R.slots, R.down, R.up)
+    cos = Cosheaf(R.criticals, R.levels, R.down, R.up)
     return RefinedCosheaf(cos,
                           tuple({y: origin(y) for y in lev} for lev in R.levels),
                           tuple({y: origin(y) for y in slot} for slot in R.slots))

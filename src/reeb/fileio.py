@@ -289,8 +289,7 @@ def reeb_of_complex(field: SimplicialField) -> ComplexReeb:
                                     "several level components")
             d = u
 
-    graph = _assemble(criticals, level_names, [list(m) for m in down_maps],
-                      down_maps, up_maps)
+    graph = _assemble(criticals, level_names, down_maps, up_maps)
     return ComplexReeb(graph, {v: name[parent[number[v]]] for v in ids})
 
 

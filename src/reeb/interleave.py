@@ -64,8 +64,12 @@ def smoothing_certificate(f: RGraph, eps) -> Certificate:
     the canonical map applied twice, beta the identity. Verified before it
     is returned."""
     eps = as_rational(eps)
-    g = smooth(f, eps).smoothed
-    sm = _smoothings(f, g, eps)
+    first = smooth(f, eps)
+    g = first.smoothed
+    rest = _smoothings(f, g, eps)
+
+    def sm(d, k):                         # S_eps f is the one built already
+        return first if (d, k) == (0, 1) else rest(d, k)
     return _verified("smoothing", Certificate(
         f, g, eps, compose(sm(0, 1).zeta, sm(1, 1).zeta), identity(g)), sm)
 

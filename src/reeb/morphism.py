@@ -251,7 +251,8 @@ def image_path(psi: RGraphMorphism, path, lo_img, hi_img) -> tuple[str, ...]:
     """psi's image of a chained path of its source's edges, cut down to the
     stretch between lo_img and hi_img, the images of the path's two ends,
     each a vertex or an edge of psi's target. Consecutive edge images that
-    share their boundary edge are joined there."""
+    share their boundary edge are joined there. An end image that the
+    joined images never reach is a ValidationError naming it."""
     merged: list[str] = []
     for q in path:
         seg = psi.edge_map[q]
@@ -262,18 +263,22 @@ def image_path(psi: RGraphMorphism, path, lo_img, hi_img) -> tuple[str, ...]:
     tgt = psi.target
     kind, tid = lo_img
     if kind == "edge":
-        start = merged.index(tid)
+        start = merged.index(tid) if tid in merged else None
     else:
-        start = next(i for i, p in enumerate(merged)
-                     if tgt.endpoints(p)[0] == tid)
+        start = next((i for i, p in enumerate(merged)
+                      if tgt.endpoints(p)[0] == tid), None)
     kind, tid = hi_img
     if kind == "edge":
-        stop = len(merged) - 1 - merged[::-1].index(tid)
+        back = merged[::-1].index(tid) if tid in merged else None
     else:
-        stop = len(merged) - 1 - next(
-            i for i, p in enumerate(reversed(merged))
-            if tgt.endpoints(p)[1] == tid)
-    return tuple(merged[start:stop + 1])
+        back = next((i for i, p in enumerate(reversed(merged))
+                     if tgt.endpoints(p)[1] == tid), None)
+    if start is None or back is None:
+        end, (kind, tid) = ("lower", lo_img) if start is None else ("upper", hi_img)
+        raise ValidationError(f"the image {' '.join(merged)} of edge path "
+                              f"{' '.join(path)} misses its {end} end's image, "
+                              f"{kind} {tid!r}")
+    return tuple(merged[start:len(merged) - back])
 
 
 def compose(phi: RGraphMorphism, psi: RGraphMorphism) -> RGraphMorphism:

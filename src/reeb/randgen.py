@@ -70,7 +70,6 @@ def random_cosheaf(rng: random.Random, max_criticals: int = 4,
     node_sizes = [rng.randint(0, max_elements) for _ in range(k)]
     node_sets = tuple(tuple(f"n{i}.{t}" for t in range(node_sizes[i]))
                       for i in range(k))
-    edge_sets = []
     left = []
     right = []
     for j in range(max(0, k - 1)):
@@ -79,11 +78,9 @@ def random_cosheaf(rng: random.Random, max_criticals: int = 4,
         else:
             size = 0
         es = tuple(f"g{j}.{t}" for t in range(size))
-        edge_sets.append(es)
         left.append({x: rng.choice(node_sets[j]) for x in es})
         right.append({x: rng.choice(node_sets[j + 1]) for x in es})
-    return Cosheaf(criticals, node_sets, tuple(edge_sets),
-                   tuple(left), tuple(right))
+    return Cosheaf(criticals, node_sets, tuple(left), tuple(right))
 
 
 def random_field(rng: random.Random, max_vertices: int = 10,

@@ -91,13 +91,12 @@ def _relabel_zero(g: RGraph) -> SmoothingResult:
     vname = {v: keyed_name("v", k, v) for k, lev in enumerate(g.levels) for v in lev}
     ename = {e: keyed_name("e", j, e) for j, slot in enumerate(g.slots) for e in slot}
     levels = [[vname[v] for v in lev] for lev in g.levels]
-    slots = [[ename[e] for e in slot] for slot in g.slots]
     down = [{ename[e]: vname[g.down[j][e]] for e in slot} for j, slot in enumerate(g.slots)]
     up = [{ename[e]: vname[g.up[j][e]] for e in slot} for j, slot in enumerate(g.slots)]
     provenance = {n: frozenset((c,)) for c, n in (*vname.items(), *ename.items())}
     zeta_v = {v: ("vertex", n) for v, n in vname.items()}
     zeta_e = {e: (n,) for e, n in ename.items()}
-    smoothed = _assemble(g.criticals, levels, slots, down, up)
+    smoothed = _assemble(g.criticals, levels, down, up)
     zeta = RGraphMorphism(g, smoothed, zeta_v, zeta_e)
     return SmoothingResult(g, Fraction(0), smoothed, lambda: zeta, lambda: provenance)
 
@@ -146,18 +145,15 @@ def smooth_naive(g: RGraph, eps: Fraction) -> SmoothingResult:
         levels.append(names)
         level_lookup.append(lookup)
 
-    slots = []
     slot_lookup: list[dict[str, str]] = []
     down = [dict() for _ in range(K - 1)]
     up = [dict() for _ in range(K - 1)]
     for j in range(K - 1):
         mid = (B[j] + B[j + 1]) / 2
         vs, es = window_cells(mid - eps, mid + eps)
-        names = []
         lookup = {}
         for comp in component_sets(g, vs, es):
             name = canonical_edge_name(j, comp)
-            names.append(name)
             provenance[name] = comp
             for c in comp:
                 lookup[c] = name
@@ -165,10 +161,9 @@ def smooth_naive(g: RGraph, eps: Fraction) -> SmoothingResult:
                                  if c in level_lookup[j])
             up[j][name] = next(level_lookup[j + 1][c] for c in sorted(comp)
                                if c in level_lookup[j + 1])
-        slots.append(names)
         slot_lookup.append(lookup)
 
-    smoothed = _assemble(B, levels, slots, down, up)
+    smoothed = _assemble(B, levels, down, up)
 
     zeta_v: dict[str, tuple[str, str]] = {}
     for v in g.vertex_ids:
@@ -418,8 +413,7 @@ def smooth_sweep(g: RGraph, eps: Fraction) -> SmoothingResult:
             where[en] = at
             down[j][en] = ends[j - rec.birth]
             up[j][en] = ends[j - rec.birth + 1]
-    # an output slot's edges are the keys of its down map
-    smoothed = _assemble(B, level_names, down, down, up)
+    smoothed = _assemble(B, level_names, down, up)
 
     def zeta() -> RGraphMorphism:
         # a vertex lying on level k maps to v(k;m), one inside slot k to

@@ -128,6 +128,5 @@ def reeb_of_complex_oracle(field: SimplicialField) -> ComplexReeb:
                 raise InternalError(f"gap component {n} at slot {j} touches "
                                     "several level components")
 
-    graph = _assemble(criticals, level_names, [list(m) for m in down_maps],
-                      down_maps, up_maps)
+    graph = _assemble(criticals, level_names, down_maps, up_maps)
     return ComplexReeb(graph, {v: name[root[i]] for i, v in enumerate(ids)})

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import random
@@ -129,13 +130,32 @@ def test_empty_graph_is_legal():
 
 def test_validate_reports_structural_damage():
     g = line()
-    bad = RGraph(g.criticals, g.levels, g.slots,
-                 ({"e0": "nope"},), g.up)
+    bad = RGraph(g.criticals, g.levels, ({"e0": "nope"},), g.up)
     rep = validate(bad)
     assert not rep.ok
     assert any("lower endpoint" in v for v in rep.violations)
-    assert not validate(RGraph((Fraction(1), Fraction(0)), ((), ()), ((),),
+    assert not validate(RGraph((Fraction(1), Fraction(0)), ((), ()),
                                ({},), ({},))).ok
+
+
+@pytest.mark.parametrize("down, up, message", [
+    (({"e0": "v0"},), ({},), "slot 0: edge 'e0': partial attaching map (no upper endpoint)"),
+    (({"e0": "v0"},), ({"e0": "v1", "x": "v1"},),
+     "slot 0: upper attach defined on unknown edge 'x'"),
+    (({"e0": "v1"},), ({"e0": "v1"},), "slot 0: edge 'e0': lower endpoint 'v1' not in level 0"),
+    (({"e0": "v0"}, {}), ({"e0": "v1"}, {}), "2 slots for 2 criticals"),
+    (({"e0": "v0"},), ({"e0": "v1"}, {}), "attach map count does not match slot count"),
+], ids=["up-missing", "up-extra", "lower-off-level", "slot-count", "map-count"])
+def test_validate_names_each_attach_map_fault(down, up, message):
+    # a slot's edges are its down map's keys, so up must have exactly those
+    g = line()
+    assert validate(RGraph(g.criticals, g.levels, g.down, g.up)).ok
+    assert validate(RGraph(g.criticals, g.levels, down, up)).violations == (message,)
+
+
+def test_a_slot_is_the_domain_of_its_attach_maps():
+    assert [f.name for f in dataclasses.fields(RGraph)] == ["criticals", "levels", "down", "up"]
+    assert "edge_sets" not in [f.name for f in dataclasses.fields(reeb.Cosheaf)]
 
 
 def test_refine_inserts_levels_and_splits():
@@ -225,8 +245,9 @@ def built_graphs(rng):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_every_built_graph_keys_its_attach_maps_by_its_slots(seed):
-    # the graph keeps the attach dicts its builder hands over, so each
-    # builder must key them by exactly the slot's edges
+    # a slot's edges are the keys of its down map, and the graph keeps the
+    # attach dicts its builder hands over, so each builder must key up by
+    # exactly down's keys
     for route, g in built_graphs(random.Random(seed)).items():
         for j, slot in enumerate(g.slots):
             assert set(g.down[j]) == set(g.up[j]) == set(slot), (route, j)

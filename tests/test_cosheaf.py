@@ -223,11 +223,15 @@ def test_check_gluing_on_fixtures_and_random():
 
 def test_validate_cosheaf_catches_damage():
     F = loop_cosheaf()
-    broken = Cosheaf(F.criticals, F.node_sets, F.edge_sets,
+    broken = Cosheaf(F.criticals, F.node_sets,
                      ({"e0": "{e0,e1,v0}", "e1": "nope"},), F.right_maps)
     rep = validate_cosheaf(broken)
     assert not rep.ok
     assert any("left image" in v for v in rep.violations)
+    # the left map's keys are the gap's elements, so a right map must have each
+    lacking = Cosheaf(F.criticals, F.node_sets, F.left_maps, ({"e0": "{e0,e1,v1}"},))
+    assert validate_cosheaf(lacking).violations == (
+        "gap 0: element 'e1' has no valid right image",)
 
 
 def test_extension_that_splits_an_element_names_it(monkeypatch):

@@ -11,7 +11,7 @@ from reeb import (InternalError, RGraphMorphism, ValidationError,
                   build_rgraph, compose, compose_smoothings, fork, identity,
                   invert_isomorphism, is_isomorphism, levelwise_morphism,
                   line, loop, morphism_equal, morphism_first_difference,
-                  normal_form, path_cell_at, point, random_rgraph,
+                  normal_form, parse_morphism, path_cell_at, point, random_rgraph,
                   random_stability_pair, reduce, reduce_collapse,
                   reduce_embed, refine, refine_collapse, refine_embed,
                   shift_compose, smooth, smooth_morphism,
@@ -151,6 +151,27 @@ def test_compose_through_edge_images():
     assert comp.vertex_map["w"][0] == "edge"
     e = red.graph.edge_ids[0]
     assert comp.edge_map["uw"] == (e,)
+
+
+@pytest.mark.parametrize("top, text, target, message", [
+    (2, "vmap v0 vertex b\nvmap v1 vertex b\nemap e0 x\n",
+     ({"a": 0, "m": 1, "b": 2}, [("x", "a", "m"), ("y", "m", "b")]),
+     "lower end's image, vertex 'b'"),
+    (1, "vmap v0 vertex a\nvmap v1 edge w\nemap e0 x\n",
+     ({"a": 0, "b": 2}, [("x", "a", "b"), ("w", "a", "b")]),
+     "upper end's image, edge 'w'"),
+], ids=["vertex-off-path", "edge-off-path"])
+def test_an_edge_image_that_misses_an_end_image_is_a_validation_error(top, text, target,
+                                                                      message):
+    # parsing checks shape only, so these reach compose; every caller of
+    # compose names the end image that the edge's image never reaches
+    src = line(0, top)
+    phi = parse_morphism(text, src, build_rgraph(*target))
+    for call in (lambda: compose(identity(src), phi), lambda: normal_form(phi),
+                 lambda: is_isomorphism(phi), lambda: invert_isomorphism(phi)):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"the image x of edge path e0 misses its {message}"
 
 
 def test_refine_embed_collapse_roundtrip():
