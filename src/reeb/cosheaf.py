@@ -126,11 +126,12 @@ def validate_cosheaf(F: Cosheaf) -> ValidationReport:
     for a, b in zip(crit, crit[1:]):
         if not a < b:
             bad.append(f"criticals not strictly increasing at {a}, {b}")
+    want = max(0, len(crit) - 1)
     if len(F.node_sets) != len(crit):
         bad.append(f"{len(F.node_sets)} node sets for {len(crit)} criticals")
-    want = max(0, len(crit) - 1)
     if len(F.left_maps) != want or len(F.right_maps) != want:
         bad.append("edge set or map count does not match the gap count")
+    if len(F.node_sets) != len(crit) or len(F.left_maps) != want or len(F.right_maps) != want:
         return ValidationReport(False, tuple(bad))
     seen: set[str] = set()
     for i, ns in enumerate(F.node_sets):
@@ -148,7 +149,20 @@ def validate_cosheaf(F: Cosheaf) -> ValidationReport:
                 bad.append(f"gap {k}: element {x!r} has no valid left image")
             if F.right_maps[k].get(x) not in F.node_sets[k + 1]:
                 bad.append(f"gap {k}: element {x!r} has no valid right image")
+        for x in F.right_maps[k]:
+            if x not in F.left_maps[k]:
+                bad.append(f"gap {k}: right map defined on unknown element {x!r}")
     return ValidationReport(not bad, tuple(bad))
+
+
+def _image(F: Cosheaf, k: int, x: str, right: bool) -> str:
+    """Element x of gap k's image in the node set on its left or right,
+    or a `ValidationError` naming both when it has none there."""
+    y = (F.right_maps if right else F.left_maps)[k].get(x)
+    if y not in F.node_sets[k + right]:
+        raise ValidationError(f"gap {k}: element {x!r} has no valid "
+                              f"{'right' if right else 'left'} image")
+    return y
 
 
 def _restriction(F: Cosheaf, iv: Interval):
@@ -187,9 +201,9 @@ def evaluate(F: Cosheaf, iv: Interval) -> tuple[frozenset, ...]:
     for k in range(e_lo, e_hi + 1):
         for x in F.edge_sets[k]:
             if v_lo <= k <= v_hi:
-                uf.union(("e", k, x), ("v", k, F.left_maps[k][x]))
+                uf.union(("e", k, x), ("v", k, _image(F, k, x, False)))
             if v_lo <= k + 1 <= v_hi:
-                uf.union(("e", k, x), ("v", k + 1, F.right_maps[k][x]))
+                uf.union(("e", k, x), ("v", k + 1, _image(F, k, x, True)))
     comps = [frozenset(grp) for grp in uf.groups()]
     return tuple(sorted(comps, key=min))
 
@@ -255,7 +269,7 @@ def display(F: Cosheaf) -> RGraph:
     globally unique (all construction paths here keep them so)."""
     return _assemble(F.criticals, F.node_sets,
                      [{e: m[e] for e in es} for es, m in zip(F.edge_sets, F.left_maps)],
-                     [{e: m[e] for e in es} for es, m in zip(F.edge_sets, F.right_maps)])
+                     [{e: _image(F, k, e, True) for e in es} for k, es in enumerate(F.edge_sets)])
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +365,17 @@ class CosheafMorphism:
 
 
 def validate_cosheaf_morphism(ms: CosheafMorphism) -> ValidationReport:
-    bad: list[str] = []
     src, tgt = ms.source, ms.target
+    bad = [f"{name}: {v}" for name, F in (("source", src), ("target", tgt))
+           for v in validate_cosheaf(F).violations]
+    if bad:
+        return ValidationReport(False, tuple(bad))
     if src.criticals != tgt.criticals:
         return ValidationReport(False, ("criticals differ; compare over a "
                                         "common refinement",))
+    if len(ms.node_maps) != len(src.node_sets) or len(ms.edge_maps) != len(src.edge_sets):
+        return ValidationReport(False, ("node or edge map count does not match "
+                                        "the source's sets",))
     for i, ns in enumerate(src.node_sets):
         m = ms.node_maps[i]
         for x in ns:

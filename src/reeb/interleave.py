@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, product
-from math import prod
+from math import inf, prod
 
-from .core import (RGraph, _build, _edge_triples, component_sets,
-                   num_components, reduce, refine)
+from .core import RGraph, _build, _edge_triples, num_components, reduce, refine
 from .cosheaf import Interval, expand, interval
 from .dynconn import RollbackUnionFind
 from .errors import BudgetExceeded, InternalError, ValidationError
@@ -43,6 +42,14 @@ class Certificate:
     epsilon: Fraction
     alpha: RGraphMorphism         # f -> smooth(g, epsilon)
     beta: RGraphMorphism          # g -> smooth(f, epsilon)
+
+    def __repr__(self) -> str:
+        return f"Certificate(epsilon={self.epsilon}, f={_sizes(self.f)}, g={_sizes(self.g)})"
+
+
+def _sizes(g: RGraph) -> str:
+    """A graph as the short reprs show it: its vertex and edge counts."""
+    return f"RGraph(vertices={len(g.vertex_ids)}, edges={len(g.edge_ids)})"
 
 
 def _smoothings(f: RGraph, g: RGraph, eps: Fraction):
@@ -158,104 +165,129 @@ class Refutation:
     image: int                        # elements in the extension's image
     bound: int                        # elements of the other value on I^eps
 
+    def __repr__(self) -> str:
+        return (f"Refutation(epsilon={self.epsilon}, interval={self.interval}, "
+                f"side={self.side!r}, image={self.image}, bound={self.bound})")
 
-class _Ranks:
-    """Components of a graph's preimages of open intervals, in integer
-    coordinates (values times a common scale). An open interval meets a
-    range of doubled positions, 2k on level k and 2k+1 on the slot above
-    it; prefix sums count the cells of a range. Listed slot by slot, each
+
+def _cell_table(g: RGraph) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The rank pass's table of g, read by both of its union-finds. An
+    open interval meets a range of doubled positions, 2k on level k and
+    2k+1 on the slot above it; numbered in position order, the cells on
+    p..q are before[p] up to before[q + 1]. Listed slot by slot, each
     slot's (edge, lower end) links, then its (edge, upper end) links, the
-    links inside the range (p, q) are exactly groups[p:q], so a union-find
-    sliding over that list gives its components as long as neither end
-    of the ranges asked about moves back."""
-
-    def __init__(self, g: RGraph, crit: list[int]):
-        self.crit = crit
-        num = {c: n for n, c in enumerate((*g.vertex_ids, *g.edge_ids))}
-        self.at: list[list[int]] = []        # the cells at each position
-        groups: list[list[tuple[int, int]]] = []
-        for k, lev in enumerate(g.levels):
-            self.at.append([num[v] for v in lev])
-            if k < g.n_slots:
-                slot, down, up = g.slots[k], g.down[k], g.up[k]
-                self.at.append([num[e] for e in slot])
-                groups += ([(num[e], num[down[e]]) for e in slot],
-                           [(num[e], num[up[e]]) for e in slot])
-        self.last = len(self.at) - 1
-        self.before = [0, *accumulate(map(len, self.at))]   # cells before each position
-        self._uf = RollbackUnionFind(len(num), groups)
-
-    def span(self, lo, hi, r: int) -> tuple[int, int]:
-        """The first and last doubled positions that (lo - r, hi + r) meets;
-        an end of None is unbounded."""
-        last = self.last
-        p = 0 if lo is None else 2 * bisect_right(self.crit, lo - r) - 1
-        q = last if hi is None else 2 * bisect_left(self.crit, hi + r) - 1
-        return p if p > 0 else 0, q if q < last else last
-
-    def cells(self, r: tuple[int, int]) -> int:
-        """The number of cells on the positions of range r."""
-        return self.before[r[1] + 1] - self.before[r[0]] if r[0] <= r[1] else 0
-
-    def image(self, small: tuple[int, int], big: tuple[int, int]) -> int:
-        """Elements in the image of the extension from the value on range
-        `small` into that on range `big`; image(r, r) counts the value on r.
-        Over `big`, an edge joins those of its endpoints in the range."""
-        uf = self._uf
-        uf.slide(*big)      # returns at once on a run of checks on one range
-        if small == big:    # each union that merged two classes removes one
-            return self.cells(big) - len(uf.undo)
-        return len({uf.find(c) for cells in self.at[small[0]:small[1] + 1] for c in cells})
+    links inside p..q are exactly groups[p:q]."""
+    at: list[tuple[str, ...]] = []
+    for k, lev in enumerate(g.levels):
+        at += (lev, g.slots[k]) if k < g.n_slots else (lev,)
+    num = {c: n for n, c in enumerate(c for cells in at for c in cells)}
+    groups = []
+    for slot, down, up in zip(g.slots, g.down, g.up):
+        groups += ([(num[e], num[down[e]]) for e in slot], [(num[e], num[up[e]]) for e in slot])
+    return [0, *accumulate(map(len, at))], groups
 
 
 def _refute(f: RGraph, g: RGraph, eps: Fraction) -> Refutation | None:
     """The first interval that breaks the rank bound at eps, or None. Its
     ends are neighbouring or next-but-one candidates s + k eps (k in -2..2,
     s critical in either graph), or unbounded beyond the outermost, scanned
-    by low end, then high end, then side f before side g. Each side has
-    one `_Ranks` for its images at 2 eps and one for its bounds at eps;
-    along this order both ends of each one's ranges never decrease, so
-    each one's window only slides forward. An image has at most as many
-    elements as I has cells, and a bound is at least 1 once I^eps holds a
-    cell, so only a check with two cells over I, or one against an empty
-    I^eps, counts components."""
+    by low end, then high end, then side f before side g. Each graph has
+    one `_cell_table` and two union-finds sliding over its links, for its
+    images at 2 eps and its bounds at eps; along this order no end of
+    their ranges decreases, so a repeated check is the last one its side
+    evaluated, and is skipped. An image has at most as many elements as I
+    has cells, and a bound is at least 1 once I^eps holds a cell, so only
+    a check with two cells over I, or one against an empty I^eps, counts
+    components."""
     scale, (e, *crit) = scaled((eps, *f.criticals, *g.criticals))
-    cf, cg = crit[:f.n_levels], crit[f.n_levels:]
-    ends = [None, *sorted({s + k * e for s in crit for k in range(-2, 3)}), None]
-    sides = (("f", _Ranks(f, cf), _Ranks(g, cg)), ("g", _Ranks(g, cg), _Ranks(f, cf)))
+    e2 = 2 * e
+    ends = [-inf, *sorted({s + k * e for s in crit for k in range(-2, 3)}), inf]
+    tables = []       # per graph: criticals, last position, before, images, bounds
+    for h, c in ((f, crit[:f.n_levels]), (g, crit[f.n_levels:])):
+        before, groups = _cell_table(h)
+        tables.append((c, len(before) - 2, before, RollbackUnionFind(before[-1], groups),
+                       RollbackUnionFind(before[-1], groups)))
+    (cf, lf, bf, images_f, bounds_f), (cg, lg, bg, images_g, bounds_g) = tables
+    sides = (("f", cf, lf, bf, images_f, cg, lg, bg, bounds_g),   # own images, other's bounds
+             ("g", cg, lg, bg, images_g, cf, lf, bf, bounds_f))
+    seen = [None, None]
     for i, lo in enumerate(ends[:-1]):
         for hi in ends[i + 1:i + 3]:
-            for side, own, other in sides:
-                small, around = own.span(lo, hi, 0), other.span(lo, hi, e)
-                n, some = own.cells(small), other.cells(around)
-                if n == 0 or n == 1 and some:
+            for s, (side, oc, ol, ob, images, tc, tl, tb, bounds) in enumerate(sides):
+                # I in own on positions p..q, I^eps in the other on a..b
+                p, q = 2 * bisect_right(oc, lo) - 1, 2 * bisect_left(oc, hi) - 1
+                p, q = p if p > 0 else 0, q if q < ol else ol
+                n = ob[q + 1] - ob[p] if p <= q else 0
+                if n == 0:
                     continue
-                image = own.image(small, own.span(lo, hi, 2 * e))
-                bound = other.image(around, around) if some else 0
+                a, b = 2 * bisect_right(tc, lo - e) - 1, 2 * bisect_left(tc, hi + e) - 1
+                a, b = a if a > 0 else 0, b if b < tl else tl
+                some = tb[b + 1] - tb[a] if a <= b else 0
+                if n == 1 and some:
+                    continue
+                # I^2eps in own on P..Q
+                P, Q = 2 * bisect_right(oc, lo - e2) - 1, 2 * bisect_left(oc, hi + e2) - 1
+                P, Q = P if P > 0 else 0, Q if Q < ol else ol
+                if seen[s] == (p, q, P, Q, a, b):
+                    continue
+                seen[s] = p, q, P, Q, a, b
+                images.slide(P, Q)
+                if p == P and q == Q:     # each union that merged two classes removes one
+                    image = n - len(images.undo)
+                else:
+                    parent, roots = images.parent, set()
+                    for x in range(ob[p], ob[q + 1]):
+                        while parent[x] != x:
+                            x = parent[x]
+                        roots.add(x)
+                    image = len(roots)
+                bound = 0
+                if some:
+                    bounds.slide(a, b)
+                    bound = some - len(bounds.undo)
                 if image > bound:
-                    iv = interval(None if lo is None else Fraction(lo, scale),
-                                  None if hi is None else Fraction(hi, scale))
+                    iv = interval(None if lo == -inf else Fraction(lo, scale),
+                                  None if hi == inf else Fraction(hi, scale))
                     return Refutation(eps, iv, side, image, bound)
     return None
 
 
-def _over(g: RGraph, iv: Interval) -> list[frozenset[str]]:
-    """g's Reeb cosheaf on an open interval: the components of the vertices
-    strictly inside it and of the edges whose open span meets it."""
+def _window(g: RGraph, iv: Interval) -> tuple[int, int]:
+    """(a, b): g's levels a..b-1 lie strictly inside the open interval iv,
+    and its slots a-1..b-1 that exist are those whose open span meets it."""
     S = g.criticals
-    a = 0 if iv.lo is None else bisect_right(S, iv.lo)
-    b = len(S) if iv.hi is None else bisect_left(S, iv.hi)
-    return component_sets(g, [v for lev in g.levels[a:b] for v in lev],
-                          [e for slot in g.slots[max(a - 1, 0):b] for e in slot])
+    return (0 if iv.lo is None else bisect_right(S, iv.lo),
+            len(S) if iv.hi is None else bisect_left(S, iv.hi))
+
+
+def _labels(g: RGraph, iv: Interval) -> dict[str, str]:
+    """g's Reeb cosheaf on an open interval as one labelling: each cell
+    over it keyed to a root shared by exactly the cells of its component."""
+    a, b = _window(g, iv)
+    parent = {v: v for lev in g.levels[a:b] for v in lev}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+    for j in range(max(a - 1, 0), min(b, g.n_slots)):
+        for e in g.slots[j]:
+            # an edge of slot j joins its lower end if j >= a, its upper if j + 1 < b
+            parent[e] = r = root(g.down[j][e]) if j >= a else e
+            if j + 1 < b:
+                parent[root(g.up[j][e])] = r
+    return {x: root(x) for x in parent}
 
 
 def _rank_counts(own: RGraph, other: RGraph, iv: Interval, eps) -> tuple[int, int]:
     """The image of own's extension from iv to iv^2eps, as the number of
-    components over iv^2eps that those over iv land in, and the number of
-    other's components over iv^eps."""
-    where = {c: n for n, comp in enumerate(_over(own, expand(iv, 2 * eps))) for c in comp}
-    image = len({where[next(iter(comp))] for comp in _over(own, iv)})
-    return image, len(_over(other, expand(iv, eps)))
+    components over iv^2eps holding a cell over iv (each component over iv
+    lies inside one), and the number of other's components over iv^eps."""
+    big = _labels(own, expand(iv, 2 * eps))
+    a, b = _window(own, iv)
+    over = (*(v for lev in own.levels[a:b] for v in lev),
+            *(e for slot in own.slots[max(a - 1, 0):b] for e in slot))
+    return len({big[x] for x in over}), len(set(_labels(other, expand(iv, eps)).values()))
 
 
 def verify_refutation(f: RGraph, g: RGraph, ref: Refutation) -> tuple[bool, str]:
@@ -263,14 +295,13 @@ def verify_refutation(f: RGraph, g: RGraph, ref: Refutation) -> tuple[bool, str]
     both counts must be the recorded ones and the image must exceed the
     bound. Returns (ok, detail); the detail names the interval, side and counts."""
     iv, eps = ref.interval, ref.epsilon
-    where = f"on {iv}, side {ref.side!r}"
     if ref.side not in ("f", "g") or eps < 0 or iv.empty:
-        return False, (where + ": needs side 'f' or 'g', a nonempty interval "
+        return False, (f"on {iv}, side {ref.side!r}: needs side 'f' or 'g', a nonempty interval "
                        "and a nonnegative radius")
     own, other = (f, g) if ref.side == "f" else (g, f)
     image, bound = _rank_counts(own, other, iv, eps)
     if (image, bound) != (ref.image, ref.bound) or image <= bound:
-        return False, (f"{where}: the extension's image has {image} elements "
+        return False, (f"on {iv}, side {ref.side!r}: the extension's image has {image} elements "
                        f"against a bound of {bound}; the witness records "
                        f"{ref.image} and {ref.bound}")
     return True, "ok"
@@ -334,7 +365,8 @@ def _enumerate_bundles(side: _SearchSide, budget: NodeBudget):
     propagate along chains instead of being discovered after the fact:
     each target vertex holds a bitmask of its upper neighbours, bit k for
     the k-th vertex of the level above, and a vertex's candidates are the
-    bits set in the masks of all its lower neighbours' images."""
+    bits set in the masks of all its lower neighbours' images. Each such
+    list is built once per (level, mask) and kept."""
     S, T = side.S, side.T
     for i in range(S.n_levels):
         if S.levels[i] and not T.levels[i]:
@@ -352,13 +384,17 @@ def _enumerate_bundles(side: _SearchSide, budget: NodeBudget):
     for _, _, lo, hi in edges:
         lows[hi].append(lo)
 
+    @cache
+    def listed(i, mask):
+        return [w for k, w in enumerate(T.levels[i]) if mask >> k & 1]
+
     def candidates(i, v, va):
         if not lows[v]:
             return T.levels[i]
         mask = -1
         for u in lows[v]:
             mask &= above[va[u]]
-        return [w for k, w in enumerate(T.levels[i]) if mask >> k & 1]
+        return listed(i, mask)
 
     # each edge's upper end was drawn adjacent to its lower end's image
     for va in levelwise_assignments(S, candidates, budget):
@@ -443,6 +479,11 @@ class SearchOutcome:
     nodes: int
     refutation: Refutation | None = None
 
+    def __repr__(self) -> str:
+        return (f"SearchOutcome(status={self.status!r}, epsilon={self.epsilon}, "
+                f"nodes={self.nodes}, refutation={self.refutation!r}, "
+                f"certificate={self.certificate!r})")
+
 
 def search_certificate(f: RGraph, g: RGraph, eps, budget: int = 200_000) -> SearchOutcome:
     """Exhaustive search for a certificate at the given radius. "found"
@@ -520,6 +561,11 @@ class DistanceBracket:
     refutation: SearchOutcome | None  # the exhausted search behind `lower`,
                                       # with its rank witness if it has one
     unknown_gaps: bool                # a probe ran out of budget
+
+    def __repr__(self) -> str:
+        return (f"DistanceBracket(infinite={self.infinite}, lower={self.lower}, "
+                f"upper={self.upper}, unknown_gaps={self.unknown_gaps}, "
+                f"witness={self.witness!r}, refutation={self.refutation!r})")
 
 
 def distance_bracket(f: RGraph, g: RGraph, tol, budget: int = 200_000) -> DistanceBracket:

@@ -234,6 +234,28 @@ def test_validate_cosheaf_catches_damage():
         "gap 0: element 'e1' has no valid right image",)
 
 
+def test_hand_built_cosheaf_faults_are_reported_or_named():
+    F = loop_cosheaf()
+    short = Cosheaf(F.criticals, F.node_sets[:1], F.left_maps, F.right_maps)
+    assert validate_cosheaf(short).violations == ("1 node sets for 2 criticals",)
+    extra = Cosheaf(F.criticals, F.node_sets, F.left_maps,
+                    ({**F.right_maps[0], "zz": "{e0,e1,v1}"},))
+    assert validate_cosheaf(extra).violations == (
+        "gap 0: right map defined on unknown element 'zz'",)
+    # a right map lacking an element: every reader names the gap and the element
+    lacking = Cosheaf(F.criticals, F.node_sets, F.left_maps, ({"e0": "{e0,e1,v1}"},))
+    message = "^" + re.escape("gap 0: element 'e1' has no valid right image") + "$"
+    with pytest.raises(ValidationError, match=message):
+        display(lacking)
+    with pytest.raises(ValidationError, match=message):
+        evaluate(lacking, interval())
+    same = reeb.cosheaf.CosheafMorphism(
+        lacking, F, tuple({x: x for x in ns} for ns in F.node_sets),
+        tuple({x: x for x in es} for es in F.edge_sets))
+    assert validate_cosheaf_morphism(same).violations == (
+        "source: gap 0: element 'e1' has no valid right image",)
+
+
 def test_extension_that_splits_an_element_names_it(monkeypatch):
     # an evaluation that broke the larger interval's components into single
     # references would split the smaller one's element under extension

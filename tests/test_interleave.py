@@ -11,7 +11,7 @@ from math import prod
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reeb
@@ -535,6 +535,19 @@ class TestDistance:
         ref = br.refutation.refutation
         assert ref is not None and ref.epsilon == br.lower
         assert reeb.verify_refutation(line, loop, ref) == (True, "ok")
+
+    def test_reprs_stay_short(self):
+        # the maps and graphs are left out: radius, status, nodes, the
+        # refutation and each graph's vertex and edge counts
+        out = reeb.search_certificate(reeb.line(0, 1), reeb.loop(0, 1), 1, budget=200)
+        assert repr(out) == (
+            "SearchOutcome(status='found', epsilon=1, nodes=9, refutation=None, "
+            "certificate=Certificate(epsilon=1, f=RGraph(vertices=2, edges=1), "
+            "g=RGraph(vertices=2, edges=2)))")
+        br = reeb.distance_bracket(*chorded_pair(20), Fraction(1, 8))
+        assert br.witness is not None and br.refutation.refutation is not None
+        for x in (out, out.certificate, br, br.witness, br.refutation):
+            assert len(repr(x)) <= 500
 
     def test_identical_graphs_bracket_near_zero(self):
         g = reeb.fork()
@@ -1145,6 +1158,44 @@ def test_refute_on_sliding_windows_matches_the_unfiltered_scan(seed, close):
         assert _refute(f, g, eps) == unfiltered_refute(f, g, eps)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+def test_refute_matches_the_unfiltered_scan_on_bench_shaped_pairs(seed, n):
+    # stability pairs of 2 to n vertices probed at delta times 1/4, 1/2,
+    # 3/4 and 1, as the benchmark does; each witness's counts match the
+    # whole-cosheaf route
+    edges, fv, gv = reeb.random_stability_pair(random.Random(seed), n, n + 5)
+    assume(len(fv) >= 2)
+    f, g = (reeb.build_rgraph(vals, [(e, a, b) if vals[a] < vals[b] else (e, b, a)
+                                     for e, (a, b) in edges.items()]) for vals in (fv, gv))
+    delta = max(abs(fv[v] - gv[v]) for v in fv)
+    cosheaves = reeb.reeb_cosheaf(f), reeb.reeb_cosheaf(g)
+    for k in range(1, 5):
+        eps = delta * Fraction(k, 4)
+        ref = _refute(f, g, eps)
+        assert ref == unfiltered_refute(f, g, eps)
+        if ref is not None:
+            d = "fg".index(ref.side)
+            counts = _rank_counts((f, g)[d], (f, g)[1 - d], ref.interval, eps)
+            assert counts == cosheaf_rank_counts(cosheaves[d], cosheaves[1 - d],
+                                                 ref.interval, eps)
+
+
+def test_verify_refutation_shares_nothing_with_the_rank_pass(monkeypatch):
+    line, loop = reeb.line(0, 1), reeb.loop(0, 1)
+    ref = _refute(line, loop, Fraction(1, 5))
+
+    def unused(*args):
+        raise AssertionError("the re-check reached the rank pass")
+    monkeypatch.setattr(interleave, "_cell_table", unused)
+    monkeypatch.setattr(interleave, "RollbackUnionFind", unused)
+    assert reeb.verify_refutation(line, loop, ref) == (True, "ok")
+    raised = dataclasses.replace(ref, bound=ref.bound + 1)
+    assert reeb.verify_refutation(line, loop, raised) == (
+        False, "on (2/5, 3/5), side 'g': the extension's image has 2 elements "
+               "against a bound of 1; the witness records 2 and 2")
+
+
 def chorded_pair(n):
     """The chorded path v0..v{n-1} at 0..n-1, edges v_i-v_{i+1} and chords
     v_i-v_{i+2} for i divisible by 3, and the same path shifted by 1/3."""
@@ -1231,6 +1282,8 @@ def bundle_trace(enumerate_bundles, side, limit):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([Fraction(1, 2), Fraction(1)]),
        st.sampled_from([7, 40, 200, 5_000]))
+@example(0, Fraction(1, 2), 200)       # two vertices of a level ask with one mask
+@example(3, Fraction(1, 2), 5_000)     # a vertex has two parallel edges to one below
 def test_bitmask_candidates_enumerate_like_name_pairs(seed, k, limit):
     f, g, delta = search_outcomes.stability_graphs(seed)
     eps = delta * k

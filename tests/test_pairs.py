@@ -83,3 +83,41 @@ def test_the_relative_spread_and_change_are_over_the_parent_median():
     assert out["change"]["median"] == 11
     zero = pairs.summarize([run(t=0)], [run(t=1)], {"t": "lower"})["t"]
     assert (zero["parent_iqr_rel"], zero["median_change_rel"]) == (None, None)
+
+
+REPORT = "\n".join((
+    "workload interleave  seed 1  jobs 1306  (times in reference seconds)",
+    "  setup_s          0.339163 s",
+    "  job_p50_s        0.00595155 s",
+    "  (job_tail_s is p99.2 of 1306 jobs, 10 beyond it)",
+    "  (in wall seconds: job_p50 0.00340913, job_tail 0.0145381, jobs 5.29167 "
+    "against 9.32941 reference)",
+    "  failed_ratio     0 (0 of 1306 jobs)",
+    '{"correct": true, "attempted": 1306, "failed": 0, '
+    '"metrics": {"job_p50_s": {"value": 0.00595155, "unit": "s"}}}',
+    ""))
+
+
+def test_a_report_is_read_as_its_json_line_and_its_wall_seconds():
+    result, wall = pairs.parse_output(REPORT)
+    assert result["metrics"]["job_p50_s"]["value"] == 0.00595155
+    assert wall == {"job_p50_s": 0.00340913, "job_tail_s": 0.0145381}
+    without = "\n".join(line for line in REPORT.splitlines() if "wall" not in line)
+    assert pairs.parse_output(without) == (result, None)
+    assert pairs.parse_output("") == (None, None)
+    assert pairs.parse_output("Traceback ...\n") == (None, None)
+
+
+def test_wall_seconds_are_summarised_like_the_metrics():
+    def walled(p50, tail):
+        return {**run(job_p50_s=1.0), "wall": {"job_p50_s": p50, "job_tail_s": tail}}
+    parent = [walled(4.0, 9.0), walled(5.0, 9.5), {**run(), "wall": None}]
+    change = [walled(3.0, 9.9), walled(4.5, 9.0), walled(1.0, 1.0)]
+    better = {"job_p50_s": "lower", "job_tail_s": "lower"}
+    out = pairs.summarize(parent, change, better, pairs.wall_values)
+    assert (out["job_p50_s"]["pairs"], out["job_p50_s"]["change_wins"]) == (2, 2)
+    assert out["job_p50_s"]["change"]["values"] == [3.0, 4.5]
+    assert (out["job_tail_s"]["change_wins"], out["job_tail_s"]["parent"]["median"]) == (1, 9.25)
+    # the metrics of the same runs are read from their JSON lines alone
+    assert pairs.summarize(parent, change, better)["job_p50_s"]["pairs"] == 2
+    assert pairs.wall_values(FAILED) == {}

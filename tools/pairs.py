@@ -13,14 +13,18 @@ the metrics' better direction is read from CHANGE_DIR's
 
 Prints one JSON object: per end-to-end metric, each side's median and
 quartiles, the parent's interquartile range (absolute and over its
-median), and in how many pairs the change was strictly better. The raw
-values and any failed run are kept in it too.
+median), and in how many pairs the change was strictly better. The same
+summary covers the wall-second job_p50 and job_tail that each run prints
+beside its metrics, which are in reference seconds: a move that the
+calibration loop makes shows there as a difference between the two. The
+raw values and any failed run are kept in it too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -30,19 +34,33 @@ from pathlib import Path
 SECONDS = 10         # each run's --seconds
 
 
-def run_bench(checkout: Path, workload: str, seed: int) -> dict:
-    """One benchmark run in `checkout`: its exit code and the JSON object
-    on the last line of its standard output (None if there is none)."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS)],
-        cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+WALL = re.compile(r"\(in wall seconds: job_p50 (\S+), job_tail (\S+),")
+
+
+def parse_output(stdout: str) -> tuple[dict | None, dict | None]:
+    """A run's standard output read as the JSON object on its last line
+    and the wall-second {"job_p50_s", "job_tail_s"} of its report; each
+    None when missing."""
+    lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
-    return {"exit": proc.returncode, "result": result,
+    found = WALL.search(stdout)
+    wall = None if found is None else dict(zip(("job_p50_s", "job_tail_s"),
+                                               map(float, found.groups())))
+    return result, wall
+
+
+def run_bench(checkout: Path, workload: str, seed: int) -> dict:
+    """One benchmark run in `checkout`: its exit code, and its output as
+    `parse_output` reads it."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SECONDS)],
+        cwd=checkout, capture_output=True, text=True)
+    result, wall = parse_output(proc.stdout)
+    return {"exit": proc.returncode, "result": result, "wall": wall,
             "stderr": proc.stderr[-2000:] if proc.returncode else ""}
 
 
@@ -53,15 +71,25 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+def metric_values(run: dict) -> dict:
+    """A run's end-to-end metric values by name, none for a failed run."""
+    return {k: m["value"] for k, m in run["result"]["metrics"].items()} if run["result"] else {}
+
+
+def wall_values(run: dict) -> dict:
+    """A run's wall-second job_p50_s and job_tail_s, none if not printed."""
+    return run.get("wall") or {}
+
+
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
+              read=metric_values) -> dict:
     """Per metric, both sides' quartiles, the parent's IQR and the change's
-    wins over the pairs where both runs reported the metric."""
+    wins over the pairs where both runs reported the metric; `read` gives
+    a run's values by name."""
     out = {}
     for name, direction in better.items():
-        pairs = [(p["result"]["metrics"][name]["value"], c["result"]["metrics"][name]["value"])
-                 for p, c in zip(parent, change)
-                 if p["result"] and c["result"]
-                 and name in p["result"]["metrics"] and name in c["result"]["metrics"]]
+        pairs = [(p[name], c[name]) for p, c in zip(map(read, parent), map(read, change))
+                 if name in p and name in c]
         if not pairs:
             continue
         ps, cs = [p for p, _ in pairs], [c for _, c in pairs]
@@ -113,6 +141,8 @@ def main(argv=None) -> int:
         "order": "alternated, the parent first in odd-numbered pairs",
         "failed": failed,
         "metrics": summarize(runs["parent"], runs["change"], better),
+        "wall_seconds": summarize(runs["parent"], runs["change"],
+                                  {"job_p50_s": "lower", "job_tail_s": "lower"}, wall_values),
     }, indent=1))
     return 0 if not any(failed.values()) else 1
 
